@@ -12,8 +12,9 @@
        that lets the evaluation fit and makes an exact belief degree
        on top of it degrade to the Monte-Carlo estimate)
      pbtool trace PLAN SECONDS
-       replay the workload described by PLAN in-process, timing the
-       calls into each layer, and print one JSON object of per-layer
+       replay the workload described by PLAN in-process, untraced and
+       with Obs on, probe each layer's public functions on the
+       workload's inputs, and print one JSON object of per-layer
        metrics on stdout
 
    PLAN is written by run.py, one TAB-separated record per line:
@@ -24,7 +25,9 @@
      query DOC MODE FORMULA           MODE load | explain
      sweep DEPTH FIRST COUNT CHECK    one `pak sweep --check` command
      analyze SYSTEM ROUNDS            one `pak analyze` command
-     stream PATH                      frames for the serve layer
+     stream PATH                      frames of the serve mix; the responses
+                                      of their Serve.run replay are written
+                                      to PATH.out
      probe DOC FORMULA                a formula for the logic layers *)
 
 open Pak
@@ -104,12 +107,13 @@ type plan = {
   docs : doc list;
   ops : op list;
   stream : string;
+  stream_path : string;
   probes : (doc * string) list;
 }
 
 let load_plan path =
   let docs = Hashtbl.create 16 and order = ref [] in
-  let workload = ref "" and unit_ops = ref 1 and stream = ref "" in
+  let workload = ref "" and unit_ops = ref 1 and stream = ref "" and stream_path = ref "" in
   let ops = ref [] and probes = ref [] in
   let doc name =
     match Hashtbl.find_opt docs name with
@@ -149,7 +153,9 @@ let load_plan path =
                 :: !ops
           | [ "analyze"; system; rounds ] ->
               ops := Analyze (system, int_of_string rounds) :: !ops
-          | [ "stream"; file ] -> stream := read_file file
+          | [ "stream"; file ] ->
+              stream_path := file;
+              stream := read_file file
           | [ "probe"; d; f ] -> probes := (doc d, f) :: !probes
           | _ -> failwith ("plan: bad line " ^ line))
         () ic);
@@ -159,99 +165,42 @@ let load_plan path =
     docs = List.rev !order;
     ops = List.rev !ops;
     stream = !stream;
+    stream_path = !stream_path;
     probes = List.rev !probes;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Stage timers                                                        *)
+(* The CLI operations, through the same library calls                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Self time per stage: a stage's duration minus the part of it its
-   nested stages cover. Off during the untraced replay. *)
-let tracing = ref false
-let stage_self : (string, float) Hashtbl.t = Hashtbl.create 32
-let stage_calls : (string, int) Hashtbl.t = Hashtbl.create 32
-let child_time = ref 0.
-
-let stage name f =
-  if not !tracing then f ()
-  else begin
-    let outer = !child_time in
-    child_time := 0.;
-    let t0 = now () in
-    let finish () =
-      let d = now () -. t0 in
-      let self = d -. !child_time in
-      Hashtbl.replace stage_self name
-        (self +. Option.value (Hashtbl.find_opt stage_self name) ~default:0.);
-      Hashtbl.replace stage_calls name
-        (1 + Option.value (Hashtbl.find_opt stage_calls name) ~default:0);
-      child_time := outer +. d
-    in
-    Fun.protect ~finally:finish f
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Mirrors of the CLI operations, cut at layer boundaries              *)
-(* ------------------------------------------------------------------ *)
+(* A stage is an Obs span around a call the library does not span
+   itself (document and formula parsing, systems, output rendering);
+   the rest of the stage table comes from the library's own spans. With
+   Obs off a stage is exactly the call. *)
+let stage = Obs.span
 
 let ok_or_fail = function
   | Ok v -> v
   | Error e -> failwith (Error.to_string e)
 
+(* `pak load DOC --formula F` and `pak explain DOC --formula F --json`. *)
 let run_query doc mode text =
   let tree = stage "tree_io" (fun () -> ok_or_fail (Tree_io.of_string_result doc.text)) in
   let f = stage "parser" (fun () -> ok_or_fail (Parser.parse_result text)) in
   match mode with
   | "explain" ->
-      let cert =
-        stage "cert.certify" (fun () ->
-            ok_or_fail (Cert.certify_result tree ~valuation f))
-      in
-      (match stage "cert.check" (fun () -> Cert.check ~valuation tree cert) with
+      let cert = ok_or_fail (Cert.certify_result tree ~valuation f) in
+      (match Cert.check ~valuation tree cert with
       | Ok () -> ()
       | Error v -> failwith (Cert.violation_to_string v));
       stage "render" (fun () -> ignore (Sys.opaque_identity (Cert.to_json cert)))
   | _ ->
-      let fact = stage "semantics" (fun () -> Semantics.eval_auto tree ~valuation f) in
+      let fact = Semantics.eval_auto tree ~valuation f in
       stage "render" (fun () ->
           ignore
             (Sys.opaque_identity
                (Tree.fold_points tree ~init:0 ~f:(fun acc ~run ~time ->
                     if Fact.holds fact ~run ~time then acc + 1 else acc))))
-
-(* One seed of a sweep, as Sweep.run checks it. *)
-let check_seed ~params ~eps check seed =
-  match stage "gen" (fun () -> Sweep.seed_instance ~params seed) with
-  | None -> ()
-  | Some (_tree, (agent, act), fact) ->
-      let name =
-        match check with
-        | Sweep.Expectation -> "theorems.thm62"
-        | Sufficiency -> "theorems.thm42"
-        | Lemma43 -> "theorems.lemma43"
-        | Necessity -> "theorems.lemma51"
-        | Pak_corollary -> "theorems.cor72"
-        | Kop -> "theorems.kop"
-      in
-      let ok =
-        stage name (fun () ->
-            match check with
-            | Sweep.Expectation ->
-                let r = Theorems.expectation_identity fact ~agent ~act in
-                r.Theorems.independent && r.Theorems.identity
-            | Sufficiency -> (
-                match Belief.min_at_action fact ~agent ~act with
-                | None -> false
-                | Some p -> (Theorems.sufficiency fact ~agent ~act ~p).Theorems.respected)
-            | Lemma43 -> (Theorems.lemma43 fact ~agent ~act).Theorems.independent
-            | Necessity ->
-                let p = Constr.mu_given_action fact ~agent ~act in
-                (Theorems.necessity_exists fact ~agent ~act ~p).Theorems.respected
-            | Pak_corollary -> (Theorems.pak_corollary fact ~agent ~act ~eps).Theorems.respected
-            | Kop -> (Theorems.kop fact ~agent ~act).Theorems.respected)
-      in
-      if not ok then failwith (Printf.sprintf "sweep seed %d violates its check" seed)
 
 type instance = { fact : Fact.t; agent : int; act : string; threshold : Q.t }
 
@@ -277,19 +226,18 @@ let instance system rounds =
       }
   | s -> failwith ("unknown system " ^ s)
 
+(* `pak analyze SYSTEM --rounds N`: the calls of bin/pak_cli.ml. *)
 let run_analyze system rounds =
   let i = stage "systems" (fun () -> instance system rounds) in
   let fact = i.fact and agent = i.agent and act = i.act and p = i.threshold in
-  let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
-  let c = Constr.make ~agent ~act ~fact ~threshold:p in
-  let r = stage "constr.report" (fun () -> Constr.report_graded c) in
-  let e = stage "theorems.thm62" (fun () -> Theorems.expectation_identity fact ~agent ~act) in
-  let s = stage "theorems.thm42" (fun () -> Theorems.sufficiency fact ~agent ~act ~p) in
-  let n = stage "theorems.lemma51" (fun () -> Theorems.necessity_exists fact ~agent ~act ~p) in
-  let l = stage "theorems.lemma43" (fun () -> Theorems.lemma43 fact ~agent ~act) in
-  let k = stage "theorems.kop" (fun () -> Theorems.kop fact ~agent ~act) in
+  let r = Constr.report_graded (Constr.make ~agent ~act ~fact ~threshold:p) in
+  let e = Theorems.expectation_identity fact ~agent ~act in
+  let s = Theorems.sufficiency fact ~agent ~act ~p in
+  let n = Theorems.necessity_exists fact ~agent ~act ~p in
+  let l = Theorems.lemma43 fact ~agent ~act in
+  let k = Theorems.kop fact ~agent ~act in
   stage "render" (fun () ->
+      let ppf = Format.formatter_of_buffer (Buffer.create 1024) in
       Format.fprintf ppf "%a@.%a@.%a@.%a@.%a@.%a@." Constr.pp_report_graded r
         Theorems.pp_expectation e Theorems.pp_sufficiency s Theorems.pp_necessity n
         Theorems.pp_lemma43 l Theorems.pp_kop k)
@@ -299,13 +247,11 @@ let eps = Q.of_ints 1 10
 let run_op = function
   | Query (doc, mode, text) -> run_query doc mode text
   | Sweep_cmd (depth, first, count, check) ->
-      let params = gen_params depth in
-      if !tracing then
-        for seed = first to first + count - 1 do
-          check_seed ~params ~eps check seed
-        done
-      else if not (Sweep.passed (Sweep.run ~params ~eps check ~first_seed:first ~count))
-      then failwith "sweep reported a violation"
+      (* the sweep's own self time is Gen and the per-seed dispatch *)
+      stage "sweep" (fun () ->
+          if not (Sweep.passed (Sweep.run ~params:(gen_params depth) ~eps check
+                                  ~first_seed:first ~count))
+          then failwith "sweep reported a violation")
   | Analyze (system, rounds) -> run_analyze system rounds
 
 (* ------------------------------------------------------------------ *)
@@ -330,9 +276,6 @@ let field name = function
   | _ -> None
 
 let str_field name sx = match field name sx with Some (Sexp.Str s) -> Some s | _ -> None
-
-let int_field name sx =
-  match field name sx with Some (Sexp.Atom a) -> int_of_string_opt a | _ -> None
 
 (* Frame decode: the reader plus the s-expression parse, per frame. *)
 let decode_all stream =
@@ -407,139 +350,6 @@ let serve_service_times stream =
   if code <> 0 then failwith "serve replay exited non-zero";
   (Array.of_list (List.rev !service), Buffer.contents responses)
 
-(* The traced mirror of one serve request: decode, digest, caches
-   (modelled FIFO, as the server keeps them), parse, evaluate. *)
-let mirror_serve stream =
-  let trees = Hashtbl.create 32 and tree_order = Queue.create () in
-  let results = Hashtbl.create 256 and result_order = Queue.create () in
-  let fifo tbl order cap k v =
-    Hashtbl.replace tbl k v;
-    Queue.add k order;
-    while Hashtbl.length tbl > cap do Hashtbl.remove tbl (Queue.pop order) done
-  in
-  let payloads = stage "serve.decode" (fun () -> frames stream) in
-  List.iter
-    (fun p ->
-      match stage "serve.decode" (fun () -> Sexp.parse p) with
-      | Error _ -> ()
-      | Ok sx -> (
-          match (str_field "system" sx, str_field "formula" sx) with
-          | Some sys, Some ftext ->
-              let key =
-                stage "serve.digest" (fun () ->
-                    let d = Digest.string sys in
-                    let fd =
-                      match Parser.parse_result ftext with
-                      | Ok f -> Closure.digest (Closure.of_formula f)
-                      | Error _ -> ftext
-                    in
-                    Printf.sprintf "%s|%s|%s|%s" d fd
-                      (Sexp.to_string (Option.value (field "op" sx) ~default:(Sexp.Atom "")))
-                      (String.concat ","
-                         (List.map
-                            (fun n ->
-                              match int_field n sx with Some v -> string_of_int v | None -> "-")
-                            [ "agent"; "run"; "time"; "samples"; "seed"; "max-points" ])))
-              in
-              if not (Hashtbl.mem results key) then begin
-                let d = Digest.string sys in
-                let tree =
-                  match Hashtbl.find_opt trees d with
-                  | Some t -> t
-                  | None ->
-                      let t = stage "tree_io" (fun () -> ok_or_fail (Tree_io.of_string_result sys)) in
-                      fifo trees tree_order serve_config.Serve.tree_cache_max d t;
-                      t
-                in
-                let f = stage "parser" (fun () -> ok_or_fail (Parser.parse_result ftext)) in
-                let degraded = ref false in
-                (match field "op" sx with
-                | Some (Sexp.Atom "belief") ->
-                    let lim = Budget.limits ?max_points:(int_field "max-points" sx) () in
-                    let agent = Option.value (int_field "agent" sx) ~default:0
-                    and run = Option.value (int_field "run" sx) ~default:0
-                    and time = Option.value (int_field "time" sx) ~default:0 in
-                    ignore
-                      (Budget.with_budget lim (fun () ->
-                           let fact =
-                             stage "semantics" (fun () -> Semantics.eval_auto tree ~valuation f)
-                           in
-                           (* a capped request takes the Monte-Carlo path *)
-                           let name =
-                             if field "max-points" sx = None then "belief" else "simulate"
-                           in
-                           stage name (fun () ->
-                               match
-                                 Belief.degree_graded ?samples:(int_field "samples" sx)
-                                   ?seed:(int_field "seed" sx) fact ~agent ~run ~time
-                               with
-                               | Graded.Exact _ -> ()
-                               | Graded.Estimated _ -> degraded := true)))
-                | _ ->
-                    let fact =
-                      stage "semantics" (fun () -> Semantics.eval_auto tree ~valuation f)
-                    in
-                    stage "render" (fun () ->
-                        let initially = ref (Tree.empty_event tree) in
-                        for r = 0 to Tree.n_runs tree - 1 do
-                          if Fact.holds fact ~run:r ~time:0 then
-                            initially := Bitset.add !initially r
-                        done;
-                        ignore (Sys.opaque_identity (Tree.measure tree !initially))));
-                if not !degraded then fifo results result_order serve_config.Serve.cache_max key ()
-              end
-          | _ -> ()))
-    payloads
-
-(* Fields of the final (op status) response. *)
-let status_numbers responses =
-  let last_status = ref None in
-  let rd = Frame.reader (Frame.source_of_string responses) in
-  let rec go () =
-    match Frame.read rd with
-    | Frame.Eof -> ()
-    | Frame.Payload p ->
-        (match Sexp.parse p with
-        | Ok (Sexp.List (Sexp.Atom "response" :: fields)) -> (
-            match
-              List.find_map
-                (function
-                  | Sexp.List (Sexp.Atom "result" :: r) when List.exists
-                      (function Sexp.List [ Sexp.Atom "uptime-ticks"; _ ] -> true | _ -> false) r ->
-                      Some r
-                  | _ -> None)
-                fields
-            with
-            | Some r -> last_status := Some r
-            | None -> ())
-        | _ -> ());
-        go ()
-    | Frame.Junk _ -> go ()
-  in
-  go ();
-  match !last_status with
-  | None -> failwith "serve replay: no status response"
-  | Some r ->
-      let num path =
-        let rec find fields = function
-          | [] -> None
-          | [ last ] ->
-              List.find_map
-                (function
-                  | Sexp.List [ Sexp.Atom n; Sexp.Atom v ] when n = last -> float_of_string_opt v
-                  | _ -> None)
-                fields
-          | g :: rest ->
-              List.find_map
-                (function
-                  | Sexp.List (Sexp.Atom n :: sub) when n = g -> find sub rest
-                  | _ -> None)
-                fields
-        in
-        match find r path with Some v -> v | None -> failwith "status field missing"
-      in
-      num
-
 (* ------------------------------------------------------------------ *)
 (* Measurement helpers                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -596,11 +406,17 @@ let trace plan_file seconds =
   let is_serve = plan.workload = "serve" in
   let t_start = now () in
   List.iter (fun d -> ignore (Lazy.force d.tree)) plan.docs;
-  (* 1-2. The workload's operations twice each, alternating which goes
-     first: untraced, through the same entry points as the CLI (timed
-     per op, GC deltas), and traced, cut at layer boundaries with stage
-     timers and the library's counters on. Serve replays the stream
-     through Serve.run, then through the traced mirror. *)
+  (* 1. The serve stream through Serve.run, untraced: service times,
+     and the responses for run.py to check. *)
+  let serve_replay () = serve_service_times plan.stream in
+  let write_responses responses =
+    Out_channel.with_open_bin (plan.stream_path ^ ".out") (fun oc ->
+        output_string oc responses)
+  in
+  (* 2. The workload's operations twice each: untraced (timed, GC
+     deltas) and traced (Obs on: the library's spans and counters, plus
+     the stages above), alternating which goes first. For serve the
+     operation is the whole stream. *)
   Obs.reset ();
   let untraced_s = ref 0. and traced_s = ref 0. in
   let promoted = ref 0. and majors = ref 0 and minors = ref 0. in
@@ -616,22 +432,21 @@ let trace plan_file seconds =
   in
   let traced f =
     Obs.enable ();
-    tracing := true;
     let a = now () in
-    f ();
+    ignore (f ());
     traced_s := !traced_s +. (now () -. a);
-    tracing := false;
     Obs.disable ()
   in
-  let serve_run = ref None in
-  let op_ms, service_ms =
+  let op_ms, service =
     if is_serve then begin
-      let (service, responses), _ = untraced (fun () -> serve_service_times plan.stream) in
-      serve_run := Some (service, responses);
-      traced (fun () -> mirror_serve plan.stream);
-      ([||], Array.map (fun s -> s *. 1000.) service)
+      let (service, responses), _ = untraced serve_replay in
+      write_responses responses;
+      traced serve_replay;
+      ([||], service)
     end
     else begin
+      let service, responses = serve_replay () in
+      write_responses responses;
       let op_ms =
         List.mapi
           (fun i op ->
@@ -648,9 +463,10 @@ let trace plan_file seconds =
             end)
           ops
       in
-      (Array.of_list op_ms, [||])
+      (Array.of_list op_ms, service)
     end
   in
+  let service_ms = Array.map (fun s -> s *. 1000.) service in
   let untraced_s = !untraced_s and traced_s = !traced_s in
   put "gc.promoted_words" (per_op !promoted);
   put "gc.major_collections" (per_op (float !majors));
@@ -662,11 +478,18 @@ let trace plan_file seconds =
   put "semantics.gfp_iters" (per_op (c "semantics.gfp_iters"));
   put "bitset.set_ops" (per_op (c "bitset.set_ops"));
   put "belief.posterior_evals" (per_op (c "belief.posterior_evals"));
+  (* Self time and calls per span name, over the traced replays. *)
   let stages =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) stage_self []
-    |> List.sort compare
+    let tbl = Hashtbl.create 32 in
+    let rec walk (n : Obs.span_node) =
+      let ms, calls = Option.value (Hashtbl.find_opt tbl n.sn_name) ~default:(0., 0) in
+      Hashtbl.replace tbl n.sn_name (ms +. n.sn_self, calls + n.sn_count);
+      List.iter walk n.sn_children
+    in
+    List.iter walk (Obs.span_tree ());
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
   in
-  let stage_sum = List.fold_left (fun a (_, v) -> a +. v) 0. stages in
+  let stage_sum = List.fold_left (fun a (_, (v, _)) -> a +. v) 0. stages in
   put "trace.overhead_frac" ((traced_s /. untraced_s) -. 1.);
   put "trace.coverage_frac" (stage_sum /. traced_s);
   (* 3. Layer probes on the workload's own inputs, each for a slice of
@@ -855,20 +678,6 @@ let trace plan_file seconds =
   let hashed = List.filter digest_request reqs in
   let busy, calls = repeat_for (slice /. 2.) hashed (fun sx -> ignore (digest_request sx)) in
   put "serve.digest_us" (busy *. 1e6 /. float (max 1 calls));
-  let service, responses =
-    match !serve_run with Some r -> r | None -> serve_service_times plan.stream
-  in
-  let service = Array.map (fun s -> s *. 1000.) service in
-  put "serve.service_ms_p50" (percentile service 0.5);
-  put "serve.service_ms_p99" (percentile service 0.99);
-  let num = status_numbers responses in
-  let ratio h m = if h +. m = 0. then 0. else h /. (h +. m) in
-  put "serve.cache_hit_ratio" (ratio (num [ "cache"; "hits" ]) (num [ "cache"; "misses" ]));
-  put "serve.tree_cache_hit_ratio"
-    (ratio (num [ "tree-cache"; "hits" ]) (num [ "tree-cache"; "misses" ]));
-  let requests = Float.max 1. (num [ "requests" ]) in
-  put "serve.shed_frac" (num [ "shed" ] /. requests);
-  put "serve.degraded_frac" (num [ "degraded" ] /. requests);
   (* Output *)
   let b = Buffer.create 4096 in
   let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.6g") a)) in
@@ -878,9 +687,8 @@ let trace plan_file seconds =
     (List.rev !metrics);
   Buffer.add_string b "},\"stages_ms\":{";
   List.iteri
-    (fun i (k, v) ->
-      Printf.bprintf b "%s\"%s\":[%.6f,%d]" (if i = 0 then "" else ",") k (v *. 1000.)
-        (Hashtbl.find stage_calls k))
+    (fun i (k, (v, calls)) ->
+      Printf.bprintf b "%s\"%s\":[%.6f,%d]" (if i = 0 then "" else ",") k (v *. 1000.) calls)
     stages;
   Printf.bprintf b "},\"traced_ms\":%.6f,\"untraced_ms\":%.6f" (traced_s *. 1000.)
     (untraced_s *. 1000.);

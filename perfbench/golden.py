@@ -1,22 +1,16 @@
-"""Development-time helpers for perfbench/run.py.
+"""Development-time helper for perfbench/run.py.
 
     python3 perfbench/run.py --write-golden
         Runs every operation any seed can generate (the whole input pools)
         once, checks it (exit code, zero violations, certificates through
         tools/check_cert.exe, serve statuses) and writes the digests of the
         normalized outputs to perfbench/golden.json.
-
-    python3 perfbench/run.py --calibrate [--seed N]
-        Saturates one `pak serve --jobs 1` with the serve request mix and
-        prints the completed requests per second: the capacity that
-        SV_CAPACITY_RPS freezes.
 """
 
 import json
 import os
 import shutil
 import sys
-import time
 
 
 def _fresh(path):
@@ -82,8 +76,8 @@ def write_golden(m):
     server = m.Server(out)
     try:
         server.ping()
-        _, _, resp, _ = m.open_loop(server, lambda i: m.sv_frame(inp, reqs[i]), len(reqs),
-                                    [0.0] * len(reqs), max_ahead=m.SV_BURST_AHEAD)
+        resp = m.open_loop(server, lambda i: m.sv_frame(inp, reqs[i]), len(reqs),
+                           [0.0] * len(reqs))[3]
         if server.close()[0] != 0:
             sys.exit("golden: pak serve failed")
     finally:
@@ -103,22 +97,3 @@ def write_golden(m):
             + "\n  }" for w, t in golden.items()))
         f.write("\n}\n")
     m.log(f"golden: wrote {sum(len(t) for t in golden.values())} digests to {m.GOLDEN}")
-
-
-def calibrate(m, seed, seconds):
-    out = _fresh(os.path.join(m.BUILD, "calibrate"))
-    n = 3000
-    inp = m.sv_inputs(seed, out, n)
-    server = m.Server(out)
-    try:
-        server.ping()
-        reqs = inp["requests"]
-        t0 = time.perf_counter()
-        lat, _, resp, _ = m.open_loop(server, lambda i: m.sv_frame(inp, reqs[i]), n,
-                                      [0.0] * n, max_ahead=m.SV_BURST_AHEAD)
-        wall = time.perf_counter() - t0
-        server.close()
-    finally:
-        server.kill()
-    print(f"capacity: {n / wall:.1f} requests/s ({n} requests in {wall:.2f} s; "
-          f"max latency {max(lat):.0f} ms)")

@@ -20,10 +20,10 @@ Other modes:
     --selfcheck       seed plumbing: same seed -> identical inputs,
                       other seed -> different inputs
     --write-golden    recompute perfbench/golden.json over every input pool
-    --calibrate       measure the serve capacity the fixed rates derive from
 """
 
 import argparse
+import bisect
 import collections
 import hashlib
 import json
@@ -100,22 +100,31 @@ MC_MODES = ("load", "explain")
 
 CHECKS = ("thm62", "thm42", "lemma43", "lemma51", "cor72", "kop")
 # First seeds of sweep windows (TH_COUNT consecutive Gen seeds), kept near
-# the median cost of 64 windows at each depth.
+# the median cost of their depth: of 64 windows at depth 4, and of the
+# `sweep --check thm62` time of the 400 windows starting at odd seeds
+# 1-799 at depth 5.
 TH_WINDOWS = {4: [2301, 301, 1451, 1151, 1501, 2351, 801, 751],
-              5: [2451, 1651, 751, 251, 1251, 2151, 2201, 1601]}
-TH_PICK = {4: 2, 5: 2}
-TH_COUNT = {4: 12, 5: 4}
-TH_ANALYZE = [("judge", 7), ("judge", 8), ("judge", 9),
-              ("coordinated-attack", 4), ("coordinated-attack", 5)]
+              5: [9, 147, 203, 485, 589, 659, 743, 791]}
+# Depth-5 windows hold two seeds, so that one of their sweeps costs about
+# what a depth-4 window's does: command times then form one continuous
+# band, and the latency percentiles do not sit on a gap between two
+# bands.
+TH_PICK = {4: 4, 5: 4}
+TH_COUNT = {4: 12, 5: 2}
+# judge 9 is left out: one analysis takes 4-6 s, half of a round, so a
+# run held two or three samples of it and its timings spread past the
+# bound.
+TH_ANALYZE = [("judge", 7), ("judge", 8), ("coordinated-attack", 4),
+              ("coordinated-attack", 5)]
 # pak analyze prints the constraint verdict and five theorem checks.
 ANALYZE_CHECKS = 6
 
 SV_POOL = [3, 15, 20, 21, 24, 25, 26, 30, 31, 32, 33, 36, 39, 41, 47, 52, 55, 56, 57, 58,
            60, 62, 64, 66, 67, 69, 75, 77, 80, 84, 86, 88, 89, 91, 93, 95, 96, 101, 103,
            105, 106, 107, 114, 115, 117, 118, 124, 126]  # depth 4, 20-60 KB documents
-# Cheap formulas only: serve exercises the front end, not fixpoints (the
-# modelcheck workload does), and a heavy-tailed mix would make its latency
-# percentiles mostly queueing noise.
+# No C/CB fixpoints: on a depth-4 tree one costs more than the document
+# parse, so a few of them would set every serve percentile. The
+# modelcheck workload measures fixpoints.
 SV_FORMULAS = [
     "K[0] a0_s2_0", "K[1] a1_s3_1", "K[0] (a0_s3_0 | a1_s3_1)", "E[0,1] F a0_s3_1",
     "B[0]>=1/2 a1_s2_0", "B[1]>=1/3 a0_s3_1", "B[0]>=3/4 F a1_s4_0", "EB[0,1]>=1/2 a0_s2_1",
@@ -124,29 +133,51 @@ SV_FORMULAS = [
 ]
 SV_BELIEF_FORMULAS = ["a1_s2_0", "F a0_s3_1", "a0_s2_1 & a1_s2_0", "X a1_s3_0"]
 SV_BELIEF_POINTS = [(0, 0, 2), (1, 1, 3), (0, 2, 1)]
-SV_DEGRADED_SAMPLES = 50
+# Monte-Carlo samples of a degraded belief request, as tools/soak.ml asks.
+SV_DEGRADED_SAMPLES = 400
 SV_DEGRADED_SEED = 7
-# Shares of the request mix, exact in every block of 100 requests.
-SV_MIX = [("repeat", 0.35), ("new_formula", 0.30), ("unseen_doc", 0.10),
-          ("belief", 0.12), ("degraded", 0.12), ("junk", 0.01)]
+# The request mix: requests of each class in every block of 100. The op
+# kinds keep the proportions of the request slots of tools/soak.ml, the
+# repository's serve traffic harness: per 10 requests 4 eval, 2 exact
+# belief and 1 degraded belief (its other slots are faults, pings and
+# status). Over the 99 non-junk requests that is 57 eval, 28 belief and
+# 14 degraded. The evals are split evenly over the three cache outcomes
+# an eval can meet (result-cache hit, tree-cache hit, tree-cache miss):
+# no traffic log weights one over another. The junk frame is an
+# expected protocol error.
+SV_MIX = [("repeat", 19), ("new_formula", 19), ("unseen_doc", 19),
+          ("belief", 28), ("degraded", 14), ("junk", 1)]
+# Capacities of the server's FIFO caches (Serve.default_config).
 SV_TREE_CACHE = 32
 SV_RESULT_CACHE = 256
+# Untimed requests before the first phase: they fill the tree cache and
+# give the result cache entries to repeat.
+SV_WARMUP = [("unseen_doc", 24), ("new_formula", 136)]
 
-# Serve capacity (requests/s) of this request mix on the commit that added
-# the benchmark, measured once with --calibrate on a 2-vCPU x86-64 VM and
-# frozen. The fixed rates and the ladder are shares of it.
-SV_CAPACITY_RPS = 440.0
+# Serve capacity (requests/s) of this request mix, frozen: the median
+# end-to-end serve throughput_per_s (the saturated burst) of seeds 1-5 at
+# 30 s on the commit that fixed this mix, on a 2-vCPU x86-64 VM
+# (perfbench/README.md). The fixed rates and the ladder are shares of it.
+SV_CAPACITY_RPS = 159.3
 SV_LOW, SV_HIGH = 0.3, 0.8
 SV_LADDER = [0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0]
 # Latency limit for the ladder: the p99 a step must stay under.
 SV_LIMIT_MS = 100.0
-# A run whose generator queues frames later than this (p99) fell behind
+# A run whose generator sends frames later than this (p99) fell behind
 # its schedule: it is reported invalid, not faster.
 SV_LATE_LIMIT_MS = 50.0
 # Windows per phase; a metric is the median of its per-window values.
 SV_WINDOWS = 5
-# Frames a saturating burst keeps outstanding.
+# Requests the client keeps outstanding at most, in every phase. A frame
+# due while the window is full waits in the client; its latency still
+# counts from when it was due.
 SV_BURST_AHEAD = 32
+# The server fills its result cache when it writes a response, at most
+# SV_BURST_AHEAD requests after it looked the key up. The generator
+# repeats a key only once it was inserted this many requests ago, and
+# sends a key as new only if it never was cached or left the cache this
+# many requests ago, so each class meets the cache outcome it names.
+SV_SETTLED = 2 * SV_BURST_AHEAD
 
 SETUP_REPEATS = 5
 # No single operation or server answer may take longer than this.
@@ -364,9 +395,28 @@ def sv_key_name(key, spend=None):
     return f"{op}|{doc}|{f}|{p[0]},{p[1]},{p[2]}{extra}"
 
 
+def sv_classes(rng, n):
+    """The warm-up, then n classes with exact SV_MIX counts in every block
+    of 100, each block in seeded order."""
+    block = [c for c, k in SV_MIX for _ in range(k)]
+    classes = [c for c, k in SV_WARMUP for _ in range(k)]
+    while len(classes) < sv_warmup() + n:
+        b = block[:]
+        rng.shuffle(b)
+        classes += b
+    return classes[:sv_warmup() + n]
+
+
+def sv_warmup():
+    return sum(k for _, k in SV_WARMUP)
+
+
 def sv_inputs(seed, out, n_requests):
-    """The request stream: n_requests frames drawn with the stated mix,
-    classified against a model of the server's FIFO caches."""
+    """The request stream: the warm-up and n_requests frames of the mix.
+    The generator models the server's FIFO caches (lib/serve/serve.ml)
+    request by request so that each request meets the cache outcome its
+    class names; every run checks that against the server's own (op
+    status) counters (sv_mix_errors)."""
     rng = random.Random(f"serve:{seed}")
     pool = [f"s4-{s}" for s in SV_POOL]
     gen_docs(out, [(d, 4, int(d[3:])) for d in pool])
@@ -375,56 +425,100 @@ def sv_inputs(seed, out, n_requests):
     for d in pool:
         with open(os.path.join(out, d + ".pps")) as fh:
             quoted[d] = quote(fh.read())
-    trees, results = [], []  # FIFO models, oldest first
+    keys = {d: {op: [k for k in sv_keyspace(d) if k[0] == op] for op in ("eval", "belief")}
+            for d in pool}
+    # One job runs requests in arrival order, so the tree cache is
+    # modelled exactly.
+    trees = collections.deque()
+    # Result cache: keys in insertion order with the request index that
+    # inserted them; [head:] is cached.
+    ins_key, ins_at, head = [], [], 0
+    cached, left = set(), {}
 
-    def fifo_add(q, x, cap):
-        if x not in q:
-            q.append(x)
-            if len(q) > cap:
-                q.pop(0)
+    def fresh(k, i):
+        return k not in cached and left.get(k, -SV_SETTLED) <= i - SV_SETTLED
 
-    def fresh_key(doc, op):
-        cands = [k for k in sv_keyspace(doc) if k[0] == op and k not in results]
-        return rng.choice(cands) if cands else None
+    def pick(docs, op, i):
+        for d in rng.sample(list(docs), len(docs)):
+            cands = [k for k in keys[d][op] if fresh(k, i)]
+            if cands:
+                return rng.choice(cands)
+        raise Fail(f"serve generator: no new {op} key at request {i}")
 
-    # exact class shares in every block of 100 requests, order shuffled
-    block = [c for c, share in SV_MIX for _ in range(round(share * 100))]
-    classes = []
-    while len(classes) < n_requests:
-        b = block[:]
-        rng.shuffle(b)
-        classes += b
     reqs = []
-    for rid in range(1, n_requests + 1):
-        cls = classes[rid - 1]
-        key = None
+    for i, cls in enumerate(sv_classes(rng, n_requests)):
+        rid = i + 1
         if cls == "junk":
-            reqs.append(("junk", None, rid))
+            reqs.append((cls, None, rid))
             continue
-        if cls == "repeat" and results:
-            key = rng.choice(results)
-        if key is None and cls in ("new_formula", "belief", "degraded") and trees:
-            doc = rng.choice(trees)
-            if cls == "degraded":
-                f = rng.choice(SV_BELIEF_FORMULAS)
-                key = ("degraded", doc, f, rng.choice(SV_BELIEF_POINTS))
-            else:
-                key = fresh_key(doc, "eval" if cls == "new_formula" else "belief")
-        if key is None:
-            # unseen document, or nothing cached yet: a tree-cache miss
-            cls = "unseen_doc"
-            while key is None:
-                key = fresh_key(rng.choice([d for d in pool if d not in trees]), "eval")
-        # model what the server will do with it
-        if key[0] != "degraded" and key in results:
-            pass
+        if cls == "repeat":
+            hi = bisect.bisect_right(ins_at, i - SV_SETTLED, lo=head)
+            if hi == head:
+                raise Fail(f"serve generator: nothing to repeat at request {i}")
+            reqs.append((cls, ins_key[rng.randrange(head, hi)], rid))
+            continue
+        if cls == "unseen_doc":
+            key = pick([d for d in pool if d not in trees], "eval", i)
+        elif cls == "new_formula":
+            key = pick(trees, "eval", i)
+        elif cls == "belief":
+            key = pick(trees, "belief", i)
         else:
-            fifo_add(trees, key[1], SV_TREE_CACHE)
-            if key[0] != "degraded":
-                fifo_add(results, key, SV_RESULT_CACHE)
+            key = ("degraded", rng.choice(trees), rng.choice(SV_BELIEF_FORMULAS),
+                   rng.choice(SV_BELIEF_POINTS))
+        if key[1] not in trees:
+            trees.append(key[1])
+            if len(trees) > SV_TREE_CACHE:
+                trees.popleft()
+        if cls != "degraded":  # an estimated answer is never cached
+            ins_key.append(key)
+            ins_at.append(i)
+            cached.add(key)
+            if len(cached) > SV_RESULT_CACHE:
+                cached.discard(ins_key[head])
+                left[ins_key[head]] = i
+                head += 1
         reqs.append((cls, key, rid))
     return {"docs": [(d, 4, int(d[3:])) for d in pool], "requests": reqs, "spend": spend,
             "quoted": quoted}
+
+
+def sv_expected(reqs):
+    """The (op status) counters the server must report after answering
+    reqs, from their classes."""
+    c = collections.Counter(cls for cls, _, _ in reqs)
+    misses = c["new_formula"] + c["unseen_doc"] + c["belief"] + c["degraded"]
+    return {"shed": 0, "degraded": c["degraded"], "cache.hits": c["repeat"],
+            "cache.misses": misses, "tree-cache.hits": misses - c["unseen_doc"],
+            "tree-cache.misses": c["unseen_doc"]}
+
+
+STATUS_RE = re.compile(
+    rb"\(shed (\d+)\) \(degraded (\d+)\) \(cache \(entries \d+\) \(capacity \d+\) "
+    rb"\(hits (\d+)\) \(misses (\d+)\).*?\(tree-cache \(entries \d+\) "
+    rb"\(capacity \d+\) \(hits (\d+)\) \(misses (\d+)\)\)")
+
+
+def sv_status(payload):
+    """The counters of an (op status) response."""
+    m = STATUS_RE.search(payload)
+    if not m:
+        raise Fail(f"unexpected status response {payload[:200]!r}")
+    names = ("shed", "degraded", "cache.hits", "cache.misses", "tree-cache.hits",
+             "tree-cache.misses")
+    return dict(zip(names, (int(x) for x in m.groups())))
+
+
+def sv_mix_errors(reqs, status, who):
+    """Logs the share of each class sent; returns errors where the
+    server's counters differ from what the classes say."""
+    c = collections.Counter(cls for cls, _, _ in reqs[sv_warmup():])
+    n = max(1, sum(c.values()))
+    log(f"serve mix sent by {who} (after the warm-up of {sv_warmup()}): " +
+        ", ".join(f"{cls} {c[cls] / n:.1%}" for cls, _ in SV_MIX) + f" of {n}")
+    want = sv_expected(reqs)
+    return [f"{who}: (op status) {k} {status[k]} != {v} expected from the mix"
+            for k, v in want.items() if status[k] != v]
 
 
 def make_inputs(workload, seed, out, n_requests=0):
@@ -587,19 +681,14 @@ def closed_loop(workload, ops, out, seconds, oracle):
     as many rounds as the first one says fit in the time budget (at least
     one), so every round measures the same operation mix. Returns one
     record per operation: (round, key, ms, verdicts, minor words, peak heap
-    words), plus the gaps between operations and the round times."""
-    recs, gaps, round_s = [], [], []
+    words), and the round times."""
+    recs, round_s = [], []
     attempted = failed = 0
     planned = 1
-    prev_end = None
     while len(round_s) < planned:
         r0 = time.perf_counter()
         for op in ops:
-            t0 = time.perf_counter()
-            if prev_end is not None:
-                gaps.append((t0 - prev_end) * 1000)
             secs, code, so, se = run(op_cmd(workload, op, out))
-            prev_end = time.perf_counter()
             attempted += 1
             verdicts = 0
             if oracle.check(op, code, so):
@@ -611,35 +700,27 @@ def closed_loop(workload, ops, out, seconds, oracle):
                          gc.get("minor_words", 0.0), gc.get("top_heap_words", 0.0)))
         round_s.append(time.perf_counter() - r0)
         if len(round_s) == 1:
-            planned = max(1, round(seconds / round_s[0]))
+            planned = max(1, int(seconds / round_s[0]))
     with open(os.path.join(out, "ops.tsv"), "w") as f:
         f.writelines(f"{r}\t{k}\t{ms:.3f}\t{v}\n" for r, k, ms, v, _, _ in recs)
-    return {"recs": recs, "gaps": gaps, "round_s": round_s, "attempted": attempted,
-            "failed": failed}
+    return {"recs": recs, "round_s": round_s, "attempted": attempted, "failed": failed}
 
 
 def closed_loop_metrics(workload, res):
-    """Per-round throughput and latency percentiles, reported as the median
-    over rounds (every round runs the same operations). Theorems latency is
-    that of `pak analyze` on the fixed system ladder (TH_ANALYZE), the same
-    commands for every seed; its sweeps count in the throughput."""
+    """Per-round throughput and latency percentiles, each reported as the
+    median over rounds (every round runs the same operations)."""
+    recs = res["recs"]
+    units = (lambda rs: sum(x[3] for x in rs)) if workload == "theorems" else len
     per_round = []
     for r, secs in enumerate(res["round_s"]):
-        recs = [x for x in res["recs"] if x[0] == r]
-        if workload == "theorems":
-            units = sum(x[3] for x in recs)
-            samples = [x[2] for x in recs if x[1].startswith("analyze")]
-        else:
-            units = len(recs)
-            samples = [x[2] for x in recs]
-        per_round.append((units / secs, pct(samples, 0.5), pct(samples, 0.9)))
-    recs = res["recs"]
-    units = sum(x[3] for x in recs) if workload == "theorems" else len(recs)
+        rs = [x for x in recs if x[0] == r]
+        ms = [x[2] for x in rs]
+        per_round.append((units(rs) / secs, pct(ms, 0.5), pct(ms, 0.9)))
     return {
         "throughput_per_s": statistics.median(x[0] for x in per_round),
         "latency_ms_p50": statistics.median(x[1] for x in per_round),
         "latency_ms_p90": statistics.median(x[2] for x in per_round),
-        "minor_words_per_op": sum(x[4] for x in recs) / max(1, units),
+        "minor_words_per_op": sum(x[4] for x in recs) / max(1, units(recs)),
         "peak_heap_mb": statistics.mean(x[5] for x in recs) * 8 / 1e6,
     }
 
@@ -647,6 +728,22 @@ def closed_loop_metrics(workload, res):
 # ---------------------------------------------------------------------------
 # Open loop: serve
 # ---------------------------------------------------------------------------
+
+
+def take_frames(buf):
+    """Removes the complete frames at the head of buf (a bytearray) and
+    returns their payloads."""
+    got = []
+    while True:
+        nl = buf.find(b"\n")
+        if nl < 0:
+            break
+        n = int(buf[5:nl])
+        if len(buf) < nl + 1 + n:
+            break
+        got.append(bytes(buf[nl + 1:nl + 1 + n]))
+        del buf[:nl + 1 + n]
+    return got
 
 
 class Server:
@@ -662,17 +759,7 @@ class Server:
 
     def frames(self):
         """Complete response payloads received so far."""
-        got = []
-        while True:
-            nl = self.buf.find(b"\n")
-            if nl < 0:
-                break
-            n = int(self.buf[5:nl])
-            if len(self.buf) < nl + 1 + n:
-                break
-            got.append(bytes(self.buf[nl + 1:nl + 1 + n]))
-            del self.buf[:nl + 1 + n]
-        return got
+        return take_frames(self.buf)
 
     def read(self, timeout):
         r, _, _ = select.select([self.outp], [], [], timeout)
@@ -694,6 +781,18 @@ class Server:
                     return
         raise Fail("no pong from pak serve")
 
+    def status(self):
+        """The counters of an (op status) request sent after every
+        response has arrived."""
+        os.set_blocking(self.inp, True)
+        os.write(self.inp, frame("(request (id 0) (op status))"))
+        os.set_blocking(self.inp, False)
+        deadline = time.perf_counter() + 30
+        while time.perf_counter() < deadline:
+            for fr in self.read(0.5):
+                return sv_status(fr)
+        raise Fail("no status response from pak serve")
+
     def close(self):
         """EOF, drain, exit; returns (exit code, GC stats, last responses)."""
         os.set_blocking(self.inp, True)
@@ -711,28 +810,34 @@ class Server:
             self.p.wait()
 
 
-def open_loop(server, frame_of, n, schedule, max_ahead=None):
-    """Send frame_of(i) at t0 + schedule[i], i < n; return per-frame latency
-    (ms, from the scheduled send time), the times (ms after t0) the
-    generator queued each frame, the response payloads, in order (the
-    server answers in arrival order), and the wall time. With max_ahead, at
-    most that many frames are outstanding."""
+def open_loop(server, frame_of, n, schedule, max_ahead=SV_BURST_AHEAD):
+    """Send frame_of(i) at t0 + schedule[i], i < n, with at most max_ahead
+    frames outstanding. Returns per-frame latency (ms, from the scheduled
+    send time), when each frame was queued (ms after t0), how late the
+    generator queued each frame the window did not hold back (ms), the
+    response payloads in order (the server answers in arrival order), and
+    the wall time."""
     pending = collections.deque()  # queued frames; the first partly written
     off = 0
     sent = 0
-    lat, queued, resp = [], [], []
+    lat, queued, late, resp = [], [], [], []
     t0 = time.perf_counter() + 0.05
+    full = t0 - 1  # last time a due frame found the window full
     progress = t0
     while len(resp) < n:
         now = time.perf_counter()
         if now - progress > OP_TIMEOUT_S:
             raise Fail(f"pak serve stopped answering ({len(resp)} of {n} responses)")
-        while (sent < n and t0 + schedule[sent] <= now
-               and (max_ahead is None or sent - len(resp) < max_ahead)):
+        while sent < n and t0 + schedule[sent] <= now:
+            if sent - len(resp) >= max_ahead:
+                full = now
+                break
+            if t0 + schedule[sent] > full:
+                late.append((now - t0 - schedule[sent]) * 1000)
             queued.append((now - t0) * 1000)
             pending.append(frame_of(sent))
             sent += 1
-        if sent < n and (max_ahead is None or sent - len(resp) < max_ahead):
+        if sent < n and sent - len(resp) < max_ahead:
             timeout = max(0.0, t0 + schedule[sent] - time.perf_counter())
         else:
             timeout = 1.0
@@ -755,7 +860,7 @@ def open_loop(server, frame_of, n, schedule, max_ahead=None):
                 i = len(resp)
                 resp.append(fr)
                 lat.append((t - t0 - schedule[i]) * 1000)
-    return lat, queued, resp, time.perf_counter() - t0
+    return lat, queued, late, resp, time.perf_counter() - t0
 
 
 def arrivals(rng, rate, duration):
@@ -837,13 +942,17 @@ def ladder_rate(steps):
 
 
 def serve_run(seed, seconds, out, setup_times, traced_run=False):
+    """One pak serve: the warm-up, then the phases. Every response is
+    checked, and a final (op status) must show the cache outcomes the mix
+    stands for."""
     phases = sv_phases(seed, seconds, traced_run)
-    n = sum(p[3] for p in phases)
     t0 = time.perf_counter()
-    inp = sv_inputs(seed, out, n)
+    inp = sv_inputs(seed, out, sum(p[3] for p in phases))
     gen_s = time.perf_counter() - t0
     oracle = Oracle("serve", out)
     reqs = inp["requests"]
+    warm = sv_warmup()
+    phases = [("warmup", None, None, warm)] + phases
     res = {"lat": {}, "real": {}, "late": [], "attempted": 0, "failed": 0, "steps": [],
            "inp": inp}
     server = None
@@ -861,10 +970,9 @@ def serve_run(seed, seconds, out, setup_times, traced_run=False):
         for name, share, times, count in phases:
             chunk = reqs[i:i + count]
             i += count
-            ahead = {"closed": 1, "burst": SV_BURST_AHEAD}.get(name)
-            lat, queued, resp, wall = open_loop(
+            lat, queued, late, resp, _ = open_loop(
                 server, lambda j, chunk=chunk: sv_frame(inp, chunk[j]), count,
-                times or [0.0] * count, max_ahead=ahead)
+                times or [0.0] * count, max_ahead=1 if name == "closed" else SV_BURST_AHEAD)
             ok, bad = sv_check_responses(oracle, chunk, resp, inp["spend"])
             res["attempted"] += ok + bad
             res["failed"] += bad
@@ -873,7 +981,7 @@ def serve_run(seed, seconds, out, setup_times, traced_run=False):
                 lat = [x - q for x, q in zip(lat, queued)]
                 res["done_ms"] = [x + q for x, q in zip(lat, queued)]
             else:
-                res["late"] += [q - t * 1000 for q, t in zip(queued, times)]
+                res["late"] += late
             real = [x for (cls, _, _), x in zip(chunk, lat) if cls != "junk"]
             res["lat"][name] = lat
             res["real"][name] = real
@@ -883,6 +991,9 @@ def serve_run(seed, seconds, out, setup_times, traced_run=False):
                 res["steps"].append((share * SV_CAPACITY_RPS, pct(real, 0.99), growing))
                 if pct(real, 0.99) > SV_LIMIT_MS or growing:
                     break
+        mix = sv_mix_errors(reqs[:i], server.status(), "pak serve")
+        oracle.errors += mix
+        res["failed"] += len(mix)
         code, gc, _ = server.close()
         if code != 0:
             oracle.errors.append(f"pak serve exited {code}")
@@ -901,7 +1012,7 @@ def serve_run(seed, seconds, out, setup_times, traced_run=False):
 # ---------------------------------------------------------------------------
 
 
-def write_plan(workload, inp, out, path, stream):
+def write_plan(workload, inp, out, path, stream, sv_reqs):
     lines = [f"workload\t{workload}"]
     if workload == "theorems":
         units = sum(op_checks(workload, op) for op in inp["ops"])
@@ -912,8 +1023,8 @@ def write_plan(workload, inp, out, path, stream):
         units = len(inp["ops"])
         probes = sorted({(d, f) for d, _, f in inp["ops"]})
     else:
-        units = len(stream[1])
-        probes = sorted({(k[1], k[2]) for c, k, _ in stream[1] if k})
+        units = len(sv_reqs)
+        probes = sorted({(k[1], k[2]) for c, k, _ in sv_reqs if k})
         # every formula class, on the first documents the stream sends
         firsts = list(dict.fromkeys(p[0] for p in probes))[:2]
         probes += [(d, f) for d in firsts for f in GEN_FORMULAS]
@@ -930,33 +1041,10 @@ def write_plan(workload, inp, out, path, stream):
                 lines.append(f"sweep\t{op[1]}\t{op[2]}\t{op[3]}\t{op[4]}")
             else:
                 lines.append(f"analyze\t{op[1]}\t{op[2]}")
-    lines.append(f"stream\t{stream[0]}")
+    lines.append(f"stream\t{stream}")
     lines += [f"probe\t{d}\t{f}" for d, f in probes]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def synth_stream(workload, inp, out, path):
-    """Frames for the serve-layer probes of a non-serve workload: its
-    (document, formula) pairs as eval requests, then (op status)."""
-    if workload == "modelcheck":
-        pairs = sorted({(d, f) for d, _, f in inp["ops"]})
-    else:
-        docs = sorted({f"d4-{op[2]}" for op in inp["ops"] if op[0] == "sweep" and op[1] == 4})
-        gen_docs(out, [(d, 4, int(d[3:])) for d in docs])
-        pairs = [(d, f) for d in docs for f in GEN_FORMULAS]
-    quoted = {}
-    for d, _ in pairs:
-        if d not in quoted:
-            with open(os.path.join(out, d + ".pps")) as fh:
-                quoted[d] = quote(fh.read())
-    sinp = {"quoted": quoted, "spend": {}}
-    reqs = [("new_formula", ("eval", d, f, None), rid) for rid, (d, f) in enumerate(pairs, 1)]
-    with open(path, "wb") as f:
-        for r in reqs:
-            f.write(sv_frame(sinp, r))
-        f.write(frame(f"(request (id {len(reqs) + 1}) (op status))"))
-    return path, reqs
 
 
 def pbtool_trace(plan, seconds):
@@ -966,71 +1054,103 @@ def pbtool_trace(plan, seconds):
     return json.loads(r.stdout.decode().strip().splitlines()[-1])
 
 
+def serve_layer(seed, seconds, out):
+    """The pak serve figures every traced run reports, always on the serve
+    mix: the open-loop phases on one pak serve, and the stream the helper
+    replays through Serve.run (the warm-up and the low-rate phase as sent,
+    then an (op status))."""
+    res = serve_run(seed, seconds, out, None, traced_run=True)
+    reqs = res["inp"]["requests"][:sv_warmup() + len(res["lat"]["low"])]
+    path = os.path.join(out, "serve_stream.bin")
+    with open(path, "wb") as f:
+        for r in reqs:
+            f.write(sv_frame(res["inp"], r))
+        f.write(frame(f"(request (id {len(reqs) + 1}) (op status))"))
+    late = pct(res["late"], 0.99)
+    metrics = {"serve.generator_late_ms_p99": late,
+               "serve.max_rate_rps": ladder_rate(res["steps"])}
+    if late > SV_LATE_LIMIT_MS:
+        res["oracle"].errors.append(
+            f"run invalid: the generator fell behind its schedule "
+            f"(p99 {late:.2f} ms late > {SV_LATE_LIMIT_MS} ms)")
+    for rate in ("low", "high"):
+        metrics[f"serve.latency_ms_p50.{rate}"] = pct(res["real"][rate], 0.5)
+        metrics[f"serve.latency_ms_p99.{rate}"] = pct(res["real"][rate], 0.99)
+    log(f"serve ladder (rate, p99 ms, growing backlog): {res['steps']}")
+    return res, reqs, path, metrics
+
+
+def serve_replay_metrics(res, reqs, path, tr):
+    """Checks the helper's Serve.run replay like the live server's answers
+    and reads its final (op status)."""
+    with open(path + ".out", "rb") as f:
+        resp = take_frames(bytearray(f.read()))
+    oracle = res["oracle"]
+    ok, bad = sv_check_responses(oracle, reqs, resp[:len(reqs)], res["inp"]["spend"])
+    st = sv_status(resp[len(reqs)])
+    mix = sv_mix_errors(reqs, st, "the Serve.run replay")
+    oracle.errors += mix
+    res["attempted"] += ok + bad
+    res["failed"] += bad + len(mix)
+    warm = sv_warmup()
+    service = tr["service_ms"][warm:len(reqs)]
+    wait = [x - y for x, y in zip(res["lat"]["low"], service)]
+    # the ratios are over the low-rate phase: the warm-up's counts are
+    # known and taken off
+    w = sv_expected(reqs[:warm])
+    st = {k: v - w[k] for k, v in st.items()}
+    n = sum(1 for cls, _, _ in reqs[warm:] if cls != "junk")
+    return {
+        "serve.service_ms_p50": pct(service, 0.5),
+        "serve.service_ms_p99": pct(service, 0.99),
+        "serve.wait_ms_p50": pct(wait, 0.5),
+        "serve.wait_ms_p99": pct(wait, 0.99),
+        "serve.cache_hit_ratio": st["cache.hits"] / (st["cache.hits"] + st["cache.misses"]),
+        "serve.tree_cache_hit_ratio":
+            st["tree-cache.hits"] / (st["tree-cache.hits"] + st["tree-cache.misses"]),
+        "serve.shed_frac": st["shed"] / n,
+        "serve.degraded_frac": st["degraded"] / n,
+    }
+
+
 def traced(workload, seed, seconds, out):
-    """Per-layer metrics: a short untraced end-to-end pass (for waiting and
-    process overhead), then the in-process traced replay of the same
-    inputs."""
-    metrics = {}
-    attempted = failed = 0
+    """Per-layer metrics: the serve figures on the serve mix, a short
+    untraced end-to-end pass of the workload (for process overhead), then
+    the in-process replay of the same inputs."""
+    sv_out = os.path.join(out, "serve")
+    os.makedirs(sv_out)
+    # The other workloads give the serve figures a third of the time.
+    res, sv_reqs, stream, metrics = serve_layer(
+        seed, seconds if workload == "serve" else seconds / 3, sv_out)
+    plan = os.path.join(out, "plan.tsv")
     if workload == "serve":
-        res = serve_run(seed, seconds, out, None, traced_run=True)
-        attempted, failed = res["attempted"], res["failed"]
-        lat = res["lat"]["low"]
-        # the in-process replay covers the low-rate phase, from cold caches
-        reqs = res["inp"]["requests"][:len(lat)]
-        stream_path = os.path.join(out, "trace_stream.bin")
-        with open(stream_path, "wb") as f:
-            for r in reqs:
-                f.write(sv_frame(res["inp"], r))
-            f.write(frame(f"(request (id {len(reqs) + 1}) (op status))"))
-        write_plan(workload, res["inp"], out, os.path.join(out, "plan.tsv"),
-                   (stream_path, reqs))
-        tr = pbtool_trace(os.path.join(out, "plan.tsv"), seconds * 0.5)
-        wait = [x - y for x, y in zip(lat, tr["service_ms"])]
-        late = pct(res["late"], 0.99)
-        metrics["serve.generator_late_ms_p99"] = late
-        if late > SV_LATE_LIMIT_MS:
-            res["oracle"].errors.append(
-                f"run invalid: the generator fell behind its schedule "
-                f"(p99 {late:.2f} ms late > {SV_LATE_LIMIT_MS} ms)")
-        for rate in ("low", "high"):
-            metrics[f"serve.latency_ms_p50.{rate}"] = pct(res["real"][rate], 0.5)
-            metrics[f"serve.latency_ms_p99.{rate}"] = pct(res["real"][rate], 0.99)
-        metrics["serve.max_rate_rps"] = ladder_rate(res["steps"])
-        log(f"serve ladder (rate, p99 ms, growing backlog): {res['steps']}")
+        write_plan(workload, res["inp"], sv_out, plan, stream, sv_reqs)
+        tr = pbtool_trace(plan, seconds * 0.5)
         # process start: spawn to first pong
         t0 = time.perf_counter()
-        server = Server(out)
+        server = Server(sv_out)
         try:
             server.ping()
             metrics["cli.overhead_ms"] = (time.perf_counter() - t0) * 1000
             server.close()
         finally:
             server.kill()
-        oracle = res["oracle"]
+        oracle, attempted, failed = res["oracle"], 0, 0
     else:
         inp = make_inputs(workload, seed, out)
         oracle = Oracle(workload, out)
         e2e = closed_loop(workload, inp["ops"], out, 0, oracle)
         attempted, failed = e2e["attempted"], e2e["failed"]
-        stream_path, reqs = synth_stream(workload, inp, out, os.path.join(out, "trace_stream.bin"))
-        write_plan(workload, inp, out, os.path.join(out, "plan.tsv"), (stream_path, reqs))
-        tr = pbtool_trace(os.path.join(out, "plan.tsv"), seconds)
-        lat = [x[2] for x in e2e["recs"]]
-        wait = [a - b for a, b in zip(lat, tr["op_ms"])]
-        # a closed loop is always saturated: its tail is the loaded tail and
-        # its completion rate the highest rate it sustains
-        metrics["serve.generator_late_ms_p99"] = pct(e2e["gaps"], 0.99)
-        for rate in ("low", "high"):
-            metrics[f"serve.latency_ms_p50.{rate}"] = pct(lat, 0.5)
-            metrics[f"serve.latency_ms_p99.{rate}"] = pct(lat, 0.99)
-        metrics["serve.max_rate_rps"] = len(lat) / sum(e2e["round_s"])
-        metrics["cli.overhead_ms"] = statistics.median(wait)
-    metrics["serve.wait_ms_p50"] = pct(wait, 0.5)
-    metrics["serve.wait_ms_p99"] = pct(wait, 0.99)
+        write_plan(workload, inp, out, plan, stream, None)
+        tr = pbtool_trace(plan, seconds)
+        metrics["cli.overhead_ms"] = statistics.median(
+            x[2] - y for x, y in zip(e2e["recs"], tr["op_ms"]))
+    metrics.update(serve_replay_metrics(res, sv_reqs, stream, tr))
+    if oracle is not res["oracle"]:
+        oracle.errors += res["oracle"].errors
     metrics.update(tr["metrics"])
     report(workload, seed, tr, metrics)
-    return metrics, attempted, failed, oracle
+    return metrics, attempted + res["attempted"], failed + res["failed"], oracle
 
 
 # What a gain in a layer metric should move end to end, and where it
@@ -1042,14 +1162,14 @@ PREDICTIONS = [
     ("serve.wait_ms_p99", "serve: serve.latency_ms_p99.high, serve.max_rate_rps",
      "modelcheck, theorems"),
     ("serve.cache_hit_ratio", "serve: latency_ms_p50", "modelcheck, theorems"),
-    ("tree_io.parse_ms_per_100kb", "modelcheck: latency_ms_p50; serve: latency_ms_p90",
+    ("tree_io.parse_ms_per_100kb", "modelcheck: latency_ms_p50; serve: throughput_per_s",
      "theorems"),
     ("parser.parse_us", "nothing (control)", "every workload"),
     ("semantics.eval_ms.*", "modelcheck: latency_ms_p50/p90, throughput_per_s", "theorems"),
     ("cert.certify_ms", "modelcheck: latency_ms_p90", "theorems, serve"),
     ("tree.measure_us", "theorems: throughput_per_s; modelcheck: latency_ms_p90", "serve"),
     ("theorems.*_ms", "theorems: throughput_per_s, latency_ms_p50/p90", "modelcheck, serve"),
-    ("simulate.us_per_sample", "serve: latency_ms_p90, minor_words_per_op",
+    ("simulate.us_per_sample", "serve: latency_ms_p90, throughput_per_s, minor_words_per_op",
      "modelcheck, theorems"),
     ("q.add_ns", "theorems: throughput_per_s", "serve"),
     ("par.speedup_j2", "nothing (every workload runs one job)", "every workload"),
@@ -1173,7 +1293,6 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--selfcheck", action="store_true")
     ap.add_argument("--write-golden", action="store_true")
-    ap.add_argument("--calibrate", action="store_true")
     a = ap.parse_args()
     check_checkout()
     build()
@@ -1185,10 +1304,6 @@ def main():
     if a.write_golden:
         from golden import write_golden  # development only
         write_golden(sys.modules[__name__])
-        return
-    if a.calibrate:
-        from golden import calibrate
-        calibrate(sys.modules[__name__], a.seed, a.seconds)
         return
     if not a.workload:
         ap.error("--workload is required")
