@@ -63,7 +63,7 @@ MC_POOL = {
     4: [154, 1084, 97, 1580, 563, 2071, 2196, 919, 5, 797, 1991, 539],  # 2800-3200 points
     5: [1078, 1189, 949, 88, 49, 621, 954, 971],  # 11000-13000 points
 }
-MC_PICK = {3: 3, 4: 2, 5: 1}
+MC_PICK = {3: 3, 4: 4, 5: 1}
 MC_FIXED = [("judge8", "judge", 8), ("ca5", "coordinated-attack", 5)]
 
 # One formula per class: K/E, B/EB, C/CB fixpoints, temporal/does.
@@ -99,12 +99,14 @@ FIXED_FORMULAS = {
 MC_MODES = ("load", "explain")
 
 CHECKS = ("thm62", "thm42", "lemma43", "lemma51", "cor72", "kop")
-# First seeds of sweep windows (TH_COUNT consecutive Gen seeds), kept near
-# the median cost of their depth: of 64 windows at depth 4, and of the
-# `sweep --check thm62` time of the 400 windows starting at odd seeds
-# 1-799 at depth 5.
-TH_WINDOWS = {4: [2301, 301, 1451, 1151, 1501, 2351, 801, 751],
-              5: [9, 147, 203, 485, 589, 659, 743, 791]}
+# First seeds of sweep windows (TH_COUNT consecutive Gen seeds). A round's
+# longest sweeps are its lemma43 ones, so they set latency_ms_p90: the
+# windows are those whose `sweep --check lemma43` took 63-87 ms, and
+# whose other checks took at most 63 ms, among the 64 windows starting
+# at 1, 51, ..., 3151 at depth 4 and the 400 starting at odd seeds 1-799
+# at depth 5 (perfbench/README.md).
+TH_WINDOWS = {4: [2201, 2301, 401, 2151, 201, 3001, 1501, 1601],
+              5: [183, 641, 779, 659, 469, 485, 521, 113]}
 # Depth-5 windows hold two seeds, so that one of their sweeps costs about
 # what a depth-4 window's does: command times then form one continuous
 # band, and the latency percentiles do not sit on a gap between two
@@ -166,8 +168,11 @@ SV_LIMIT_MS = 100.0
 # A run whose generator sends frames later than this (p99) fell behind
 # its schedule: it is reported invalid, not faster.
 SV_LATE_LIMIT_MS = 50.0
-# Windows per phase; a metric is the median of its per-window values.
-SV_WINDOWS = 5
+# The end-to-end run alternates a closed segment and a burst segment,
+# cycle after cycle, so that both metrics sample the whole run and not
+# one stretch of it. Each segment is one block of the mix (the warm-up
+# is followed by whole blocks), so every segment sends the same classes.
+SV_CLOSED, SV_BURST = 100, 100
 # Requests the client keeps outstanding at most, in every phase. A frame
 # due while the window is full waits in the client; its latency still
 # counts from when it was due.
@@ -180,6 +185,17 @@ SV_BURST_AHEAD = 32
 SV_SETTLED = 2 * SV_BURST_AHEAD
 
 SETUP_REPEATS = 5
+# Host speed. On the shared 2-vCPU VM the benchmark was written on, the
+# CPU runs at two speeds and switches between them from milliseconds to
+# minutes apart: in the slow state every instruction, pak's and this
+# script's alike, takes about 1.5x as long. That alone spread runs of the
+# same code past the bounds. Every end-to-end time is therefore scaled by
+# REF_NOMINAL_MS / host_ms(), host_ms() timed just before and just after
+# the work it scales. The loop is this script's own, so no change to pak
+# moves it, and a slower pak still reads slower by the same share.
+REF_ITERS = 20000
+# host_ms() in the fast state of that machine.
+REF_NOMINAL_MS = 1.25
 # No single operation or server answer may take longer than this.
 OP_TIMEOUT_S = 60
 
@@ -190,6 +206,26 @@ OP_TIMEOUT_S = 60
 
 def log(*a):
     print(*a, file=sys.stderr, flush=True)
+
+
+def host_ms(runs=3):
+    """The median time of runs of a fixed pure-Python loop (ms)."""
+    ts = []
+    for _ in range(runs):
+        t = time.perf_counter()
+        x = 0
+        for i in range(REF_ITERS):
+            x += i * i
+        ts.append(time.perf_counter() - t)
+    return statistics.median(ts) * 1000
+
+
+def scaled(f):
+    """Runs f(); returns (its result, the factor that scales the time it
+    took to the nominal host speed)."""
+    h0 = host_ms()
+    r = f()
+    return r, 2 * REF_NOMINAL_MS / (h0 + host_ms())
 
 
 def sha(data):
@@ -439,11 +475,20 @@ def sv_inputs(seed, out, n_requests):
         return k not in cached and left.get(k, -SV_SETTLED) <= i - SV_SETTLED
 
     def pick(docs, op, i):
-        for d in rng.sample(list(docs), len(docs)):
+        for d in docs:
             cands = [k for k in keys[d][op] if fresh(k, i)]
             if cands:
                 return rng.choice(cands)
         raise Fail(f"serve generator: no new {op} key at request {i}")
+
+    # Unseen documents and degraded beliefs cost from 2 to 9 ms and from 15
+    # to 29 ms by document: they go to the least used documents first, so
+    # seeds differ in order, not in how much work a run holds.
+    used = {"unseen_doc": collections.Counter(), "degraded": collections.Counter()}
+
+    def balanced(docs, cls):
+        docs = rng.sample(list(docs), len(docs))
+        return sorted(docs, key=lambda d: used[cls][d])
 
     reqs = []
     for i, cls in enumerate(sv_classes(rng, n_requests)):
@@ -458,14 +503,16 @@ def sv_inputs(seed, out, n_requests):
             reqs.append((cls, ins_key[rng.randrange(head, hi)], rid))
             continue
         if cls == "unseen_doc":
-            key = pick([d for d in pool if d not in trees], "eval", i)
+            key = pick(balanced([d for d in pool if d not in trees], cls), "eval", i)
         elif cls == "new_formula":
-            key = pick(trees, "eval", i)
+            key = pick(rng.sample(list(trees), len(trees)), "eval", i)
         elif cls == "belief":
-            key = pick(trees, "belief", i)
+            key = pick(rng.sample(list(trees), len(trees)), "belief", i)
         else:
-            key = ("degraded", rng.choice(trees), rng.choice(SV_BELIEF_FORMULAS),
+            key = ("degraded", balanced(trees, cls)[0], rng.choice(SV_BELIEF_FORMULAS),
                    rng.choice(SV_BELIEF_POINTS))
+        if cls in used:
+            used[cls][key[1]] += 1
         if key[1] not in trees:
             trees.append(key[1])
             if len(trees) > SV_TREE_CACHE:
@@ -678,17 +725,22 @@ class Oracle:
 
 def closed_loop(workload, ops, out, seconds, oracle):
     """Whole rounds over the seed's operations, one pak process at a time:
-    as many rounds as the first one says fit in the time budget (at least
-    one), so every round measures the same operation mix. Returns one
+    as many rounds as the first one says fit in the time budget, rounded
+    to the nearest (at least one), so every round measures the same
+    operation mix. Returns one
     record per operation: (round, key, ms, verdicts, minor words, peak heap
-    words), and the round times."""
+    words, host-speed factor), and the round times."""
     recs, round_s = [], []
     attempted = failed = 0
     planned = 1
     while len(round_s) < planned:
         r0 = time.perf_counter()
+        h0 = host_ms()
         for op in ops:
             secs, code, so, se = run(op_cmd(workload, op, out))
+            h1 = host_ms()
+            scale = 2 * REF_NOMINAL_MS / (h0 + h1)
+            h0 = h1
             attempted += 1
             verdicts = 0
             if oracle.check(op, code, so):
@@ -697,25 +749,27 @@ def closed_loop(workload, ops, out, seconds, oracle):
                 failed += 1
             gc = gc_stats(se)
             recs.append((len(round_s), op_key(workload, op), secs * 1000, verdicts,
-                         gc.get("minor_words", 0.0), gc.get("top_heap_words", 0.0)))
+                         gc.get("minor_words", 0.0), gc.get("top_heap_words", 0.0), scale))
         round_s.append(time.perf_counter() - r0)
         if len(round_s) == 1:
-            planned = max(1, int(seconds / round_s[0]))
+            planned = max(1, round(seconds / round_s[0]))
     with open(os.path.join(out, "ops.tsv"), "w") as f:
-        f.writelines(f"{r}\t{k}\t{ms:.3f}\t{v}\n" for r, k, ms, v, _, _ in recs)
+        f.writelines(f"{r}\t{k}\t{ms:.3f}\t{v}\n" for r, k, ms, v, _, _, _ in recs)
     return {"recs": recs, "round_s": round_s, "attempted": attempted, "failed": failed}
 
 
 def closed_loop_metrics(workload, res):
-    """Per-round throughput and latency percentiles, each reported as the
-    median over rounds (every round runs the same operations)."""
+    """Per-round throughput (units over the operations' summed time) and
+    latency percentiles, each from host-speed-scaled operation times and
+    reported as the median over rounds (every round runs the same
+    operations)."""
     recs = res["recs"]
     units = (lambda rs: sum(x[3] for x in rs)) if workload == "theorems" else len
     per_round = []
-    for r, secs in enumerate(res["round_s"]):
+    for r in range(len(res["round_s"])):
         rs = [x for x in recs if x[0] == r]
-        ms = [x[2] for x in rs]
-        per_round.append((units(rs) / secs, pct(ms, 0.5), pct(ms, 0.9)))
+        ms = [x[2] * x[6] for x in rs]
+        per_round.append((units(rs) * 1000 / sum(ms), pct(ms, 0.5), pct(ms, 0.9)))
     return {
         "throughput_per_s": statistics.median(x[0] for x in per_round),
         "latency_ms_p50": statistics.median(x[1] for x in per_round),
@@ -810,9 +864,9 @@ class Server:
             self.p.wait()
 
 
-def open_loop(server, frame_of, n, schedule, max_ahead=SV_BURST_AHEAD):
-    """Send frame_of(i) at t0 + schedule[i], i < n, with at most max_ahead
-    frames outstanding. Returns per-frame latency (ms, from the scheduled
+def open_loop(server, frame_of, n, schedule):
+    """Send frame_of(i) at t0 + schedule[i], i < n, with at most
+    SV_BURST_AHEAD frames outstanding. Returns per-frame latency (ms, from the scheduled
     send time), when each frame was queued (ms after t0), how late the
     generator queued each frame the window did not hold back (ms), the
     response payloads in order (the server answers in arrival order), and
@@ -829,7 +883,7 @@ def open_loop(server, frame_of, n, schedule, max_ahead=SV_BURST_AHEAD):
         if now - progress > OP_TIMEOUT_S:
             raise Fail(f"pak serve stopped answering ({len(resp)} of {n} responses)")
         while sent < n and t0 + schedule[sent] <= now:
-            if sent - len(resp) >= max_ahead:
+            if sent - len(resp) >= SV_BURST_AHEAD:
                 full = now
                 break
             if t0 + schedule[sent] > full:
@@ -837,7 +891,7 @@ def open_loop(server, frame_of, n, schedule, max_ahead=SV_BURST_AHEAD):
             queued.append((now - t0) * 1000)
             pending.append(frame_of(sent))
             sent += 1
-        if sent < n and sent - len(resp) < max_ahead:
+        if sent < n and sent - len(resp) < SV_BURST_AHEAD:
             timeout = max(0.0, t0 + schedule[sent] - time.perf_counter())
         else:
             timeout = 1.0
@@ -863,6 +917,50 @@ def open_loop(server, frame_of, n, schedule, max_ahead=SV_BURST_AHEAD):
     return lat, queued, late, resp, time.perf_counter() - t0
 
 
+def closed_requests(server, frame_of, n):
+    """Sends frame_of(j), j < n, each once the previous one is answered.
+    Returns each request's latency (ms), scaled to the nominal host speed
+    by one reference loop just before and one just after it, the
+    responses, and the reference loop times."""
+    lat, resp = [], []
+    h0 = host_ms(1)
+    hosts = [h0]
+    for j in range(n):
+        data = memoryview(frame_of(j))
+        t = time.perf_counter()
+        os.set_blocking(server.inp, True)
+        while data:
+            data = data[os.write(server.inp, data):]
+        os.set_blocking(server.inp, False)
+        got = []
+        while not got:
+            if time.perf_counter() - t > OP_TIMEOUT_S:
+                raise Fail(f"pak serve stopped answering ({len(resp)} of {n} responses)")
+            got = server.read(1.0)
+        ms = (time.perf_counter() - t) * 1000
+        h1 = host_ms(1)
+        lat.append(ms * 2 * REF_NOMINAL_MS / (h0 + h1))
+        hosts.append(h1)
+        h0 = h1
+        resp += got
+    return lat, resp, hosts
+
+
+def burst_rate(segments):
+    """Saturated requests/s over every burst. segments are ("closed", mean
+    reference loop time) and ("burst", requests, ms) in the order run; a
+    burst leaves no room for reference loops, so its time is scaled by the
+    loops of the closed segments on either side of it."""
+    n = ms = 0
+    for k, seg in enumerate(segments):
+        if seg[0] == "burst":
+            hosts = [segments[j][1] for j in (k - 1, k + 1)
+                     if 0 <= j < len(segments) and segments[j][0] == "closed"]
+            n += seg[1]
+            ms += seg[2] * REF_NOMINAL_MS / statistics.mean(hosts)
+    return n * 1000 / ms
+
+
 def arrivals(rng, rate, duration):
     """Arrival times at a mean rate, spacing jittered +/-50% from the seed."""
     t, out = 0.0, []
@@ -883,15 +981,17 @@ def sv_normalize(payload):
 
 def sv_phases(seed, seconds, traced_run):
     """The run's phases: (name, offered share of capacity or None, arrival
-    times or None, request count). The end-to-end run has a closed phase
-    (one request outstanding: unloaded latency) and a burst (SV_BURST_AHEAD
-    outstanding: the server saturated, its completion rate the highest rate
-    it sustains). The traced run has the open-loop phases at the fixed low
-    and high rates, then the step ladder."""
+    times or None, request count). The end-to-end run alternates closed
+    segments (one request outstanding: unloaded latency) and bursts
+    (SV_BURST_AHEAD outstanding: the server saturated, its completion rate
+    the highest rate it sustains), as many cycles as fill about 80% of the
+    time at the frozen capacity. The traced run has the open-loop phases at
+    the fixed low and high rates, then the step ladder."""
     cap = SV_CAPACITY_RPS
     if not traced_run:
-        return [("closed", None, None, int(0.5 * seconds * cap)),
-                ("burst", None, None, int(0.3 * seconds * cap))]
+        cycles = max(2, round(0.8 * seconds * cap / (SV_CLOSED + SV_BURST)))
+        return [(name, None, None, count) for _ in range(cycles)
+                for name, count in (("closed", SV_CLOSED), ("burst", SV_BURST))]
     rng = random.Random(f"serve-arrivals:{seed}")
     step = 0.3 * seconds / len(SV_LADDER)
     phases = [("low", SV_LOW, arrivals(rng, SV_LOW * cap, 0.2 * seconds)),
@@ -946,45 +1046,63 @@ def serve_run(seed, seconds, out, setup_times, traced_run=False):
     checked, and a final (op status) must show the cache outcomes the mix
     stands for."""
     phases = sv_phases(seed, seconds, traced_run)
-    t0 = time.perf_counter()
-    inp = sv_inputs(seed, out, sum(p[3] for p in phases))
-    gen_s = time.perf_counter() - t0
+
+    def generate():
+        t0 = time.perf_counter()
+        inp = sv_inputs(seed, out, sum(p[3] for p in phases))
+        return inp, time.perf_counter() - t0
+    (inp, gen_s), scale = scaled(generate)
+    gen_s *= scale
     oracle = Oracle("serve", out)
     reqs = inp["requests"]
     warm = sv_warmup()
     phases = [("warmup", None, None, warm)] + phases
     res = {"lat": {}, "real": {}, "late": [], "attempted": 0, "failed": 0, "steps": [],
-           "inp": inp}
+           "segments": [], "inp": inp}
     server = None
     try:
         for _ in range(SETUP_REPEATS if setup_times is not None else 1):
             if server:
                 server.close()
                 server.kill()
-            t1 = time.perf_counter()
-            server = Server(out)
-            server.ping()
+
+            def spawn():
+                nonlocal server
+                t1 = time.perf_counter()
+                server = Server(out)
+                server.ping()
+                return time.perf_counter() - t1
+            spawn_s, scale = scaled(spawn)
             if setup_times is not None:
-                setup_times.append(gen_s + time.perf_counter() - t1)
+                setup_times.append(gen_s + spawn_s * scale)
         i = 0
         for name, share, times, count in phases:
             chunk = reqs[i:i + count]
             i += count
-            lat, queued, late, resp, _ = open_loop(
-                server, lambda j, chunk=chunk: sv_frame(inp, chunk[j]), count,
-                times or [0.0] * count, max_ahead=1 if name == "closed" else SV_BURST_AHEAD)
+
+            def frame_of(j, chunk=chunk):
+                return sv_frame(inp, chunk[j])
+            if name == "closed":
+                lat, resp, hosts = closed_requests(server, frame_of, count)
+                res["segments"].append(("closed", statistics.mean(hosts)))
+            else:
+                lat, queued, late, resp, _ = open_loop(server, frame_of, count,
+                                                       times or [0.0] * count)
             ok, bad = sv_check_responses(oracle, chunk, resp, inp["spend"])
             res["attempted"] += ok + bad
             res["failed"] += bad
-            if times is None:
+            if name == "burst":
+                # the requests after the first and the time between the
+                # first and the last answer: they were served back to back
+                res["segments"].append(("burst", count - 1, lat[-1] - lat[0]))
+            if times is None and name != "closed":
                 # no schedule: latency from when the frame was queued
                 lat = [x - q for x, q in zip(lat, queued)]
-                res["done_ms"] = [x + q for x, q in zip(lat, queued)]
-            else:
+            elif times is not None:
                 res["late"] += late
             real = [x for (cls, _, _), x in zip(chunk, lat) if cls != "junk"]
-            res["lat"][name] = lat
-            res["real"][name] = real
+            res["lat"].setdefault(name, []).extend(lat)
+            res["real"].setdefault(name, []).extend(real)
             if name.startswith("step"):
                 third = max(1, len(real) // 3)
                 growing = statistics.mean(real[-third:]) > 2 * statistics.mean(real[:third]) + 5
@@ -1220,6 +1338,9 @@ def selfcheck_seed(workload, seed, base):
 
 
 def measure(workload, seed, seconds):
+    # The vCPUs change speed independently of each other, so every process
+    # of the run shares one CPU with the host-speed loops that scale it.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     out = os.path.join(BUILD, workload)
     if os.path.exists(out):
         shutil.rmtree(out)
@@ -1229,31 +1350,28 @@ def measure(workload, seed, seconds):
         res = serve_run(seed, seconds, out, setup)
         oracle = res["oracle"]
         closed = res["real"]["closed"]
-        windows = [closed[k * len(closed) // SV_WINDOWS:(k + 1) * len(closed) // SV_WINDOWS]
-                   for k in range(SV_WINDOWS)]
-        done = res["done_ms"]
-        cuts = [k * len(done) // SV_WINDOWS for k in range(SV_WINDOWS + 1)]
-        # the first window fills the pipeline
-        rates = [(cuts[k + 1] - cuts[k]) * 1000 / (done[cuts[k + 1] - 1] - done[cuts[k] - 1])
-                 for k in range(1, SV_WINDOWS)]
         metrics = {
-            "throughput_per_s": statistics.median(rates),
-            "latency_ms_p50": statistics.median(pct(w, 0.5) for w in windows),
-            "latency_ms_p90": statistics.median(pct(w, 0.9) for w in windows),
+            "throughput_per_s": burst_rate(res["segments"]),
+            "latency_ms_p50": pct(closed, 0.5),
+            "latency_ms_p90": pct(closed, 0.9),
             "minor_words_per_op": res["gc"]["minor_words"] / max(1, res["sent"]),
             "peak_heap_mb": res["gc"]["top_heap_words"] * 8 / 1e6,
         }
+        rates = [round(s[1] * 1000 / s[2]) for s in res["segments"] if s[0] == "burst"]
         log(f"serve: sent {res['sent']} frames; closed p99 {pct(closed, 0.99):.2f} ms; "
-            f"burst window rates {[round(r, 1) for r in rates]}")
+            f"unscaled burst rates {rates}")
         attempted, failed = res["attempted"], res["failed"]
     else:
-        for _ in range(SETUP_REPEATS):
+        def prepare():
             t0 = time.perf_counter()
             inp = make_inputs(workload, seed, out)
             # first process start: page cache, binary, runtime
             if run([PAK, "list"])[1] != 0:
                 raise Fail("pak list failed")
-            setup.append(time.perf_counter() - t0)
+            return inp, time.perf_counter() - t0
+        for _ in range(SETUP_REPEATS):
+            (inp, secs), scale = scaled(prepare)
+            setup.append(secs * scale)
         oracle = Oracle(workload, out)
         res = closed_loop(workload, inp["ops"], out, seconds, oracle)
         metrics = closed_loop_metrics(workload, res)
