@@ -8,10 +8,7 @@ let occurrences tree ~agent ~act =
   |> List.rev
 
 let runs_performing tree ~agent ~act =
-  List.fold_left
-    (fun ev (run, _) -> Bitset.add ev run)
-    (Tree.empty_event tree)
-    (occurrences tree ~agent ~act)
+  Bitset.of_list (Tree.n_runs tree) (List.map fst (occurrences tree ~agent ~act))
 
 let count_in_run tree ~agent ~act ~run =
   let n = ref 0 in

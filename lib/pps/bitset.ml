@@ -40,10 +40,12 @@ let mem t i =
   check_bounds t i "Bitset.mem";
   (t.words.(i / word_bits) lsr (i mod word_bits)) land 1 = 1
 
+let set_bit words i = words.(i / word_bits) <- words.(i / word_bits) lor (1 lsl (i mod word_bits))
+
 let add t i =
   check_bounds t i "Bitset.add";
   let words = Array.copy t.words in
-  words.(i / word_bits) <- words.(i / word_bits) lor (1 lsl (i mod word_bits));
+  set_bit words i;
   { t with words }
 
 let remove t i =
@@ -53,7 +55,11 @@ let remove t i =
   { t with words }
 
 let singleton cap i = add (create cap) i
-let of_list cap is = List.fold_left add (create cap) is
+
+let of_list cap is =
+  let t = create cap in
+  List.iter (fun i -> check_bounds t i "Bitset.of_list"; set_bit t.words i) is;
+  t
 
 (* Bulk constructor: one fresh words array, no per-bit copying. The
    loop only ever sets bits below [cap], so the unused high bits of the
@@ -62,7 +68,7 @@ let init cap p =
   if cap < 0 then invalid_arg "Bitset.init: negative capacity";
   let words = Array.make (n_words cap) 0 in
   for i = 0 to cap - 1 do
-    if p i then words.(i / word_bits) <- words.(i / word_bits) lor (1 lsl (i mod word_bits))
+    if p i then set_bit words i
   done;
   { cap; words }
 
@@ -98,17 +104,38 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 let capacity t = t.cap
 
-let iter f t =
-  Obs.incr c_scans;
+(* Members in increasing order: shift each word down until it is
+   empty, so a word costs at most [word_bits] steps however many bits
+   it has set. *)
+let iter_members f t =
   for k = 0 to Array.length t.words - 1 do
-    let w = ref t.words.(k) in
+    let w = ref t.words.(k) and i = ref (k * word_bits) in
     while !w <> 0 do
-      let bit = !w land - !w in
-      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
-      f ((k * word_bits) + log2 bit 0);
-      w := !w land lnot bit
+      if !w land 1 = 1 then f !i;
+      w := !w lsr 1;
+      incr i
     done
   done
+
+let iter f t =
+  Obs.incr c_scans;
+  iter_members f t
+
+(* The same walk as [iter_members], written out so that it allocates
+   no closure and no accumulator. *)
+let weighted_sum t weights =
+  if Array.length weights <> t.cap then
+    invalid_arg "Bitset.weighted_sum: weight array length does not match capacity";
+  let acc = ref 0 in
+  for k = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(k) and i = ref (k * word_bits) in
+    while !w <> 0 do
+      if !w land 1 = 1 then acc := !acc + Array.unsafe_get weights !i;
+      w := !w lsr 1;
+      incr i
+    done
+  done;
+  !acc
 
 let fold f t init =
   let acc = ref init in
@@ -127,7 +154,11 @@ let for_all p t =
 
 let exists p t = not (for_all (fun i -> not (p i)) t)
 
-let filter p t = fold (fun i acc -> if p i then add acc i else acc) t (create t.cap)
+let filter p t =
+  Obs.incr c_scans;
+  let words = Array.make (Array.length t.words) 0 in
+  iter_members (fun i -> if p i then set_bit words i) t;
+  { cap = t.cap; words }
 
 let pp fmt t =
   Format.fprintf fmt "@[<hov 1>{%a}@]"

@@ -15,6 +15,10 @@ val singleton : int -> int -> t
 (** [singleton n i] has capacity [n] and sole member [i]. *)
 
 val of_list : int -> int list -> t
+(** [of_list n is] has capacity [n] and members [is] (duplicates are
+    fine). Builds one word array in place.
+    @raise Invalid_argument if a member is outside [0 .. n-1]. *)
+
 val to_list : t -> int list
 (** Members in increasing order. *)
 
@@ -48,4 +52,13 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 val filter : (int -> bool) -> t -> t
+(** Members satisfying the predicate, called in increasing order.
+    One scan, one fresh word array. *)
+
+val weighted_sum : t -> int array -> int
+(** [weighted_sum s w] is [Σ w.(i)] over the members [i] of [s],
+    computed word by word with no allocation. The caller keeps the sum
+    in range; no overflow check is made.
+    @raise Invalid_argument if [Array.length w <> capacity s]. *)
+
 val pp : Format.formatter -> t -> unit

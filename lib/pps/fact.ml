@@ -123,27 +123,25 @@ let is_about_runs t =
 
 let is_past_based t =
   (* Two runs agree up to time [time] iff they pass through the same
-     node; so past-based = constant on the runs through each node. *)
+     node; so past-based = constant on the runs through each node. Each
+     node is checked once, so the scans visit each point at most twice. *)
   let tr = t.tree in
-  let result = ref true in
-  Tree.iter_points tr (fun ~run ~time ->
-      if !result then begin
-        let node = Tree.run_node tr ~run ~time in
-        let v = t.table.(run).(time) in
-        if
-          Bitset.exists (fun run' -> t.table.(run').(time) <> v) (Tree.node_runs tr node)
-        then result := false
-      end);
-  !result
+  Pak_guard.Budget.charge_points (Tree.n_points tr);
+  let rec from node =
+    node >= Tree.n_nodes tr
+    ||
+    let time = Tree.node_depth tr node in
+    let runs = Tree.node_runs tr node in
+    let holds run = t.table.(run).(time) in
+    (Bitset.for_all holds runs || not (Bitset.exists holds runs)) && from (node + 1)
+  in
+  from 0
 
 let event_of_run_fact t =
   if not (is_about_runs t) then
     invalid_arg "Fact.event_of_run_fact: fact is not a fact about runs";
-  let ev = ref (Tree.empty_event t.tree) in
-  Array.iteri
-    (fun run row -> if Array.length row > 0 && row.(0) then ev := Bitset.add !ev run)
-    t.table;
-  !ev
+  Bitset.init (Array.length t.table) (fun run ->
+      Array.length t.table.(run) > 0 && t.table.(run).(0))
 
 let at_lstate t key =
   let tr = t.tree in
@@ -155,11 +153,9 @@ let and_action_at_lstate t ~agent ~act key =
 
 let at_action t ~agent ~act =
   Action.check_proper t.tree ~agent ~act;
-  let ev = ref (Tree.empty_event t.tree) in
-  List.iter
-    (fun (run, time) -> if t.table.(run).(time) then ev := Bitset.add !ev run)
-    (Action.occurrences t.tree ~agent ~act);
-  !ev
+  Action.occurrences t.tree ~agent ~act
+  |> List.filter_map (fun (run, time) -> if t.table.(run).(time) then Some run else None)
+  |> Bitset.of_list (Tree.n_runs t.tree)
 
 let prob t ev = Tree.measure t.tree ev
 

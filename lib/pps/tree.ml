@@ -35,7 +35,37 @@ type t = {
   n_points : int;
   lstate_index : (lkey, Bitset.t) Hashtbl.t;
   node_runs : Bitset.t array; (* runs passing through each node *)
+  denom : int; (* D, the lcm of the run-measure denominators; 0 if D >= 2^61 *)
+  weights : int array; (* µ(r)·D per run when denom > 0, else [||] *)
 }
+
+(* Integer run weights. With D < 2^61 every run measure is
+   weights.(r)/D, and since the measures sum to one every subset sum of
+   weights is at most D, so a measure is an int sum and one division.
+   Trees whose D does not fit fall back to summing the Q measures. *)
+let weight_bound = 1 lsl 61
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+let common_denominator (runs : run array) =
+  Array.fold_left
+    (fun d (r : run) ->
+      match Bignat.to_int_opt (Q.den r.meas) with
+      | Some rd when d > 0 && rd < weight_bound ->
+        let m = rd / gcd_int d rd in
+        if d > (weight_bound - 1) / m then 0 else d * m
+      | _ -> 0)
+    1 runs
+
+let run_weights denom (runs : run array) =
+  if denom = 0 then [||]
+  else
+    Array.map
+      (fun (r : run) ->
+        match (Bigint.to_int_opt (Q.num r.meas), Bignat.to_int_opt (Q.den r.meas)) with
+        | Some n, Some d -> n * (denom / d)
+        | _ -> assert false (* both below D, which fits *))
+      runs
 
 let next_id = ref 0
 
@@ -145,8 +175,9 @@ module Builder = struct
     (* Building the local-state index below visits every point once. *)
     Budget.charge_points n_points;
     (* Index: local state -> event of runs in which it occurs; and node
-       -> event of runs passing through it. *)
-    let lstate_index = Hashtbl.create 64 in
+       -> event of runs passing through it. Run lists are collected
+       first and packed once per key. *)
+    let lstate_run_lists = Hashtbl.create 64 in
     let node_run_lists = Array.make b.b_count [] in
     Array.iteri
       (fun ri (r : run) ->
@@ -156,16 +187,17 @@ module Builder = struct
             let state = nodes.(node_id).state in
             for agent = 0 to b.b_n_agents - 1 do
               let key = { agent; time; label = Gstate.local state agent } in
-              let prev =
-                match Hashtbl.find_opt lstate_index key with
-                | Some s -> s
-                | None -> Bitset.create n_runs
-              in
-              Hashtbl.replace lstate_index key (Bitset.add prev ri)
+              let prev = Option.value ~default:[] (Hashtbl.find_opt lstate_run_lists key) in
+              Hashtbl.replace lstate_run_lists key (ri :: prev)
             done)
           r.nodes)
       runs;
+    let lstate_index = Hashtbl.create (Hashtbl.length lstate_run_lists) in
+    Hashtbl.iter
+      (fun key l -> Hashtbl.add lstate_index key (Bitset.of_list n_runs l))
+      lstate_run_lists;
     let node_runs = Array.map (Bitset.of_list n_runs) node_run_lists in
+    let denom = common_denominator runs in
     incr next_id;
     { id = !next_id;
       n_agents = b.b_n_agents;
@@ -173,7 +205,9 @@ module Builder = struct
       runs;
       n_points;
       lstate_index;
-      node_runs
+      node_runs;
+      denom;
+      weights = run_weights denom runs
     }
 end
 
@@ -239,22 +273,46 @@ let fold_points t ~init ~f =
   iter_points t (fun ~run ~time -> acc := f !acc ~run ~time);
   !acc
 
+let weight_denominator t = if t.denom > 0 then Some t.denom else None
+
 let all_runs t = Bitset.full (Array.length t.runs)
 let empty_event t = Bitset.create (Array.length t.runs)
 
-let measure t ev =
+(* The checks, counters and budget charge of one measure. *)
+let account t ev =
   if Bitset.capacity ev <> Array.length t.runs then
     invalid_arg "Tree.measure: event capacity does not match run count";
   Obs.incr c_measure_calls;
-  if !Obs.on then Obs.add c_measure_runs (Bitset.cardinal ev);
-  if !Budget.active then Budget.charge_points (Bitset.cardinal ev);
-  Bitset.fold (fun r acc -> Q.add acc t.runs.(r).meas) ev Q.zero
+  if !Obs.on || !Budget.active then begin
+    let card = Bitset.cardinal ev in
+    if !Obs.on then Obs.add c_measure_runs card;
+    if !Budget.active then Budget.charge_points card
+  end
+
+(* µ(ev)·D on an integer-weight tree. *)
+let weight t ev = account t ev; Bitset.weighted_sum ev t.weights
+
+let measure t ev =
+  if t.denom > 0 then Q.of_ints (weight t ev) t.denom
+  else begin
+    account t ev;
+    Bitset.fold (fun r acc -> Q.add acc t.runs.(r).meas) ev Q.zero
+  end
+
+let zero_condition () =
+  raise (Error.Division_by_zero "Tree.cond: conditioning event has measure zero")
 
 let cond t a ~given =
-  let mb = measure t given in
-  if Q.is_zero mb then
-    raise (Error.Division_by_zero "Tree.cond: conditioning event has measure zero");
-  Q.div (measure t (Bitset.inter a given)) mb
+  if t.denom > 0 then begin
+    let wb = weight t given in
+    if wb = 0 then zero_condition ();
+    Q.of_ints (weight t (Bitset.inter a given)) wb
+  end
+  else begin
+    let mb = measure t given in
+    if Q.is_zero mb then zero_condition ();
+    Q.div (measure t (Bitset.inter a given)) mb
+  end
 
 let lkey t ~agent ~run ~time =
   if agent < 0 || agent >= t.n_agents then invalid_arg "Tree.lkey: agent out of range";

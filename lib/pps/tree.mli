@@ -111,11 +111,21 @@ val fold_points : t -> init:'a -> f:('a -> run:int -> time:int -> 'a) -> 'a
 val all_runs : t -> Bitset.t
 val empty_event : t -> Bitset.t
 
+val weight_denominator : t -> int option
+(** [Some d] when the tree carries integer run weights: [d] is the lcm
+    of the run-measure denominators, it is below [2^61], and every run
+    measure is an integer multiple of [1/d]. {!measure} and {!cond} are
+    then sums of native ints over the event's words and one final
+    division. [None] when that lcm does not fit; those trees sum the
+    exact run measures instead. The results are identical either way;
+    only the cost differs. *)
+
 val measure : t -> Bitset.t -> Q.t
 (** [µ_T(Q)] for an event [Q] (a set of runs). *)
 
 val cond : t -> Bitset.t -> given:Bitset.t -> Q.t
-(** Conditional probability [µ_T(A | B)].
+(** Conditional probability [µ_T(A | B)]: on a tree with integer
+    weights, the ratio of the two weight sums.
     @raise Pak_guard.Error.Division_by_zero if [µ_T(B) = 0]. *)
 
 (** {1 Local states} *)

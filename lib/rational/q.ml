@@ -31,7 +31,6 @@ let minus_one = { num = Bigint.minus_one; den = Bignat.one }
 let half = { num = Bigint.one; den = Bignat.two }
 
 let of_int n = { num = Bigint.of_int n; den = Bignat.one }
-let of_ints n d = make (Bigint.of_int n) (Bigint.of_int d)
 
 let num t = t.num
 let den t = t.den
@@ -80,6 +79,12 @@ let of_ints_normalized n d =
     let g = gcd_int (Stdlib.abs n) d in
     { num = Bigint.of_int (n / g); den = Bignat.of_int (d / g) }
   end
+
+(* [min_int] has no native negation, so it and non-positive
+   denominators take the bignum path. *)
+let of_ints n d =
+  if d > 0 && n <> min_int then of_ints_normalized n d
+  else make (Bigint.of_int n) (Bigint.of_int d)
 
 let as_small t =
   match (Bigint.to_int_opt t.num, Bignat.to_int_opt t.den) with

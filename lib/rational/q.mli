@@ -26,7 +26,9 @@ val make : Bigint.t -> Bigint.t -> t
 val of_int : int -> t
 
 val of_ints : int -> int -> t
-(** [of_ints n d] is [n/d].
+(** [of_ints n d] is [n/d]. When [d > 0] and [n <> min_int] the gcd is
+    taken on native ints, with no bignum allocated along the way; other
+    arguments go through {!make}. Both paths return the same value.
     @raise Pak_guard.Error.Division_by_zero if [d = 0]. *)
 
 val of_string : string -> t

@@ -265,6 +265,85 @@ let prop_reference_engine =
         && Reference.local_state_independent fact ~agent ~act
            = Independence.holds fact ~agent ~act)
 
+(* Tree.measure and Tree.cond against Reference's own Q fold over
+   run_measure: the full and empty events plus four seeded random
+   ones, every ordered pair for cond. An empty condition must raise in
+   both. *)
+let measure_agrees_with_reference tree ~seed =
+  let n = Tree.n_runs tree in
+  let rng = Random.State.make [| seed |] in
+  let random_event () =
+    let density = Random.State.int rng 101 in
+    Bitset.init n (fun _ -> Random.State.int rng 100 < density)
+  in
+  let events =
+    Tree.all_runs tree :: Tree.empty_event tree :: List.init 4 (fun _ -> random_event ())
+  in
+  List.for_all
+    (fun a ->
+      Q.equal (Tree.measure tree a) (Reference.mu tree (Bitset.mem a))
+      && List.for_all
+           (fun b ->
+             match Tree.cond tree a ~given:b with
+             | m -> Q.equal m (Reference.mu_cond tree (Bitset.mem a) ~given:(Bitset.mem b))
+             | exception Pak_guard.Error.Division_by_zero _ -> Bitset.is_empty b)
+           events)
+    events
+
+let prop_reference_measure =
+  QCheck.Test.make ~count:24 ~name:"Tree.measure/cond agree with Reference on Gen depth 2-5"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let params = { Gen.default_params with depth = 2 + (seed mod 4) } in
+      measure_agrees_with_reference (Gen.tree ~params seed) ~seed)
+
+let test_reference_measure_ladders () =
+  let ladders =
+    List.map (fun rounds -> (Printf.sprintf "judge %d" rounds, Judge.tree ~rounds ~convict_at:2 ()))
+      [ 7; 8; 9 ]
+    @ List.map
+        (fun rounds ->
+          (Printf.sprintf "coordinated-attack %d" rounds, Coordinated_attack.tree ~rounds ()))
+        [ 4; 5 ]
+  in
+  List.iter
+    (fun (name, tree) ->
+      check_bool (name ^ " has integer weights") true (Tree.weight_denominator tree <> None);
+      check_bool (name ^ " agrees") true (measure_agrees_with_reference tree ~seed:1))
+    ladders
+
+(* Initial states 1/p1, 1/p2, 1/p3 and the rest, for primes near 10^6:
+   the lcm p1·p2·p3 ≈ 10^18 is just under 2^61, so the integer weights
+   are used. Splitting the 1/p1 state by 1/p4 keeps every run
+   denominator native but pushes the lcm to ≈ 10^24, which forces the
+   Q fallback. *)
+let prime_tree ~split =
+  let p1 = 1000003 and p2 = 1000033 and p3 = 1000037 and p4 = 1000039 in
+  let b = Tree.Builder.create ~n_agents:1 in
+  let state label = Gstate.make ~env:"" ~locals:[ label ] in
+  let inv p = Q.of_ints 1 p in
+  let s1 = Tree.Builder.add_initial b ~prob:(inv p1) (state "a") in
+  ignore (Tree.Builder.add_initial b ~prob:(inv p2) (state "b"));
+  ignore (Tree.Builder.add_initial b ~prob:(inv p3) (state "a"));
+  let rest = Q.one_minus (Q.sum [ inv p1; inv p2; inv p3 ]) in
+  ignore (Tree.Builder.add_initial b ~prob:rest (state "c"));
+  if split then begin
+    let child prob act label =
+      ignore (Tree.Builder.add_child b ~parent:s1 ~prob ~acts:[| ""; act |] (state label))
+    in
+    child (inv p4) "x" "d";
+    child (Q.one_minus (inv p4)) "y" "e"
+  end;
+  (Tree.Builder.finalize b, p1 * p2 * p3)
+
+let test_reference_measure_fallback () =
+  let tree, d = prime_tree ~split:false in
+  Alcotest.(check (option int)) "lcm just under 2^61" (Some d) (Tree.weight_denominator tree);
+  check_bool "integer path agrees" true (measure_agrees_with_reference tree ~seed:2);
+  let tree, _ = prime_tree ~split:true in
+  Alcotest.(check (option int)) "lcm overflows" None (Tree.weight_denominator tree);
+  check_bool "fallback agrees" true (measure_agrees_with_reference tree ~seed:3)
+
 (* ------------------------------------------------------------------ *)
 (* Monderer–Samet p-agreement                                          *)
 (* ------------------------------------------------------------------ *)
@@ -698,6 +777,7 @@ let qcheck_cases =
       prop_appendix_random;
       prop_reference_beta;
       prop_reference_engine;
+      prop_reference_measure;
       prop_p_agreement_random;
       prop_policy_improves;
       prop_policy_bounded_by_best;
@@ -727,7 +807,11 @@ let () =
           Alcotest.test_case "bridge breaks on figure 1" `Quick test_appendix_thm62_bridge_breaks
         ] );
       ( "reference engine",
-        [ Alcotest.test_case "firing squad" `Quick test_reference_fs ] );
+        [ Alcotest.test_case "firing squad" `Quick test_reference_fs;
+          Alcotest.test_case "measure on judge/attack ladders" `Quick
+            test_reference_measure_ladders;
+          Alcotest.test_case "measure past the 2^61 lcm" `Quick test_reference_measure_fallback
+        ] );
       ( "p-agreement",
         [ Alcotest.test_case "full information" `Quick test_p_agreement_full_information;
           Alcotest.test_case "guard" `Quick test_p_agreement_guard

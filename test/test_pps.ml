@@ -98,7 +98,11 @@ let prop_bitset_bulk_oracle =
       && agrees (Bitset.symdiff sx sy) (map2 ( <> ) ax ay)
       && agrees (Bitset.complement sx) (Array.map not ax)
       && Bitset.equal sx sy = (ax = ay)
-      && Bitset.equal (Bitset.complement (Bitset.complement sx)) sx)
+      && Bitset.equal (Bitset.complement (Bitset.complement sx)) sx
+      && agrees (Bitset.filter (fun i -> ay.(i)) sx) (map2 ( && ) ax ay)
+      && Bitset.weighted_sum sx (Array.init cap (fun i -> (i * i) + 1))
+         = List.fold_left (fun acc i -> if ax.(i) then acc + (i * i) + 1 else acc) 0
+             (List.init cap Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built trees                                                    *)
@@ -634,6 +638,26 @@ let prop_past_based_fact_is_past_based =
       let tree = Gen.tree seed in
       Fact.is_past_based (Gen.past_based_fact tree ~seed))
 
+(* The definition, pairwise over points: a fact is past-based iff it
+   agrees at (r,t) and (r',t) whenever r and r' share their prefix up
+   to t. *)
+let prop_is_past_based_pairwise =
+  QCheck.Test.make ~count:100 ~name:"Fact.is_past_based matches the pairwise definition" seeds
+    (fun seed ->
+      let tree = Gen.tree_arbitrary seed in
+      let naive f =
+        Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
+            acc
+            && List.for_all
+                 (fun run' ->
+                   (not (Tree.runs_agree_upto tree run run' ~time))
+                   || Fact.holds f ~run ~time = Fact.holds f ~run:run' ~time)
+                 (List.init (Tree.n_runs tree) Fun.id))
+      in
+      List.for_all
+        (fun f -> Fact.is_past_based f = naive f)
+        [ Gen.past_based_fact tree ~seed; Gen.transient_fact tree ~seed; Gen.run_fact tree ~seed ])
+
 let prop_lemma43_past_based =
   QCheck.Test.make ~count:120 ~name:"Lemma 4.3(b): past-based => independent" seeds
     (fun seed ->
@@ -750,6 +774,7 @@ let qcheck_cases =
       prop_run_measures_positive;
       prop_generated_actions_proper;
       prop_past_based_fact_is_past_based;
+      prop_is_past_based_pairwise;
       prop_lemma43_past_based;
       prop_lemma43_deterministic;
       prop_theorem62_random;

@@ -168,6 +168,36 @@ let test_q_normalization () =
   Alcotest.check_raises "zero den" (Error.Division_by_zero "Q.make: zero denominator")
     (fun () -> ignore (q 1 0))
 
+(* [Q.of_ints] takes a native-int gcd for positive denominators and
+   [Q.make] otherwise; either way the record must be the one [Q.make]
+   builds, limb for limb. *)
+let of_ints_matches_make n d =
+  let a = Q.of_ints n d and b = Q.make (Bigint.of_int n) (Bigint.of_int d) in
+  Q.num a = Q.num b && Q.den a = Q.den b
+
+let test_q_of_ints_boundaries () =
+  let edges = [ min_int; min_int + 1; -7; -1; 0; 1; 6; 1 lsl 30; 1 lsl 61; max_int - 1; max_int ] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun d ->
+          if d <> 0 then
+            check_bool (Printf.sprintf "of_ints %d %d = make" n d) true (of_ints_matches_make n d))
+        edges)
+    edges;
+  check_string "min_int/1" (string_of_int min_int) (Q.to_string (q min_int 1));
+  check_string "max_int/max_int" "1" (Q.to_string (q max_int max_int));
+  check_string "min_int/min_int" "1" (Q.to_string (q min_int min_int));
+  check_string "max_int/-1" (string_of_int (-max_int)) (Q.to_string (q max_int (-1)));
+  check_string "0/-5" "0" (Q.to_string (q 0 (-5)));
+  check_bool "0/max_int is zero" true (Q.equal Q.zero (q 0 max_int));
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "%d/0" n)
+        (Error.Division_by_zero "Q.make: zero denominator")
+        (fun () -> ignore (q n 0)))
+    [ min_int; -1; 0; 1; max_int ]
+
 let test_q_of_string () =
   check_string "fraction" "3/4" (Q.to_string (q_s "3/4"));
   check_string "unnormalized fraction" "3/4" (Q.to_string (q_s "75/100"));
@@ -324,6 +354,11 @@ let prop_q_compare_antisym =
     QCheck.(pair gen_q gen_q)
     (fun (a, b) -> Q.compare a b = -Q.compare b a)
 
+let prop_q_of_ints_matches_make =
+  QCheck.Test.make ~count:1000 ~name:"Q.of_ints builds the same record as Q.make"
+    QCheck.(pair int int)
+    (fun (n, d) -> QCheck.assume (d <> 0); of_ints_matches_make n d)
+
 let prop_q_normalized_gcd_one =
   QCheck.Test.make ~count:300 ~name:"Q always in lowest terms" gen_q (fun a ->
       QCheck.assume (not (Q.is_zero a));
@@ -343,7 +378,8 @@ let qcheck_cases =
       prop_q_string_roundtrip;
       prop_q_compare_consistent_with_float;
       prop_q_compare_antisym;
-      prop_q_normalized_gcd_one
+      prop_q_normalized_gcd_one;
+      prop_q_of_ints_matches_make
     ]
 
 let () =
@@ -373,7 +409,8 @@ let () =
           Alcotest.test_case "comparisons" `Quick test_q_compare;
           Alcotest.test_case "decimal rendering" `Quick test_q_decimal_string;
           Alcotest.test_case "to_float" `Quick test_q_to_float;
-          Alcotest.test_case "example 1 numbers" `Quick test_q_example1_numbers
+          Alcotest.test_case "example 1 numbers" `Quick test_q_example1_numbers;
+          Alcotest.test_case "of_ints boundaries" `Quick test_q_of_ints_boundaries
         ] );
       ("properties", qcheck_cases)
     ]
