@@ -61,6 +61,22 @@ let of_list cap is =
   List.iter (fun i -> check_bounds t i "Bitset.of_list"; set_bit t.words i) is;
   t
 
+(* Each inclusive range [lo, hi] is set a word at a time: one mask per
+   word it touches, however many members it has. *)
+let of_ranges cap ranges =
+  let t = create cap in
+  List.iter
+    (fun (lo, hi) ->
+      if lo < 0 || hi >= cap || lo > hi then invalid_arg "Bitset.of_ranges: bad range";
+      let wlo = lo / word_bits and whi = hi / word_bits in
+      for k = wlo to whi do
+        let a = if k = wlo then lo mod word_bits else 0 in
+        let b = if k = whi then hi mod word_bits else word_bits - 1 in
+        t.words.(k) <- t.words.(k) lor (((1 lsl (b - a + 1)) - 1) lsl a)
+      done)
+    ranges;
+  t
+
 (* Bulk constructor: one fresh words array, no per-bit copying. The
    loop only ever sets bits below [cap], so the unused high bits of the
    last word stay zero by construction. *)

@@ -19,6 +19,12 @@ val of_list : int -> int list -> t
     fine). Builds one word array in place.
     @raise Invalid_argument if a member is outside [0 .. n-1]. *)
 
+val of_ranges : int -> (int * int) list -> t
+(** [of_ranges n rs] has capacity [n] and every member of each
+    inclusive range [(lo, hi)] in [rs] (overlaps are fine). Builds one
+    word array, a word at a time.
+    @raise Invalid_argument unless [0 <= lo <= hi < n] for each range. *)
+
 val to_list : t -> int list
 (** Members in increasing order. *)
 

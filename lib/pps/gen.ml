@@ -203,13 +203,27 @@ let run_fact tree ~seed =
   let per_run = Array.init (Tree.n_runs tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_run_pred tree (fun run -> per_run.(run))
 
+(* One walk over the points decides every (agent, action) pair: the
+   walk meets exactly the performed ones, and a pair is proper unless a
+   run performs it twice. [last.(agent)] maps each action met to the
+   last run it was met in, or -1 once it is known to be improper. *)
 let proper_actions tree =
+  let n_agents = Tree.n_agents tree in
+  let last = Array.init n_agents (fun _ -> Hashtbl.create 16) in
+  Tree.iter_points tree (fun ~run ~time ->
+      for agent = 0 to n_agents - 1 do
+        match Tree.action_at tree ~agent ~run ~time with
+        | None -> ()
+        | Some act ->
+          (match Hashtbl.find_opt last.(agent) act with
+           | Some r when r = run || r = -1 -> Hashtbl.replace last.(agent) act (-1)
+           | Some _ | None -> Hashtbl.replace last.(agent) act run)
+      done);
   let pairs = ref [] in
-  for agent = 0 to Tree.n_agents tree - 1 do
-    List.iter
-      (fun act -> if Action.is_proper tree ~agent ~act then pairs := (agent, act) :: !pairs)
-      (Tree.agent_actions tree ~agent)
-  done;
+  Array.iteri
+    (fun agent seen ->
+      Hashtbl.iter (fun act r -> if r <> -1 then pairs := (agent, act) :: !pairs) seen)
+    last;
   List.sort compare !pairs
 
 let pick_proper_action tree ~seed =

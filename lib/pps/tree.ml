@@ -152,51 +152,55 @@ module Builder = struct
         match n.children with
         | [] -> ()
         | children ->
-          let mass = Q.sum (List.map (fun c -> nodes.(c).in_prob) children) in
+          let mass = List.fold_left (fun m c -> Q.add m nodes.(c).in_prob) Q.zero children in
           if not (Q.equal mass Q.one) then
             invalid_arg
               (Format.asprintf
                  "Tree.finalize: node %d edge probabilities sum to %a, not 1" id Q.pp mass))
       nodes;
-    (* Enumerate runs: depth-first, recording node paths to each leaf. *)
-    let runs = ref [] in
-    let rec descend path meas id =
+    (* Enumerate runs: depth-first, [path] holding the nodes from the
+       root down to the current one. The runs through a node are
+       therefore the interval [first.(id), last.(id)] of run indices. *)
+    let runs = ref [] and n_runs = ref 0 in
+    let first = Array.make b.b_count 0 and last = Array.make b.b_count 0 in
+    let path = Array.make (1 + Array.fold_left (fun d n -> max d n.depth) 0 nodes) 0 in
+    let rec descend meas id =
       let n = nodes.(id) in
-      let path = id :: path in
+      path.(n.depth) <- id;
       let meas = Q.mul meas n.in_prob in
-      match n.children with
-      | [] -> runs := ({ nodes = Array.of_list (List.rev path); meas } : run) :: !runs
-      | children -> List.iter (descend path meas) children
+      first.(id) <- !n_runs;
+      (match n.children with
+       | [] ->
+         runs := ({ nodes = Array.sub path 0 (n.depth + 1); meas } : run) :: !runs;
+         incr n_runs
+       | children -> List.iter (descend meas) children);
+      last.(id) <- !n_runs - 1
     in
-    Array.iteri (fun id n -> if n.parent = -1 then descend [] Q.one id) nodes;
+    Array.iteri (fun id n -> if n.parent = -1 then descend Q.one id) nodes;
     let runs = Array.of_list (List.rev !runs) in
     let n_runs = Array.length runs in
     let n_points = Array.fold_left (fun acc (r : run) -> acc + Array.length r.nodes) 0 runs in
-    (* Building the local-state index below visits every point once. *)
+    (* The local-state index covers every point once; charge them all. *)
     Budget.charge_points n_points;
-    (* Index: local state -> event of runs in which it occurs; and node
-       -> event of runs passing through it. Run lists are collected
-       first and packed once per key. *)
-    let lstate_run_lists = Hashtbl.create 64 in
-    let node_run_lists = Array.make b.b_count [] in
+    (* Index: node -> event of runs passing through it; and local state
+       -> event of runs in which it occurs, the union of the intervals
+       of the nodes carrying it, grouped per key and packed once. *)
+    let node_runs =
+      Array.init b.b_count (fun id -> Bitset.of_ranges n_runs [ (first.(id), last.(id)) ])
+    in
+    let lstate_ranges = Hashtbl.create 64 in
     Array.iteri
-      (fun ri (r : run) ->
-        Array.iteri
-          (fun time node_id ->
-            node_run_lists.(node_id) <- ri :: node_run_lists.(node_id);
-            let state = nodes.(node_id).state in
-            for agent = 0 to b.b_n_agents - 1 do
-              let key = { agent; time; label = Gstate.local state agent } in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt lstate_run_lists key) in
-              Hashtbl.replace lstate_run_lists key (ri :: prev)
-            done)
-          r.nodes)
-      runs;
-    let lstate_index = Hashtbl.create (Hashtbl.length lstate_run_lists) in
+      (fun id n ->
+        for agent = 0 to b.b_n_agents - 1 do
+          let key = { agent; time = n.depth; label = Gstate.local n.state agent } in
+          let prev = Option.value ~default:[] (Hashtbl.find_opt lstate_ranges key) in
+          Hashtbl.replace lstate_ranges key ((first.(id), last.(id)) :: prev)
+        done)
+      nodes;
+    let lstate_index = Hashtbl.create (Hashtbl.length lstate_ranges) in
     Hashtbl.iter
-      (fun key l -> Hashtbl.add lstate_index key (Bitset.of_list n_runs l))
-      lstate_run_lists;
-    let node_runs = Array.map (Bitset.of_list n_runs) node_run_lists in
+      (fun key ranges -> Hashtbl.add lstate_index key (Bitset.of_ranges n_runs ranges))
+      lstate_ranges;
     let denom = common_denominator runs in
     incr next_id;
     { id = !next_id;

@@ -65,83 +65,90 @@ let to_string tree =
 
 type sexp = Atom of string | Str of string | List of sexp list
 
-let tokenize input =
-  let n = String.length input in
-  let tokens = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = input.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '(' then begin
-      tokens := `Open :: !tokens;
-      incr i
-    end
-    else if c = ')' then begin
-      tokens := `Close :: !tokens;
-      incr i
-    end
-    else if c = '"' then begin
-      let buf = Buffer.create 16 in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        (match input.[!i] with
-         | '"' -> closed := true
-         | '\\' ->
-           if !i + 1 >= n then raise (Parse_error "dangling escape in string");
-           incr i;
-           Buffer.add_char buf input.[!i]
-         | c -> Buffer.add_char buf c);
-        incr i
-      done;
-      if not !closed then raise (Parse_error "unterminated string");
-      tokens := `Str (Buffer.contents buf) :: !tokens
-    end
-    else begin
-      let j = ref !i in
-      while
-        !j < n
-        &&
-        let c = input.[!j] in
-        c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r' && c <> '(' && c <> ')' && c <> '"'
-      do
-        incr j
-      done;
-      tokens := `Atom (String.sub input !i (!j - !i)) :: !tokens;
-      i := !j
-    end
-  done;
-  List.rev !tokens
-
 (* Nesting bound: documents are untrusted, and the depth of legitimate
    pps documents is constant (node fields), so any deeply-nested input
-   is garbage. The explicit accumulator stack keeps parsing
+   is garbage. The explicit accumulator stack keeps reading
    tail-recursive — parse depth and list length are both
    input-controlled and must not be able to overflow the OCaml stack. *)
 let max_nesting = 1000
 
-let parse_sexp tokens =
-  let rec go depth stack acc tokens =
-    match tokens with
-    | [] ->
+let is_delimiter = function
+  | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' -> true
+  | _ -> false
+
+(* The quoted string whose body starts at [i]; returns it with the index
+   just past its closing quote. A body without escapes is one
+   [String.sub]; otherwise each run of plain bytes is one blit. *)
+let rec read_plain input i j =
+  if j >= String.length input then raise (Parse_error "unterminated string")
+  else
+    match input.[j] with
+    | '"' -> (String.sub input i (j - i), j + 1)
+    | '\\' -> read_escaped input (Buffer.create (j - i + 16)) i j
+    | _ -> read_plain input i (j + 1)
+
+(* [input.[start .. j - 1]] is plain bytes not yet copied into [buf]. *)
+and read_escaped input buf start j =
+  if j >= String.length input then raise (Parse_error "unterminated string")
+  else
+    match input.[j] with
+    | '"' ->
+      Buffer.add_substring buf input start (j - start);
+      (Buffer.contents buf, j + 1)
+    | '\\' ->
+      if j + 1 >= String.length input then raise (Parse_error "dangling escape in string");
+      Buffer.add_substring buf input start (j - start);
+      Buffer.add_char buf input.[j + 1];
+      read_escaped input buf (j + 2) (j + 2)
+    | _ -> read_escaped input buf start (j + 1)
+
+let read_string input i = read_plain input i i
+
+(* After a structural error the rest of the input is still lexed, so a
+   lexical error anywhere in the document takes precedence over it. *)
+let rec lex_rest input i =
+  if i < String.length input then
+    if input.[i] = '"' then lex_rest input (snd (read_string input (i + 1)))
+    else lex_rest input (i + 1)
+
+(* One pass over the input: tokens become [sexp] values as they are
+   scanned. [stack] holds the enclosing lists' accumulators. *)
+let read input =
+  let n = String.length input in
+  let structural i msg =
+    lex_rest input i;
+    raise (Parse_error msg)
+  in
+  let rec go i depth stack acc =
+    if i >= n then
       if depth > 0 then raise (Parse_error "unterminated '('")
-      else (
-        match List.rev acc with
+      else
+        match acc with
         | [ sexp ] -> sexp
         | [] -> raise (Parse_error "unexpected end of input")
-        | _ -> raise (Parse_error "trailing input after document"))
-    | `Open :: rest ->
-      if depth >= max_nesting then
-        raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_nesting));
-      go (depth + 1) (acc :: stack) [] rest
-    | `Close :: rest ->
-      (match stack with
-       | [] -> raise (Parse_error "unexpected ')'")
-       | parent :: stack' -> go (depth - 1) stack' (List (List.rev acc) :: parent) rest)
-    | `Atom a :: rest -> go depth stack (Atom a :: acc) rest
-    | `Str s :: rest -> go depth stack (Str s :: acc) rest
+        | _ -> raise (Parse_error "trailing input after document")
+    else
+      match input.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) depth stack acc
+      | '(' ->
+        if depth >= max_nesting then
+          structural (i + 1) (Printf.sprintf "nesting deeper than %d" max_nesting);
+        go (i + 1) (depth + 1) (acc :: stack) []
+      | ')' ->
+        (match stack with
+         | [] -> structural (i + 1) "unexpected ')'"
+         | parent :: stack' -> go (i + 1) (depth - 1) stack' (List (List.rev acc) :: parent))
+      | '"' ->
+        let s, j = read_string input (i + 1) in
+        go j depth stack (Str s :: acc)
+      | _ ->
+        let j = ref (i + 1) in
+        while !j < n && not (is_delimiter input.[!j]) do
+          incr j
+        done;
+        go !j depth stack (Atom (String.sub input i (!j - i)) :: acc)
   in
-  go 0 [] [] tokens
+  go 0 0 [] []
 
 (* ------------------------------------------------------------------ *)
 (* Document interpretation                                             *)
@@ -169,7 +176,7 @@ let as_q what = function
   | _ -> raise (Parse_error (what ^ ": not a rational"))
 
 let interpret input =
-  match parse_sexp (tokenize input) with
+  match read input with
   | List (Atom "pps" :: header :: nodes) ->
     let n_agents =
       match field "agents" header with

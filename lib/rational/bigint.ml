@@ -24,6 +24,10 @@ let to_int_opt t =
   | None -> None
   | Some m -> Some (t.sign * m)
 
+let small t =
+  let m = Bignat.small t.mag in
+  if m < 0 then min_int else t.sign * m
+
 let sign t = t.sign
 let is_zero t = t.sign = 0
 let neg t = mk (-t.sign) t.mag

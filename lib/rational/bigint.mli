@@ -14,6 +14,10 @@ val minus_one : t
 val of_int : int -> t
 val to_int_opt : t -> int option
 
+val small : t -> int
+(** [small n] is [n] as an int when [|n| < 2^30], and [min_int]
+    otherwise. Allocates nothing. *)
+
 val of_bignat : Bignat.t -> t
 val to_bignat : t -> Bignat.t
 (** Magnitude of the argument (absolute value as a natural). *)

@@ -45,6 +45,14 @@ let one = of_int 1
 let two = of_int 2
 let is_one a = Array.length a = 1 && a.(0) = 1
 
+(* Two 15-bit limbs hold every value below 2^30. *)
+let small a =
+  match Array.length a with
+  | 0 -> 0
+  | 1 -> a.(0)
+  | 2 -> a.(0) lor (a.(1) lsl base_bits)
+  | _ -> -1
+
 let to_int_opt a =
   let len = Array.length a in
   (* 4 limbs = 60 bits always fits; 5 limbs may overflow. *)

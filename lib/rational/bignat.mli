@@ -25,6 +25,10 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt n] is [Some i] when [n] fits in a native [int]. *)
 
+val small : t -> int
+(** [small n] is [n] as an int when [n < 2^30], and [-1] otherwise.
+    Allocates nothing. *)
+
 val of_string : string -> t
 (** Parse a decimal numeral (digits only, ignoring [_] separators).
     @raise Invalid_argument on the empty string or non-digit characters. *)

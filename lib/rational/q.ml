@@ -40,15 +40,21 @@ let is_zero t = Bigint.is_zero t.num
 let equal a b = Bigint.equal a.num b.num && Bignat.equal a.den b.den
 let hash t = Bigint.hash t.num + (7 * Bignat.hash t.den)
 
+(* Fast path: when numerators and denominators are below 2^30 in
+   magnitude, compare and do the arithmetic and the gcd on ints. The
+   probabilities arising from protocol trees are overwhelmingly small
+   fractions, so this path dominates in practice; the bignum path is
+   the fallback that keeps all results exact. [Bigint.small] and
+   [Bignat.small] read the parts without allocating and return
+   [min_int] and [-1] for larger ones. *)
+let all_small an ad bn bd = an <> min_int && ad >= 0 && bn <> min_int && bd >= 0
+
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den *)
-  match (Bigint.to_int_opt a.num, Bignat.to_int_opt a.den,
-         Bigint.to_int_opt b.num, Bignat.to_int_opt b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when an > -(1 lsl 30) && an < 1 lsl 30 && ad < 1 lsl 30
-         && bn > -(1 lsl 30) && bn < 1 lsl 30 && bd < 1 lsl 30 ->
-    Stdlib.compare (an * bd) (bn * ad)
-  | _ ->
+  let an = Bigint.small a.num and ad = Bignat.small a.den
+  and bn = Bigint.small b.num and bd = Bignat.small b.den in
+  if all_small an ad bn bd then Int.compare (an * bd) (bn * ad)
+  else
     Bigint.compare
       (Bigint.mul a.num (Bigint.of_bignat b.den))
       (Bigint.mul b.num (Bigint.of_bignat a.den))
@@ -62,13 +68,6 @@ let max a b = if geq a b then a else b
 
 let neg t = { num = Bigint.neg t.num; den = t.den }
 let abs t = { num = Bigint.abs t.num; den = t.den }
-
-(* Fast path: when numerators and denominators fit well below the
-   native word size, do the arithmetic and the gcd on ints. The
-   probabilities arising from protocol trees are overwhelmingly small
-   fractions, so this path dominates in practice; the bignum path is
-   the fallback that keeps all results exact. *)
-let small_bound = 1 lsl 30
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
@@ -86,17 +85,11 @@ let of_ints n d =
   if d > 0 && n <> min_int then of_ints_normalized n d
   else make (Bigint.of_int n) (Bigint.of_int d)
 
-let as_small t =
-  match (Bigint.to_int_opt t.num, Bignat.to_int_opt t.den) with
-  | Some n, Some d when n > -small_bound && n < small_bound && d < small_bound ->
-    Some (n, d)
-  | _ -> None
-
 let add a b =
-  match (as_small a, as_small b) with
-  | Some (an, ad), Some (bn, bd) ->
-    of_ints_normalized ((an * bd) + (bn * ad)) (ad * bd)
-  | _ ->
+  let an = Bigint.small a.num and ad = Bignat.small a.den
+  and bn = Bigint.small b.num and bd = Bignat.small b.den in
+  if all_small an ad bn bd then of_ints_normalized ((an * bd) + (bn * ad)) (ad * bd)
+  else
     mk_normalized
       (Bigint.add
          (Bigint.mul a.num (Bigint.of_bignat b.den))
@@ -106,9 +99,10 @@ let add a b =
 let sub a b = add a (neg b)
 
 let mul a b =
-  match (as_small a, as_small b) with
-  | Some (an, ad), Some (bn, bd) -> of_ints_normalized (an * bn) (ad * bd)
-  | _ -> mk_normalized (Bigint.mul a.num b.num) (Bignat.mul a.den b.den)
+  let an = Bigint.small a.num and ad = Bignat.small a.den
+  and bn = Bigint.small b.num and bd = Bignat.small b.den in
+  if all_small an ad bn bd then of_ints_normalized (an * bn) (ad * bd)
+  else mk_normalized (Bigint.mul a.num b.num) (Bignat.mul a.den b.den)
 
 let inv t =
   match Bigint.sign t.num with
@@ -166,9 +160,32 @@ let to_decimal_string ?(digits = 6) t =
   end;
   Buffer.contents buf
 
-let of_string s =
-  let s = String.trim s in
-  if String.length s = 0 then invalid_arg "Q.of_string: empty";
+(* The int value of the 1 to 18 decimal digits s.[lo .. hi - 1], or -1
+   for any other text; 18 digits stay below 10^18 < 2^62. *)
+let small_digits s lo hi =
+  if hi <= lo || hi - lo > 18 then -1
+  else begin
+    let v = ref 0 and i = ref lo in
+    while !i < hi && s.[!i] >= '0' && s.[!i] <= '9' do
+      v := (10 * !v) + (Char.code s.[!i] - Char.code '0');
+      incr i
+    done;
+    if !i = hi then !v else -1
+  end
+
+(* "n" or "n/d" with plain digits (n optionally after a '-') and d > 0:
+   the numeral every serialized probability uses, read on ints. *)
+let of_small_string s =
+  let len = String.length s in
+  let slash = Option.value ~default:len (String.index_opt s '/') in
+  let negative = len > 0 && s.[0] = '-' in
+  let n = small_digits s (if negative then 1 else 0) slash in
+  let d = if slash = len then 1 else small_digits s (slash + 1) len in
+  if n < 0 || d <= 0 then None else Some (of_ints (if negative then -n else n) d)
+
+(* Every other accepted form: signs, underscores, decimals, long or
+   zero denominators. *)
+let of_big_string s =
   match String.index_opt s '/' with
   | Some i ->
     let n = Bigint.of_string (String.sub s 0 i) in
@@ -194,6 +211,11 @@ let of_string s =
        let frac = if negative then Bigint.neg frac else frac in
        let num = Bigint.add (Bigint.mul int_part (Bigint.of_bignat scale)) frac in
        mk_normalized num scale)
+
+let of_string s =
+  let s = String.trim s in
+  if String.length s = 0 then invalid_arg "Q.of_string: empty";
+  match of_small_string s with Some q -> q | None -> of_big_string s
 
 module Infix = struct
   let ( + ) = add

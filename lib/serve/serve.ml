@@ -121,18 +121,24 @@ module Sexp = struct
         incr i
       end
       else if c = '"' then begin
+        (* Each run of plain bytes is copied with one blit. *)
         let buf = Buffer.create 16 in
         incr i;
+        let start = ref !i in
         let closed = ref false in
         while (not !closed) && !i < n do
-          (match input.[!i] with
-          | '"' -> closed := true
+          match input.[!i] with
+          | '"' ->
+              Buffer.add_substring buf input !start (!i - !start);
+              closed := true;
+              incr i
           | '\\' ->
               if !i + 1 >= n then raise (Bad "dangling escape in string");
-              incr i;
-              Buffer.add_char buf input.[!i]
-          | c -> Buffer.add_char buf c);
-          incr i
+              Buffer.add_substring buf input !start (!i - !start);
+              Buffer.add_char buf input.[!i + 1];
+              i := !i + 2;
+              start := !i
+          | _ -> incr i
         done;
         if not !closed then raise (Bad "unterminated string");
         toks := `Str (Buffer.contents buf) :: !toks
@@ -312,58 +318,59 @@ module Frame = struct
      garbage by fiat. *)
   let max_digits = 11
 
+  (* The header is pulled in a byte at a time, up to its newline or the
+     digit cap, so a complete frame shorter than the longest header is
+     answered without waiting for more input. *)
   let read r =
     if ensure r 1 = 0 then Eof
+    else if ensure r magic_len < magic_len || not (magic_at r r.pos) then resync r
     else begin
-      let avail = ensure r (magic_len + max_digits + 2) in
-      if avail < magic_len || not (magic_at r r.pos) then resync r
-      else begin
-        let base = r.pos + magic_len in
-        let limit = min r.len (base + max_digits + 1) in
-        let j = ref base in
-        while !j < limit && is_digit (Bytes.get r.buf !j) do
-          incr j
-        done;
-        let ndigits = !j - base in
-        if ndigits = 0 || ndigits > max_digits then resync r
-        else if !j >= r.len then
-          if r.eof then begin
+      (* The header byte [k] bytes past [pos]; [None] at EOF. *)
+      let byte_at k =
+        if ensure r (k + 1) > k then Some (Bytes.get r.buf (r.pos + k)) else None
+      in
+      let rec digits_end k =
+        if k > magic_len + max_digits then k
+        else match byte_at k with Some c when is_digit c -> digits_end (k + 1) | _ -> k
+      in
+      let k = digits_end magic_len in
+      let ndigits = k - magic_len in
+      if ndigits = 0 || ndigits > max_digits then resync r
+      else
+        match byte_at k with
+        | None ->
             (* "pak1 123" then EOF: a frame was started, never finished. *)
             r.pos <- r.len;
             Junk Truncated
-          end
-          else resync r
-        else if Bytes.get r.buf !j <> '\n' then resync r
-        else begin
-          let len = int_of_string (Bytes.sub_string r.buf base ndigits) in
-          r.pos <- !j + 1;
-          if len > r.max_frame then
-            (* Oversized but plausibly honest: skip the declared
-               payload so the next frame parses. Absurd declared
-               lengths (16x the cap) are treated as garbage instead of
-               skipping gigabytes of a hostile stream. *)
-            if len > 16 * r.max_frame then begin
-              r.pos <- r.pos - 1;
-              resync r
-            end
+        | Some c when c <> '\n' -> resync r
+        | Some _ ->
+            let len = int_of_string (Bytes.sub_string r.buf (r.pos + magic_len) ndigits) in
+            r.pos <- r.pos + k + 1;
+            if len > r.max_frame then
+              (* Oversized but plausibly honest: skip the declared
+                 payload so the next frame parses. Absurd declared
+                 lengths (16x the cap) are treated as garbage instead of
+                 skipping gigabytes of a hostile stream. *)
+              if len > 16 * r.max_frame then begin
+                r.pos <- r.pos - 1;
+                resync r
+              end
+              else begin
+                let skipped = skip_n r len in
+                if skipped < len then Junk Truncated else Junk (Oversized len)
+              end
             else begin
-              let skipped = skip_n r len in
-              if skipped < len then Junk Truncated else Junk (Oversized len)
+              let got = ensure r len in
+              if got < len then begin
+                r.pos <- r.len;
+                Junk Truncated
+              end
+              else begin
+                let payload = Bytes.sub_string r.buf r.pos len in
+                r.pos <- r.pos + len;
+                Payload payload
+              end
             end
-          else begin
-            let got = ensure r len in
-            if got < len then begin
-              r.pos <- r.len;
-              Junk Truncated
-            end
-            else begin
-              let payload = Bytes.sub_string r.buf r.pos len in
-              r.pos <- r.pos + len;
-              Payload payload
-            end
-          end
-        end
-      end
     end
 
   let encode payload =
@@ -982,12 +989,10 @@ and perform_query st req =
       let sat = ref 0 in
       Tree.iter_points tree (fun ~run ~time ->
           if Fact.holds fact ~run ~time then incr sat);
-      let initially = ref (Tree.empty_event tree) in
-      for r = 0 to Tree.n_runs tree - 1 do
-        if Fact.holds fact ~run:r ~time:0 then
-          initially := Bitset.add !initially r
-      done;
-      let prob = Tree.measure tree !initially in
+      let initially =
+        Bitset.init (Tree.n_runs tree) (fun r -> Fact.holds fact ~run:r ~time:0)
+      in
+      let prob = Tree.measure tree initially in
       ok_outcome req.req_id
         (Printf.sprintf
            "(code 0) (status ok) (result (points %d) (sat %d) (valid %b) (prob %s))"

@@ -616,6 +616,66 @@ let test_tree_io_errors () =
   check_bool "invariant violation (mass)" true
     (fails "(pps (agents 1) (node (parent -1) (prob 1/2) (acts) (env \"e\") (locals \"a\")))")
 
+(* Every rejection keeps its kind and exact message, and a lexical error
+   anywhere in the input beats an earlier structural one; interpretation
+   errors come only after a clean read. *)
+let test_tree_io_reader_errors () =
+  let node = "(node (parent -1) (prob 1) (acts) (env \"e\") (locals \"a\"))" in
+  let doc body = "(pps (agents 1) " ^ body ^ ")" in
+  let cases =
+    [ ("", "parse", "unexpected end of input");
+      ("   \n", "parse", "unexpected end of input");
+      ("nonsense", "parse", "expected (pps (agents n) (node ...) ...)");
+      ("(pps (agents 1)", "parse", "unterminated '('");
+      (")", "parse", "unexpected ')'");
+      (")\"abc", "parse", "unterminated string");
+      ("(a) b", "parse", "trailing input after document");
+      ("(a))", "parse", "unexpected ')'");
+      ("(a) ) \"x", "parse", "unterminated string");
+      ("\"x\\", "parse", "dangling escape in string");
+      ("(pps \"a\\", "parse", "dangling escape in string");
+      ("\"ab\\\"", "parse", "unterminated string");
+      (String.make 1001 '(' ^ "\"abc", "parse", "unterminated string");
+      (String.make 1001 '(', "parse", "nesting deeper than 1000");
+      (String.make 1000 '(' ^ String.make 1000 ')', "parse",
+       "expected (pps (agents n) (node ...) ...)");
+      (doc node ^ " (extra)", "parse", "trailing input after document");
+      (doc node ^ " \"tail", "parse", "unterminated string");
+      ("(pps (agents x) " ^ node ^ ")", "parse", "agents: not an integer");
+      ("(pps (agents 1 2) " ^ node ^ ")", "parse", "(agents n) expected");
+      (doc "(node (parent -1) (prob x) (acts) (env \"e\") (locals \"a\"))", "parse",
+       "prob: not a rational");
+      (doc "(node (parent -1) (prob 1/0) (acts) (env \"e\") (locals \"a\"))", "parse",
+       "prob: not a rational");
+      (doc "(node (parent -1) (prob 1/2) (acts) (env \"e\") (locals \"a\"))",
+       "invalid-system", "Tree.finalize: initial probabilities sum to 1/2, not 1");
+      (doc "(node (parent -1))", "parse", "node: expected (parent)(prob)(acts)(env)(locals)");
+      (doc "(node (parent -1) (prob 1) (acts) (env e) (locals \"a\"))", "parse",
+       "env: not a string");
+      (doc "(leaf)", "parse", "expected (node ...)")
+    ]
+  in
+  List.iter
+    (fun (input, kind, msg) ->
+      let name = String.escaped (if String.length input > 40 then String.sub input 0 40 else input) in
+      match Tree_io.of_string_result input with
+      | Ok _ -> Alcotest.failf "%s: accepted" name
+      | Error e ->
+        Alcotest.(check (pair string string))
+          name (kind, msg)
+          (Pak_guard.Error.kind_name e.Pak_guard.Error.kind, e.Pak_guard.Error.msg))
+    cases;
+  (* Escapes decode, and an unescaped label is read as is. *)
+  match
+    Tree_io.of_string_result
+      (doc "(node (parent -1) (prob 1) (acts) (env \"e\\\"q\") (locals \"a\\\\b\"))")
+  with
+  | Ok t ->
+    let st = Tree.node_state t 0 in
+    Alcotest.(check string) "escaped env" "e\"q" st.Gstate.env;
+    Alcotest.(check string) "escaped local" "a\\b" (Gstate.local st 0)
+  | Error e -> Alcotest.failf "escaped labels rejected: %s" (Pak_guard.Error.to_string e)
+
 let prop_tree_io_random =
   QCheck.Test.make ~count:60 ~name:"serialization round trip on random systems"
     QCheck.(int_range 0 1_000_000)
@@ -834,7 +894,8 @@ let () =
         ] );
       ( "tree_io",
         [ Alcotest.test_case "round trip" `Quick test_tree_io_roundtrip;
-          Alcotest.test_case "errors" `Quick test_tree_io_errors
+          Alcotest.test_case "errors" `Quick test_tree_io_errors;
+          Alcotest.test_case "reader errors" `Quick test_tree_io_reader_errors
         ] );
       ( "axioms", [ Alcotest.test_case "fs" `Quick test_axioms_fs ] );
       ( "simplify", [ Alcotest.test_case "cases" `Quick test_simplify_cases ] );

@@ -290,6 +290,77 @@ let test_tree_dot () =
   check_bool "mentions lambda" true (contains_substr dot "lambda");
   check_bool "mentions alpha" true (contains_substr dot "alpha")
 
+(* Trees for the index and walk oracles: protocol-consistent Gen trees
+   of depth 1-5, arbitrary ones with early leaves, and every built-in
+   system. *)
+let oracle_trees () =
+  let open Pak_systems in
+  let gen kind f =
+    List.concat_map
+      (fun depth ->
+        List.map
+          (fun seed ->
+            (Printf.sprintf "%s depth %d seed %d" kind depth seed,
+             f ~params:{ Gen.default_params with Gen.depth } seed))
+          [ 1; 2; 3 ])
+      [ 1; 2; 3; 4; 5 ]
+  in
+  let builtin =
+    [ ("firing-squad", Firing_squad.tree Firing_squad.Original);
+      ("firing-squad improved", Firing_squad.tree Firing_squad.Improved);
+      ("figure-one", Figure_one.tree ());
+      ("threshold-gap", Threshold_gap.tree ~p:Q.half ~eps:(q 1 10));
+      ("coordinated-attack", Coordinated_attack.tree ~rounds:3 ());
+      ("mutex", Mutex.tree ());
+      ("judge", Judge.tree ~rounds:3 ~convict_at:2 ());
+      ("consensus", Consensus.tree ~rounds:2 ());
+      ("aloha", Aloha.tree ~n:2 ~slots:2 ());
+      ("interactive-proof", Interactive_proof.tree ~rounds:3 ())
+    ]
+  in
+  ( gen "Gen" (fun ~params s -> Gen.tree ~params s)
+    @ gen "arbitrary" (fun ~params s -> Gen.tree_arbitrary ~params s),
+    builtin )
+
+(* [node_runs] and the local-state index against sets recomputed point
+   by point from [run_node] and the local states. *)
+let test_tree_finalize_index () =
+  let gen, builtin = oracle_trees () in
+  List.iter
+    (fun (name, t) ->
+      let through = Array.make (Tree.n_nodes t) [] in
+      let occurs = Hashtbl.create 64 in
+      for run = Tree.n_runs t - 1 downto 0 do
+        for time = 0 to Tree.run_length t run - 1 do
+          let id = Tree.run_node t ~run ~time in
+          through.(id) <- run :: through.(id);
+          for agent = 0 to Tree.n_agents t - 1 do
+            let key = Tree.lkey t ~agent ~run ~time in
+            Hashtbl.replace occurs key
+              (run :: Option.value ~default:[] (Hashtbl.find_opt occurs key))
+          done
+        done
+      done;
+      let nodes_ok =
+        Array.for_all Fun.id
+          (Array.mapi (fun id runs -> Bitset.to_list (Tree.node_runs t id) = runs) through)
+      in
+      check_bool (name ^ ": node_runs") true nodes_ok;
+      for agent = 0 to Tree.n_agents t - 1 do
+        let keys =
+          Hashtbl.fold (fun k _ acc -> if Tree.lkey_agent k = agent then k :: acc else acc)
+            occurs []
+          |> List.sort compare
+        in
+        check_bool (Printf.sprintf "%s: lstates of agent %d" name agent) true
+          (Tree.lstates t ~agent = keys);
+        check_bool (Printf.sprintf "%s: lstate_runs of agent %d" name agent) true
+          (List.for_all
+             (fun k -> Bitset.to_list (Tree.lstate_runs t k) = Hashtbl.find occurs k)
+             keys)
+      done)
+    (gen @ builtin)
+
 (* ------------------------------------------------------------------ *)
 (* Facts                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -417,6 +488,32 @@ let test_action_lstates () =
     (List.map Tree.lkey_label ls);
   let k = Tree.lkey_make ~agent:0 ~time:1 ~label:"got_mj" in
   check_int "alpha@got_mj" 2 (Bitset.cardinal (Action.performed_at_lstate t ~agent:0 ~act:"alpha" k))
+
+(* [Gen.proper_actions] decides every candidate in one walk; it must
+   agree with filtering the agents' actions through [Action.is_proper].
+   Gen labels embed the depth, so only the built-in systems have
+   improper actions. *)
+let test_action_proper_actions () =
+  let gen, builtin = oracle_trees () in
+  let by_filter t =
+    List.concat_map
+      (fun agent ->
+        List.filter_map
+          (fun act -> if Action.is_proper t ~agent ~act then Some (agent, act) else None)
+          (Tree.agent_actions t ~agent))
+      (List.init (Tree.n_agents t) Fun.id)
+    |> List.sort compare
+  in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check (list (pair int string))) name (by_filter t) (Gen.proper_actions t))
+    (gen @ builtin);
+  let candidates t =
+    List.fold_left (fun n agent -> n + List.length (Tree.agent_actions t ~agent)) 0
+      (List.init (Tree.n_agents t) Fun.id)
+  in
+  check_bool "some built-in system has an improper action" true
+    (List.exists (fun (_, t) -> List.length (Gen.proper_actions t) < candidates t) builtin)
 
 (* ------------------------------------------------------------------ *)
 (* Beliefs                                                             *)
@@ -803,7 +900,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_tree_validation;
           Alcotest.test_case "synchrony check" `Quick test_tree_synchrony_check;
           Alcotest.test_case "protocol consistency check" `Quick test_tree_protocol_consistency;
-          Alcotest.test_case "dot export" `Quick test_tree_dot
+          Alcotest.test_case "dot export" `Quick test_tree_dot;
+          Alcotest.test_case "finalize index oracle" `Quick test_tree_finalize_index
         ] );
       ( "fact",
         [ Alcotest.test_case "basics" `Quick test_fact_basics;
@@ -816,7 +914,8 @@ let () =
       ( "action",
         [ Alcotest.test_case "properness" `Quick test_action_properness;
           Alcotest.test_case "determinism" `Quick test_action_determinism;
-          Alcotest.test_case "Li[alpha]" `Quick test_action_lstates
+          Alcotest.test_case "Li[alpha]" `Quick test_action_lstates;
+          Alcotest.test_case "proper_actions one walk" `Quick test_action_proper_actions
         ] );
       ( "belief",
         [ Alcotest.test_case "figure 1" `Quick test_belief_figure1;

@@ -359,6 +359,62 @@ let prop_q_of_ints_matches_make =
     QCheck.(pair int int)
     (fun (n, d) -> QCheck.assume (d <> 0); of_ints_matches_make n d)
 
+(* [Q.of_string] reads "n" and "n/d" with at most 18 digits a side on
+   ints; longer numerals, and zero denominators, take the bignum path.
+   Either way the record (or the exception) is [Q.make]'s. *)
+let prop_q_of_string_matches_make =
+  let digits =
+    QCheck.Gen.(
+      map2 ( ^ )
+        (map (fun k -> String.make k '0') (int_bound 2))
+        (string_size ~gen:(char_range '0' '9') (int_range 1 20)))
+  in
+  let den = QCheck.Gen.(frequency [ (1, return (Some "0")); (2, return None); (7, opt digits) ]) in
+  let show (neg, n, d) =
+    (if neg then "-" else "") ^ n ^ match d with Some d -> "/" ^ d | None -> ""
+  in
+  let outcome f =
+    match f () with q -> Ok q | exception Pak_guard.Error.Division_by_zero m -> Error m
+  in
+  QCheck.Test.make ~count:1000 ~name:"Q.of_string matches Q.make at the 18/19-digit boundary"
+    (QCheck.make ~print:show QCheck.Gen.(triple bool digits den))
+    (fun ((neg, n, d) as case) ->
+      let expected =
+        outcome (fun () ->
+            Q.make
+              (Bigint.of_string ((if neg then "-" else "") ^ n))
+              (match d with Some d -> Bigint.of_string d | None -> Bigint.one))
+      in
+      outcome (fun () -> Q.of_string (show case)) = expected)
+
+(* [Q.add], [Q.mul] and [Q.compare] take the int path exactly when
+   every part is below 2^30 in magnitude; operands straddling that
+   boundary must give what the bignum operations give. *)
+let prop_q_small_path_boundary =
+  let part =
+    QCheck.Gen.(
+      oneof
+        [ map (fun k -> (1 lsl 30) + k) (int_range (-3) 3);
+          int_range 1 1000;
+          map (fun k -> (1 lsl 60) + k) (int_range (-3) 3) ])
+  in
+  let signed = QCheck.Gen.(map2 (fun neg v -> if neg then -v else v) bool part) in
+  let gen = QCheck.Gen.(quad signed part signed part) in
+  QCheck.Test.make ~count:1000 ~name:"Q small path agrees with bignum arithmetic at 2^30"
+    (QCheck.make ~print:QCheck.Print.(quad int int int int) gen)
+    (fun (an, ad, bn, bd) ->
+      let big = Bigint.of_int in
+      let a = Q.make (big an) (big ad) and b = Q.make (big bn) (big bd) in
+      let cross x y = Bigint.mul (Q.num x) (Bigint.of_bignat (Q.den y)) in
+      let den_prod = Bigint.of_bignat (Bignat.mul (Q.den a) (Q.den b)) in
+      let small_ok n =
+        Bigint.small (big n) = (if abs n < 1 lsl 30 then n else min_int)
+      in
+      Q.equal (Q.add a b) (Q.make (Bigint.add (cross a b) (cross b a)) den_prod)
+      && Q.equal (Q.mul a b) (Q.make (Bigint.mul (Q.num a) (Q.num b)) den_prod)
+      && Q.compare a b = Bigint.compare (cross a b) (cross b a)
+      && small_ok an && small_ok ad)
+
 let prop_q_normalized_gcd_one =
   QCheck.Test.make ~count:300 ~name:"Q always in lowest terms" gen_q (fun a ->
       QCheck.assume (not (Q.is_zero a));
@@ -379,7 +435,9 @@ let qcheck_cases =
       prop_q_compare_consistent_with_float;
       prop_q_compare_antisym;
       prop_q_normalized_gcd_one;
-      prop_q_of_ints_matches_make
+      prop_q_of_ints_matches_make;
+      prop_q_of_string_matches_make;
+      prop_q_small_path_boundary
     ]
 
 let () =

@@ -159,6 +159,23 @@ let test_frame_truncated_and_oversized () =
   check_bool "frame after oversized payload skipped" true
     (Serve.Frame.read reader = Serve.Frame.Payload "(ok)")
 
+(* A complete frame shorter than the longest possible header is
+   answered from the bytes already read: the source is not asked again
+   (a blocking pipe would stall the reply until more input or EOF). *)
+let test_frame_short_no_wait () =
+  let calls = ref 0 in
+  let source buf pos len =
+    incr calls;
+    if !calls > 1 then Alcotest.fail "source read again after a complete frame";
+    let frame = "pak1 6\n(ping)" in
+    let n = min len (String.length frame) in
+    Bytes.blit_string frame 0 buf pos n;
+    n
+  in
+  let reader = Serve.Frame.reader source in
+  check_bool "payload" true (Serve.Frame.read reader = Serve.Frame.Payload "(ping)");
+  check_int "one source call" 1 !calls
+
 (* ------------------------------------------------------------------ *)
 (* Request isolation, shedding, degradation, caching                   *)
 (* ------------------------------------------------------------------ *)
@@ -627,7 +644,8 @@ let () =
         [ QCheck_alcotest.to_alcotest test_frame_roundtrip;
           Alcotest.test_case "junk and resync" `Quick test_frame_junk;
           Alcotest.test_case "truncated and oversized" `Quick
-            test_frame_truncated_and_oversized
+            test_frame_truncated_and_oversized;
+          Alcotest.test_case "short frame answered at once" `Quick test_frame_short_no_wait
         ] );
       ( "server",
         [ Alcotest.test_case "budget isolation" `Quick test_budget_isolation;
