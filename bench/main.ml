@@ -389,21 +389,11 @@ let obs_scenarios () =
     let _out, code = Serve.run_string ~config stream in
     if code <> 0 then failwith "bench: serve stream did not drain cleanly"
   in
-  [ ("modelcheck_kb_fs", fun () -> ignore (Semantics.eval fs_tree ~valuation formula));
-    (* Engine pair: the same formulas through the explicit recursive
-       and vectorized entry points, so bench_diff tracks the two
-       engines side by side (doc/PERFORMANCE.md, "Vectorized
-       evaluation"). modelcheck_kb_fs/common_belief_fixpoint_fs above
-       are the historical recursive-engine numbers and keep their
-       names for baseline continuity. *)
-    ( "modelcheck_kb_fs_vectorized",
-      fun () -> ignore (Semantics.eval_vec fs_tree ~valuation formula) );
-    ( "common_belief_fixpoint_fs_vectorized",
-      fun () -> ignore (Semantics.eval_vec fs_tree ~valuation cb_formula) );
+  (* Single-domain scenarios first, then the ones that spawn pool
+     domains (see [export_snapshot]). *)
+  ( [ ("modelcheck_kb_fs", fun () -> ignore (Semantics.eval fs_tree ~valuation formula));
     ("serve_j1_cold", serve_run 1 serve_cold);
     ("serve_j1_warm", serve_run 1 serve_warm);
-    ("serve_j4_cold", serve_run 4 serve_cold);
-    ("serve_j4_warm", serve_run 4 serve_warm);
     ( "common_belief_fixpoint_fs",
       fun () -> ignore (Semantics.eval fs_tree ~valuation cb_formula) );
     ( "theorem62_fs",
@@ -504,10 +494,12 @@ let obs_scenarios () =
             for _ = 1 to 50 do
               ignore (Semantics.eval fs_tree ~valuation cb_formula)
             done) )
-  ]
+  ],
+    [ ("serve_j4_cold", serve_run 4 serve_cold); ("serve_j4_warm", serve_run 4 serve_warm) ] )
 
 let export_obs () =
-  let scenarios = obs_scenarios () in
+  let serial, pooled = obs_scenarios () in
+  let scenarios = serial @ pooled in
   let was_enabled = Obs.enabled () in
   Obs.enable ();
   let rows =
@@ -560,12 +552,21 @@ let export_obs () =
    (bench/baselines/bench.json) byte-exactly while wall times get a
    tolerance. *)
 let export_snapshot file =
-  let scenarios = obs_scenarios () in
+  let serial, pooled = obs_scenarios () in
+  let scenarios = serial @ pooled in
   let was_enabled = Obs.enabled () in
   Obs.reset ();
   Obs.enable ();
   let mw0 = Gc.minor_words () in
-  List.iter (fun (name, f) -> Obs.span ("bench." ^ name) f) scenarios;
+  let run = List.iter (fun (name, f) -> Obs.span ("bench." ^ name) f) in
+  run serial;
+  (* The major-heap levels are sampled here, before any pool domain
+     exists: what the --jobs 4 serve scenarios' domains add to the heap
+     depends on how their work interleaves, so including it would make
+     gc.heap_words/gc.top_heap_words differ from run to run. Sampled
+     this early in a fresh process, they are exact. *)
+  let heap = Gc.quick_stat () in
+  run pooled;
   let process_minor = Gc.minor_words () -. mw0 in
   (* Attribution coverage: the scenarios run single-domain and each is
      wrapped in a root span, so self words over the whole tree
@@ -585,7 +586,15 @@ let export_snapshot file =
     Printf.printf "  alloc attribution MISMATCH: spans account for %.1f%% of %.0f minor words\n"
       (100. *. coverage) process_minor
   end;
-  Obs.Snapshot.write file (Obs.Snapshot.capture ());
+  let snap = Obs.Snapshot.capture () in
+  let level (k, v) =
+    match k with
+    | "gc.heap_words" -> (k, float_of_int heap.Gc.heap_words)
+    | "gc.top_heap_words" -> (k, float_of_int heap.Gc.top_heap_words)
+    | _ -> (k, v)
+  in
+  Obs.Snapshot.write file
+    { snap with Obs.Snapshot.gauges = List.map level snap.Obs.Snapshot.gauges };
   Obs.reset ();
   if not was_enabled then Obs.disable ();
   Printf.printf
@@ -638,10 +647,6 @@ let timing_tests () =
       (Staged.stage (fun () -> Semantics.eval fs_tree ~valuation formula));
     Test.make ~name:"common_belief_fixpoint_fs"
       (Staged.stage (fun () -> Semantics.eval fs_tree ~valuation cb_formula));
-    Test.make ~name:"modelcheck_kb_fs_vectorized"
-      (Staged.stage (fun () -> Semantics.eval_vec fs_tree ~valuation formula));
-    Test.make ~name:"common_belief_fixpoint_fs_vectorized"
-      (Staged.stage (fun () -> Semantics.eval_vec fs_tree ~valuation cb_formula));
     Test.make ~name:"policy_frontier_fs"
       (Staged.stage (fun () -> Policy.frontier fs_both ~agent:FS.alice ~act:FS.fire));
     Test.make ~name:"simulate_1k_runs_fs"
@@ -830,6 +835,9 @@ let () =
   Budget.set_wall_clock (Some Unix.gettimeofday);
   Printf.printf "Probably Approximately Knowing — reproduction harness\n";
   Printf.printf "(all probabilities exact rationals; OK = exact equality)\n";
+  (* The snapshot runs first, in a fresh heap, so its heap levels do
+     not depend on the experiments or the parallelism export. *)
+  Option.iter export_snapshot (metrics_json_arg ());
   exp_e1 ();
   exp_f1 ();
   exp_f2 ();
@@ -842,7 +850,6 @@ let () =
   scaling_series ();
   export_obs ();
   export_par ();
-  Option.iter export_snapshot (metrics_json_arg ());
   Printf.printf "\n== Reproduction summary: %s ==\n"
     (if !failures = 0 then "ALL CLAIMS REPRODUCED EXACTLY"
      else Printf.sprintf "%d MISMATCHES" !failures);

@@ -354,27 +354,7 @@ let with_jobs_pool f =
   | jobs when jobs <= 1 -> f None
   | jobs -> Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
-(* Evaluation-engine option, shared by every subcommand. Effectful like
-   [obs_t]/[guard_t]: records the process-wide engine that
-   [Semantics.eval_auto] dispatches on. The engines are equivalent
-   (same verdicts, satisfying points and fixpoint iteration counts —
-   the cross-engine oracle in test/test_logic.ml), so --engine only
-   changes the cost profile, never output. *)
-let engine_t =
-  let engine_conv =
-    Arg.enum [ ("recursive", Semantics.Recursive); ("vectorized", Semantics.Vectorized) ]
-  in
-  let engine_arg =
-    Arg.(value & opt engine_conv Semantics.Vectorized
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Formula-evaluation engine: $(b,vectorized) (subformula closure + \
-                   packed truth vectors, the default) or $(b,recursive) (structural \
-                   recursion with a formula-keyed memo). The engines compute identical \
-                   results; see doc/EVALUATION.md.")
-  in
-  Term.(const Semantics.set_engine $ engine_arg)
-
-let common_t = Term.(const (fun () () () () -> ()) $ obs_t $ guard_t $ jobs_t $ engine_t)
+let common_t = Term.(const (fun () () () -> ()) $ obs_t $ guard_t $ jobs_t)
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -488,25 +468,24 @@ let eval_cmd =
             match Parser.parse_result text with
             | Result.Error e -> Error (Error.to_string e)
             | Ok f ->
-              (* One evaluation through the selected engine; validity,
+              (* One evaluation; validity,
                  the point count and the time-0 probability are all
                  derived from the single resulting fact. *)
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval_auto ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval ?pool inst.tree ~valuation:inst.valuation f)
               in
               let sat_points =
                 Tree.fold_points inst.tree ~init:0 ~f:(fun acc ~run ~time ->
                     if Fact.holds fact ~run ~time then acc + 1 else acc)
               in
-              let ev = ref (Tree.empty_event inst.tree) in
-              for run = 0 to Tree.n_runs inst.tree - 1 do
-                if Fact.holds fact ~run ~time:0 then ev := Bitset.add !ev run
-              done;
+              let ev =
+                Bitset.init (Tree.n_runs inst.tree) (fun run -> Fact.holds fact ~run ~time:0)
+              in
               Printf.printf "formula : %s\n" (Formula.to_string f);
               Printf.printf "valid   : %b\n" (sat_points = Tree.n_points inst.tree);
               Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points inst.tree);
-              Printf.printf "P(time-0): %s\n" (Q.to_string (Tree.measure inst.tree !ev));
+              Printf.printf "P(time-0): %s\n" (Q.to_string (Tree.measure inst.tree ev));
               Ok 0))
   in
   Cmd.v
@@ -571,7 +550,7 @@ let profile_cmd =
               let t0 = Sys.time () in
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval_auto ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval ?pool inst.tree ~valuation:inst.valuation f)
               in
               let eval_ms = (Sys.time () -. t0) *. 1000. in
               if openmetrics then begin
@@ -858,7 +837,7 @@ let load_cmd =
       let* f = Parser.parse_result text in
       let fact =
         with_jobs_pool (fun pool ->
-            Semantics.eval_auto ?pool tree ~valuation:default_valuation f)
+            Semantics.eval ?pool tree ~valuation:default_valuation f)
       in
       let sat_points =
         Tree.fold_points tree ~init:0 ~f:(fun acc ~run ~time ->
@@ -1085,7 +1064,7 @@ let serve_cmd =
                    bytes: it is renamed $(i,FILE.1), $(i,FILE.2), ... (oldest first) \
                    and a fresh segment is opened. Unset = never rotate.")
   in
-  let run () () () max_pending batch max_frame cache_max tree_cache_max drain_ms
+  let run () () max_pending batch max_frame cache_max tree_cache_max drain_ms
       retry_after_ms max_points max_nodes max_limbs max_iters timeout_ms
       telemetry_every telemetry_file journal_file journal_max =
     handle (fun () ->
@@ -1140,8 +1119,8 @@ let serve_cmd =
             close_telemetry ();
             Result.Error "--journal-max-bytes must be >= 64"
         | Ok () ->
-          (* The journal meta records the effective configuration (and
-             engine), so [pak replay] re-executes under the same limits. *)
+          (* The journal meta records the effective configuration, so
+             [pak replay] re-executes under the same limits. *)
           let journal_writer =
             match journal_file with
             | None -> None
@@ -1196,7 +1175,7 @@ let serve_cmd =
                malformed request, 3 invalid input, 4 budget exceeded or shed, 125 \
                internal."
          ])
-    Term.(const run $ obs_t $ jobs_t $ engine_t $ max_pending_t $ batch_t $ max_frame_t
+    Term.(const run $ obs_t $ jobs_t $ max_pending_t $ batch_t $ max_frame_t
           $ cache_max_t $ tree_cache_max_t $ drain_ms_t $ retry_after_t
           $ max_points_t $ max_nodes_t $ max_limbs_t $ max_iters_t $ timeout_t
           $ telemetry_every_t $ telemetry_file_t $ journal_file_t $ journal_max_t)
@@ -1272,13 +1251,13 @@ let replay_cmd =
   in
   Cmd.v
     (Cmd.info "replay"
-       ~doc:"Re-execute a serve journal through the live engine and diff the \
+       ~doc:"Re-execute a serve journal through the live evaluator and diff the \
              responses"
        ~man:
          [ `S Manpage.s_description;
            `P "Reads a flight-recorder journal written by $(b,pak serve --journal), \
                rebuilds the input stream from its request records, re-executes it \
-               under the configuration and engine recorded in the journal meta, and \
+               under the configuration recorded in the journal meta, and \
                compares the responses byte-for-byte modulo the observability fields \
                (trace ids, $(b,(metrics ...)) groups, and the $(b,(result ...)) of \
                introspection ops, which report the recording process's own state). \

@@ -93,211 +93,90 @@ let kind_of : Formula.t -> string = function
   | EveryoneBelieves _ -> "Ep"
   | CommonBelief _ -> "CB"
 
-let points_of fact =
-  let tree = Fact.tree fact in
-  List.rev
-    (Tree.fold_points tree ~init:[] ~f:(fun acc ~run ~time ->
-         if Fact.holds fact ~run ~time then (run, time) :: acc else acc))
-
-let facts_equal tree a b =
-  Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-      acc && Fact.holds a ~run ~time = Fact.holds b ~run ~time)
-
-(* The same iteration as [Semantics.gfp], additionally recording every
-   approximant's point set. The trace length equals the number of
-   gfp-iteration counter bumps [eval] performs on the same formula. *)
-let gfp_trace tree step =
-  let rec iterate x trace =
-    Obs.incr c_gfp;
-    Budget.charge_iters 1;
-    let x' = step x in
-    let trace = points_of x' :: trace in
-    if facts_equal tree x x' then (x, List.rev trace) else iterate x' trace
-  in
-  iterate (Fact.tt tree) []
-
-let kcells_of tree ~agent inner =
-  List.map
-    (fun key ->
-      let time = Tree.lkey_time key in
-      let cell = Tree.lstate_runs tree key in
-      {
-        kc_agent = agent;
-        kc_time = time;
-        kc_label = Tree.lkey_label key;
-        kc_cell = Bitset.to_list cell;
-        kc_holds = Bitset.for_all (fun run -> Fact.holds inner ~run ~time) cell;
-      })
-    (Tree.lstates tree ~agent)
-
-let bcells_of tree ~agent ~cmp ~threshold inner =
-  List.map
-    (fun key ->
-      let cell = Tree.lstate_runs tree key in
-      let sat = Fact.at_lstate inner key in
-      let cell_measure = Tree.measure tree cell in
-      let sat_measure = Tree.measure tree sat in
-      let degree = Belief.degree_at_lstate inner key in
-      {
-        bc_agent = agent;
-        bc_time = Tree.lkey_time key;
-        bc_label = Tree.lkey_label key;
-        bc_cell = Bitset.to_list cell;
-        bc_sat = Bitset.to_list sat;
-        bc_cell_measure = cell_measure;
-        bc_sat_measure = sat_measure;
-        bc_degree = degree;
-        bc_holds = Semantics.satisfies_cmp cmp degree threshold;
-      })
-    (Tree.lstates tree ~agent)
-
 let group_agents grp = List.sort_uniq Stdlib.compare grp
 
+(* Cells of one K/B/E/EB entry, as the walk reported them (per agent of
+   the group, in group order), to evidence order: one cell per
+   (agent, local state), sorted — an agent repeated in the group
+   reports identical cells, which the de-duplication drops. *)
+let evidence_cells cells =
+  let key (k, _) = (Tree.lkey_agent k, Tree.lkey_time k, Tree.lkey_label k) in
+  List.sort_uniq (fun a b -> Stdlib.compare (key a) (key b)) cells
+
+(* Certification is evaluation with a sink: [Semantics.walk] reports
+   every closure entry's fact, every K/B cell outcome of a K/B/E/EB
+   entry and every C/CB approximant, and the sink turns what each entry
+   reported into its node. Children are the nodes of the entry's child
+   bits, so repeated subformulas share one node. *)
 let certify tree ~valuation formula =
   Obs.incr c_certify;
   Obs.span "cert.certify" @@ fun () ->
-  let check_agent i =
-    if i < 0 || i >= Tree.n_agents tree then
-      invalid_arg (Printf.sprintf "Cert.certify: agent %d out of range" i)
+  let nodes = Hashtbl.create 32 in
+  let root = ref None in
+  let kcells = ref [] and bcells = ref [] and steps = ref [] in
+  let kcell key holds = kcells := (key, holds) :: !kcells in
+  let bcell key ~sat ~degree holds = bcells := (key, (sat, degree, holds)) :: !bcells in
+  let step x =
+    Obs.incr c_gfp;
+    steps := Fact.to_list x :: !steps
   in
-  let check_group = function
-    | [] -> invalid_arg "Cert.certify: empty agent group"
-    | g -> g
+  let knowledge () =
+    Knowledge
+      (List.map
+         (fun (key, holds) ->
+           {
+             kc_agent = Tree.lkey_agent key;
+             kc_time = Tree.lkey_time key;
+             kc_label = Tree.lkey_label key;
+             kc_cell = Bitset.to_list (Tree.lstate_runs tree key);
+             kc_holds = holds;
+           })
+         (evidence_cells !kcells))
   in
-  let memo : (Formula.t, node * Fact.t) Hashtbl.t = Hashtbl.create 32 in
-  let rec go (f : Formula.t) : node * Fact.t =
-    match Hashtbl.find_opt memo f with
-    | Some res -> res
-    | None ->
-      let res = build f in
-      Hashtbl.add memo f res;
-      res
-  and build f =
-    let mk ?(evidence = Direct) fact children =
-      let points = points_of fact in
-      Obs.incr c_nodes;
-      Obs.add c_points (List.length points);
-      ({ formula = f; points; evidence; children }, fact)
+  let belief () =
+    Belief
+      (List.map
+         (fun (key, (sat, degree, holds)) ->
+           let cell = Tree.lstate_runs tree key in
+           {
+             bc_agent = Tree.lkey_agent key;
+             bc_time = Tree.lkey_time key;
+             bc_label = Tree.lkey_label key;
+             bc_cell = Bitset.to_list cell;
+             bc_sat = Bitset.to_list sat;
+             bc_cell_measure = Tree.measure tree cell;
+             bc_sat_measure = Tree.measure tree sat;
+             bc_degree = degree;
+             bc_holds = holds;
+           })
+         (evidence_cells !bcells))
+  in
+  let entry (e : Closure.entry) fact =
+    let evidence =
+      match e.formula with
+      | Knows _ | EveryoneKnows _ -> knowledge ()
+      | Believes _ | EveryoneBelieves _ -> belief ()
+      | CommonKnows _ | CommonBelief _ -> Fixpoint (List.rev !steps)
+      | _ -> Direct
     in
-    match f with
-    | Formula.True -> mk (Fact.tt tree) []
-    | False -> mk (Fact.ff tree) []
-    | Atom a -> mk (Fact.of_state_pred tree (valuation a)) []
-    | Not g ->
-      let n, fg = go g in
-      mk (Fact.not_ fg) [ n ]
-    | And (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.and_ fa fb) [ na; nb ]
-    | Or (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.or_ fa fb) [ na; nb ]
-    | Implies (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.implies fa fb) [ na; nb ]
-    | Iff (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.iff fa fb) [ na; nb ]
-    | Does (i, act) ->
-      check_agent i;
-      mk (Fact.does tree ~agent:i ~act) []
-    | Eventually g ->
-      let n, fg = go g in
-      mk (Fact.eventually fg) [ n ]
-    | Globally g ->
-      let n, fg = go g in
-      mk (Fact.globally fg) [ n ]
-    | Next g ->
-      let n, fg = go g in
-      mk (Fact.next fg) [ n ]
-    | Once g ->
-      let n, fg = go g in
-      mk (Fact.once fg) [ n ]
-    | Historically g ->
-      let n, fg = go g in
-      mk (Fact.historically fg) [ n ]
-    | Knows (i, g) ->
-      check_agent i;
-      let n, fg = go g in
-      let fact = Semantics.knows_fact tree ~agent:i fg in
-      mk ~evidence:(Knowledge (kcells_of tree ~agent:i fg)) fact [ n ]
-    | Believes (i, cmp, threshold, g) ->
-      check_agent i;
-      let n, fg = go g in
-      let fact = Semantics.believes_fact tree ~agent:i ~cmp ~threshold fg in
-      mk ~evidence:(Belief (bcells_of tree ~agent:i ~cmp ~threshold fg)) fact [ n ]
-    | EveryoneKnows (grp, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact =
-        Fact.conj tree (List.map (fun i -> Semantics.knows_fact tree ~agent:i fg) grp)
-      in
-      let cells =
-        List.concat_map (fun i -> kcells_of tree ~agent:i fg) (group_agents grp)
-      in
-      mk ~evidence:(Knowledge cells) fact [ n ]
-    | CommonKnows (grp, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact, trace =
-        gfp_trace tree (fun x ->
-            let body = Fact.and_ fg x in
-            Fact.conj tree
-              (List.map (fun i -> Semantics.knows_fact tree ~agent:i body) grp))
-      in
-      mk ~evidence:(Fixpoint trace) fact [ n ]
-    | EveryoneBelieves (grp, threshold, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact =
-        Fact.conj tree
-          (List.map
-             (fun i ->
-               Semantics.believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold fg)
-             grp)
-      in
-      let cells =
-        List.concat_map
-          (fun i -> bcells_of tree ~agent:i ~cmp:Formula.Geq ~threshold fg)
-          (group_agents grp)
-      in
-      mk ~evidence:(Belief cells) fact [ n ]
-    | CommonBelief (grp, threshold, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let ep fact =
-        Fact.conj tree
-          (List.map
-             (fun i ->
-               Semantics.believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold fact)
-             grp)
-      in
-      let base = ep fg in
-      let fact, trace = gfp_trace tree (fun x -> Fact.and_ base (ep x)) in
-      mk ~evidence:(Fixpoint trace) fact [ n ]
+    kcells := [];
+    bcells := [];
+    steps := [];
+    let points = Fact.to_list fact in
+    Obs.incr c_nodes;
+    Obs.add c_points (List.length points);
+    let children = Array.to_list (Array.map (Hashtbl.find nodes) e.children) in
+    let node = { formula = e.formula; points; evidence; children } in
+    Hashtbl.replace nodes e.bit node;
+    root := Some node
   in
-  (* The closure table is the certificate skeleton: its entries list
-     every distinct subformula children-before-parents, so walking it
-     in bit order certifies bottom-up — each [go] finds its children
-     already memoized, and the final [go formula] just reads the root
-     entry back. Node structure, sharing and JSON are identical to the
-     plain recursive descent (the memo is keyed the same way); the
-     table only fixes the construction schedule, which is what lets
-     the certificate mirror the vectorized engine's evaluation order. *)
-  Array.iter
-    (fun (e : Closure.entry) -> ignore (go e.formula))
-    (Closure.entries (Closure.of_formula formula));
-  let root, _fact = go formula in
+  ignore (Semantics.walk ~sink:{ entry; kcell; bcell; step } tree ~valuation formula);
   {
     version = schema_version;
     n_agents = Tree.n_agents tree;
     n_runs = Tree.n_runs tree;
     n_points = Tree.n_points tree;
-    root;
+    root = Option.get !root;
   }
 
 let certify_result tree ~valuation formula =

@@ -1,14 +1,13 @@
 (** Evaluation provenance: witness certificates for {!Pak_logic.Semantics}
     verdicts, and an independent checker that re-verifies them.
 
-    {!certify} evaluates a formula the same way [Semantics.eval] does —
-    through the same [knows_fact]/[believes_fact]/fixpoint building
-    blocks — but records {e why} at every step: per subformula the
-    satisfying point set, and per modality the local evidence (the
-    indistinguishability cell scanned for [K_i], the conditioning cell
-    with its exact rational measures for [B_i^{⋈q}], the
-    iteration-by-iteration shrinking approximants for the [C_G]/[CB_G^q]
-    greatest fixpoints).
+    {!certify} {e is} evaluation: it runs [Semantics.walk], the walk
+    behind [Semantics.eval], with an evidence sink, and records {e why}
+    at every step: per subformula the satisfying point set, and per
+    modality the local evidence (the indistinguishability cell scanned
+    for [K_i], the conditioning cell with its exact rational measures
+    for [B_i^{⋈q}], the iteration-by-iteration shrinking approximants
+    for the [C_G]/[CB_G^q] greatest fixpoints).
 
     {!check} then re-verifies every node {e locally and independently}:
     it never calls [Semantics.eval], re-derives every measure from
@@ -102,16 +101,17 @@ val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val certify : Tree.t -> valuation:Semantics.valuation -> Formula.t -> t
-(** Evaluate [formula] on [tree], recording a witness tree. The root
-    point set always equals [Semantics.eval]'s fact extensionally (both
-    are built from the same {!Semantics.knows_fact} /
-    {!Semantics.believes_fact} primitives and the same fixpoint loop);
-    the qcheck suite enforces this on thousands of generated systems.
-    Fixpoint iterations charge the installed {!Pak_guard.Budget} like
-    [eval] does.
+(** Evaluate [formula] on [tree] with {!Semantics.walk}, recording a
+    witness tree: one node per closure entry (repeated subformulas share
+    a node), carrying the entry's points and, for [K]/[E] and [B]/[EB],
+    one cell per (agent, local state) — agents sorted and
+    de-duplicated — or, for [C]/[CB], the approximant sequence. The
+    root point set is [Semantics.eval]'s fact, and the walk charges the
+    installed {!Pak_guard.Budget} as [eval] does; building [B]-cell
+    measures adds [Tree.measure] charges.
 
     @raise Invalid_argument on an out-of-range agent or empty group,
-    exactly as [Semantics.eval]. *)
+    with [Semantics.eval]'s message. *)
 
 val certify_result :
   Tree.t -> valuation:Semantics.valuation -> Formula.t -> (t, Pak_guard.Error.t) result

@@ -33,8 +33,9 @@ module Closure = Pak_logic.Closure
 module Semantics = struct
   include Pak_logic.Semantics
 
-  (* The provenance layer's certifying evaluator, re-exported here so
-     the umbrella API offers [Semantics.certify] next to [eval]. *)
+  (* Certification (eval's walk with an evidence sink), re-exported
+     here so the umbrella API offers [Semantics.certify] next to
+     [eval]. *)
   let certify = Pak_cert.Cert.certify
 end
 

@@ -56,10 +56,10 @@ module Tree_io = Pak_pps.Tree_io
 module Formula = Pak_logic.Formula
 module Parser = Pak_logic.Parser
 
-(** {!Pak_logic.Semantics} extended with the provenance layer's
-    certifying evaluator: [Semantics.certify] produces a
-    {!Cert.t} witness tree whose root verdict always agrees with
-    [Semantics.eval]. *)
+(** {!Pak_logic.Semantics} extended with the provenance layer:
+    [Semantics.certify] runs [Semantics.eval]'s own walk with an
+    evidence sink and returns the {!Cert.t} witness tree it recorded,
+    whose root points are exactly [Semantics.eval]'s fact. *)
 module Semantics : sig
   include module type of Pak_logic.Semantics
 

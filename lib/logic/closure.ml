@@ -3,9 +3,8 @@
    assignment is a pure function of the formula: children always get
    smaller bits than their parents, the first occurrence of a repeated
    subformula fixes its bit, and the root ends up last. Hash-consing
-   uses structural equality on Formula.t — the same keying as the
-   recursive evaluator's memo table, so the two engines agree on what
-   counts as "one distinct subformula". *)
+   uses structural equality on Formula.t, so "one distinct
+   subformula" means one structurally distinct formula. *)
 
 module Obs = Pak_obs.Obs
 

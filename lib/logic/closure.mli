@@ -5,8 +5,8 @@
     The closure of a formula ϕ is the set of its distinct subformulas
     (hash-consed: structurally equal subformulas share one entry).
     Each entry is assigned a {e bit position} — a dense index into the
-    truth-vector table used by {!Semantics.eval_vec}, where entry [b]'s
-    packed vector holds the satisfying point set of its formula.
+    fact table used by {!Semantics.eval}, where entry [b]'s fact holds
+    the satisfying point set of its formula.
 
     Bit positions are assigned by a left-to-right depth-first
     post-order walk of ϕ: a subformula's children always receive
@@ -16,8 +16,8 @@
     count, or [--jobs] — so [digest] is byte-identical across runs
     (pinned by the closure-determinism test in [test/test_logic.ml]).
 
-    Invariants, relied on by the evaluator and by {!Cert.certify}'s
-    skeleton traversal:
+    Invariants, relied on by the evaluator (and through it by
+    [Cert.certify], whose node per entry it reports):
     - [entries t] is sorted by bit: [(entries t).(b).bit = b];
     - children before parents: every child bit of entry [b] is [< b];
     - the root formula's entry is the last one:
@@ -60,10 +60,9 @@ val bit_of : t -> Formula.t -> int option
 
 val duplicates : t -> int
 (** Number of subformula {e occurrences} resolved by hash-consing
-    during the build — occurrences minus distinct subformulas. Equals
-    the recursive engine's [semantics.memo_hits] count for the same
-    formula, which is how {!Semantics.eval_vec} keeps the memo
-    counters engine-invariant. *)
+    during the build — occurrences minus distinct subformulas.
+    {!Semantics.eval} reports it as [semantics.memo_hits]: the count a
+    formula-keyed memo would hit. *)
 
 val digest : t -> string
 (** Hex digest of the full bit assignment (every entry's bit, rendered

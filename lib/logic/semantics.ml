@@ -59,27 +59,6 @@ let generic_valuation atom g =
      | _ -> false)
   | _ -> false
 
-(* A fact from a per-local-state boolean: true at (r,t) iff the bit for
-   the local state of [agent] at (r,t) is set. Used for K and B, whose
-   truth value only depends on the agent's local state. *)
-let fact_of_lstate_pred tree ~agent pred =
-  let cache : (Tree.lkey, bool) Hashtbl.t = Hashtbl.create 32 in
-  Fact.of_pred tree (fun ~run ~time ->
-      let key = Tree.lkey tree ~agent ~run ~time in
-      match Hashtbl.find_opt cache key with
-      | Some v -> v
-      | None ->
-        let v = pred key in
-        Hashtbl.add cache key v;
-        v)
-
-let knows_fact tree ~agent inner =
-  fact_of_lstate_pred tree ~agent (fun key ->
-      let time = Tree.lkey_time key in
-      Bitset.for_all
-        (fun run -> Fact.holds inner ~run ~time)
-        (Tree.lstate_runs tree key))
-
 let satisfies_cmp (c : Formula.cmp) degree threshold =
   match c with
   | Formula.Geq -> Q.geq degree threshold
@@ -88,115 +67,12 @@ let satisfies_cmp (c : Formula.cmp) degree threshold =
   | Formula.Lt -> Q.lt degree threshold
   | Formula.Eq -> Q.equal degree threshold
 
-let believes_fact tree ~agent ~cmp ~threshold inner =
-  fact_of_lstate_pred tree ~agent (fun key ->
-      satisfies_cmp cmp (Belief.degree_at_lstate inner key) threshold)
-
 let check_group = function
   | [] -> invalid_arg "Semantics: empty agent group"
   | g -> g
 
-(* Greatest fixpoint of a monotone (decreasing-from-top) operator on
-   facts, by iteration; terminates because each step removes points
-   from a finite set. Equality of facts is tested extensionally. *)
-let facts_equal tree a b =
-  Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-      acc && Fact.holds a ~run ~time = Fact.holds b ~run ~time)
-
-let gfp tree ~counter step =
-  let rec iterate x =
-    Obs.incr c_gfp_iters;
-    Obs.incr counter;
-    (* Fuel + deadline: the fixpoint is the coarsest loop the budget
-       must be able to interrupt (each step sweeps every point). *)
-    Budget.charge_iters 1;
-    let x' = step x in
-    if facts_equal tree x x' then x else iterate x'
-  in
-  iterate (Fact.tt tree)
-
-let eval tree ~valuation formula =
-  let memo : (Formula.t, Fact.t) Hashtbl.t = Hashtbl.create 32 in
-  let check_agent i =
-    if i < 0 || i >= Tree.n_agents tree then
-      invalid_arg (Printf.sprintf "Semantics.eval: agent %d out of range" i)
-  in
-  let rec go (f : Formula.t) =
-    match Hashtbl.find_opt memo f with
-    | Some fact ->
-      Obs.incr c_memo_hits;
-      fact
-    | None ->
-      Obs.incr c_memo_misses;
-      let fact =
-        Obs.span ("semantics.eval." ^ op_tag f) @@ fun () ->
-        match f with
-        | True -> Fact.tt tree
-        | False -> Fact.ff tree
-        | Atom a -> Fact.of_state_pred tree (valuation a)
-        | Not g -> Fact.not_ (go g)
-        | And (a, b) -> Fact.and_ (go a) (go b)
-        | Or (a, b) -> Fact.or_ (go a) (go b)
-        | Implies (a, b) -> Fact.implies (go a) (go b)
-        | Iff (a, b) -> Fact.iff (go a) (go b)
-        | Does (i, act) ->
-          check_agent i;
-          Fact.does tree ~agent:i ~act
-        | Eventually g -> Fact.eventually (go g)
-        | Globally g -> Fact.globally (go g)
-        | Next g -> Fact.next (go g)
-        | Once g -> Fact.once (go g)
-        | Historically g -> Fact.historically (go g)
-        | Knows (i, g) ->
-          check_agent i;
-          knows_fact tree ~agent:i (go g)
-        | Believes (i, cmp, threshold, g) ->
-          check_agent i;
-          believes_fact tree ~agent:i ~cmp ~threshold (go g)
-        | EveryoneKnows (grp, g) ->
-          let grp = check_group grp in
-          List.iter check_agent grp;
-          let inner = go g in
-          Fact.conj tree (List.map (fun i -> knows_fact tree ~agent:i inner) grp)
-        | CommonKnows (grp, g) ->
-          let grp = check_group grp in
-          List.iter check_agent grp;
-          let inner = go g in
-          (* gfp X. E_G(inner ∧ X) *)
-          gfp tree ~counter:c_gfp_iters_ck (fun x ->
-              let body = Fact.and_ inner x in
-              Fact.conj tree (List.map (fun i -> knows_fact tree ~agent:i body) grp))
-        | EveryoneBelieves (grp, threshold, g) ->
-          let grp = check_group grp in
-          List.iter check_agent grp;
-          let inner = go g in
-          Fact.conj tree
-            (List.map
-               (fun i -> believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold inner)
-               grp)
-        | CommonBelief (grp, threshold, g) ->
-          let grp = check_group grp in
-          List.iter check_agent grp;
-          let inner = go g in
-          (* Monderer–Samet common p-belief as the greatest fixpoint
-             X = E^p_G(inner) ∧ E^p_G(X): the largest "p-evident" event
-             within everyone-p-believes-ϕ. *)
-          let ep fact =
-            Fact.conj tree
-              (List.map
-                 (fun i -> believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold fact)
-                 grp)
-          in
-          let base = ep inner in
-          gfp tree ~counter:c_gfp_iters_cb (fun x -> Fact.and_ base (ep x))
-      in
-      Hashtbl.add memo f fact;
-      fact
-  in
-  Obs.span "semantics.eval" (fun () -> go formula)
-
 (* ------------------------------------------------------------------ *)
-(* Vectorized engine: closure table + packed truth vectors              *)
+(* The closure walk                                                     *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Pak_par.Pool
@@ -205,34 +81,32 @@ let c_vec_evals = Obs.counter "eval_vec.evals"
 let c_vec_entries = Obs.counter "eval_vec.entries"
 let c_vec_cells = Obs.counter "eval_vec.cells"
 
-(* One evaluation = one Closure.of_formula + one packed Bitset.t over
-   point indices per closure entry, filled bottom-up (children first —
-   the closure's bit order is a valid schedule). Point (r,t) gets the
-   dense index offsets.(r) + t. Counter contract with the recursive
-   engine: semantics.memo_misses = closure entries (one "miss" per
-   distinct subformula), semantics.memo_hits = hash-consed duplicate
-   occurrences, and the gfp iteration counters are bumped step-for-step
-   identically — so the memo and fixpoint telemetry is engine-invariant
-   while bitset.*/eval_vec.*/closure.* profile the vector work. *)
-let eval_vec ?pool tree ~valuation formula =
+type sink = {
+  entry : Closure.entry -> Fact.t -> unit;
+  kcell : Tree.lkey -> bool -> unit;
+  bcell : Tree.lkey -> sat:Bitset.t -> degree:Q.t -> bool -> unit;
+  step : Fact.t -> unit;
+}
+
+type bcell = { sat : Bitset.t; degree : Q.t; holds : bool }
+
+(* One evaluation = one Closure.of_formula + one Fact.t (a packed
+   bitset over dense point indices) per closure entry, filled
+   bottom-up: children first, which the closure's bit order is a valid
+   schedule for. Counter contract: semantics.memo_misses = closure
+   entries (one "miss" per distinct subformula), semantics.memo_hits =
+   hash-consed duplicate occurrences, one semantics.gfp_iters* bump per
+   fixpoint step; bitset.*/eval_vec.*/closure.* profile the vector
+   work. With a sink, the walk also reports what it computed: every
+   K/B cell of a K/B/E/EB entry (the cells swept inside a C/CB
+   fixpoint are not reported), every C/CB approximant, and every
+   entry's fact once it is final. *)
+let walk ?pool ?sink tree ~valuation formula =
   Obs.span "semantics.eval_vec" @@ fun () ->
   Obs.incr c_vec_evals;
   let clo = Closure.of_formula formula in
   let n_runs = Tree.n_runs tree in
-  let offsets = Array.make (max 1 n_runs) 0 in
-  let total = ref 0 in
-  for r = 0 to n_runs - 1 do
-    offsets.(r) <- !total;
-    total := !total + Tree.run_length tree r
-  done;
-  let n = !total in
-  let run_of = Array.make (max 1 n) 0 and time_of = Array.make (max 1 n) 0 in
-  for r = 0 to n_runs - 1 do
-    for t = 0 to Tree.run_length tree r - 1 do
-      run_of.(offsets.(r) + t) <- r;
-      time_of.(offsets.(r) + t) <- t
-    done
-  done;
+  let n = Tree.n_points tree in
   let check_agent i =
     if i < 0 || i >= Tree.n_agents tree then
       invalid_arg (Printf.sprintf "Semantics.eval: agent %d out of range" i)
@@ -242,82 +116,75 @@ let eval_vec ?pool tree ~valuation formula =
      cell array shards on the pool when one is given. The pool
      re-installs the caller's budget scope in its workers, so charges
      made inside a cell count against the same budget at any job
-     count; results are assembled in cell order, so the outcome is
-     jobs-invariant. *)
+     count; outcomes are reported and assembled in cell order on the
+     calling domain, so the result is jobs-invariant. *)
   let shard cells f =
     match pool with
     | Some p when Array.length cells > 1 -> Pool.map p f cells
     | _ -> Array.map f cells
   in
-  let cellwise ~agent holds_at =
+  let cellwise ~agent sweep holds report =
     let cells = Array.of_list (Tree.lstates tree ~agent) in
     Obs.add c_vec_cells (Array.length cells);
-    let holds = shard cells holds_at in
-    let out = Array.make (max 1 n) false in
-    Array.iteri
-      (fun c key ->
-        if holds.(c) then begin
-          let time = Tree.lkey_time key in
-          Bitset.iter
-            (fun run -> out.(offsets.(run) + time) <- true)
-            (Tree.lstate_runs tree key)
-        end)
-      cells;
-    Bitset.init n (Array.get out)
+    let outcomes = shard cells sweep in
+    Option.iter (fun report -> Array.iteri (fun c key -> report key outcomes.(c)) cells) report;
+    let holding = ref [] in
+    for c = Array.length cells - 1 downto 0 do
+      if holds outcomes.(c) then holding := cells.(c) :: !holding
+    done;
+    Fact.of_lstates tree !holding
   in
-  let kvec ~agent inner =
-    cellwise ~agent (fun key ->
+  let point run time = Tree.run_offset tree run + time in
+  let kvec ?report ~agent inner =
+    let bits = Fact.points inner in
+    cellwise ~agent
+      (fun key ->
         let time = Tree.lkey_time key in
-        Bitset.for_all
-          (fun run -> Bitset.mem inner (offsets.(run) + time))
-          (Tree.lstate_runs tree key))
+        Bitset.for_all (fun run -> Bitset.mem bits (point run time)) (Tree.lstate_runs tree key))
+      Fun.id
+      (Option.map (fun s -> s.kcell) report)
   in
-  let bvec ~agent ~cmp ~threshold inner =
-    cellwise ~agent (fun key ->
+  let bvec ?report ~agent ~cmp ~threshold inner =
+    let bits = Fact.points inner in
+    cellwise ~agent
+      (fun key ->
         let time = Tree.lkey_time key in
         let cell = Tree.lstate_runs tree key in
-        (* [inner@ℓ] as an event, then the same conditional measure the
-           recursive engine takes via Belief.degree_at_lstate. *)
+        (* [inner@ℓ] as an event, then the conditional measure
+           µ(inner@ℓ | ℓ) of Belief.degree_at_lstate. *)
         let sat =
-          Bitset.init n_runs (fun run ->
-              Bitset.mem cell run && Bitset.mem inner (offsets.(run) + time))
+          Bitset.init n_runs (fun run -> Bitset.mem cell run && Bitset.mem bits (point run time))
         in
-        satisfies_cmp cmp (Tree.cond tree sat ~given:cell) threshold)
+        let degree = Tree.cond tree sat ~given:cell in
+        { sat; degree; holds = satisfies_cmp cmp degree threshold })
+      (fun b -> b.holds)
+      (Option.map (fun s key b -> s.bcell key ~sat:b.sat ~degree:b.degree b.holds) report)
   in
   let inter_all = function
     | [] -> invalid_arg "Semantics: empty agent group"
-    | v :: rest -> List.fold_left Bitset.inter v rest
+    | v :: rest -> List.fold_left Fact.and_ v rest
   in
-  let evec grp inner = inter_all (List.map (fun i -> kvec ~agent:i inner) grp) in
-  let epvec grp threshold x =
-    inter_all (List.map (fun i -> bvec ~agent:i ~cmp:Formula.Geq ~threshold x) grp)
+  let evec ?report grp inner = inter_all (List.map (fun i -> kvec ?report ~agent:i inner) grp) in
+  let epvec ?report grp threshold x =
+    inter_all (List.map (fun i -> bvec ?report ~agent:i ~cmp:Formula.Geq ~threshold x) grp)
   in
-  (* Same counting discipline as [gfp]: one iteration = one step
-     application, bumped before the step so an exhausted --max-iters
-     budget trips identically; the whole-vector equality test charges
-     the points [facts_equal] would have folded over. The approximant
-     sequences of the two engines are extensionally equal (both start
-     at ⊤ and apply pointwise-equal steps), so the iteration counts
-     match exactly. *)
-  let gfp_vec ~counter step =
+  (* Greatest fixpoint from the top element. One iteration = one step
+     application, counted and charged before the step so an exhausted
+     --max-iters budget trips before any work; the whole-vector
+     equality test charges one pass over the points. *)
+  let gfp ~counter step =
     let rec iterate x =
       Obs.incr c_gfp_iters;
       Obs.incr counter;
       Budget.charge_iters 1;
       let x' = step x in
+      Option.iter (fun s -> s.step x') sink;
       Budget.charge_points n;
-      if Bitset.equal x x' then x else iterate x'
+      if Bitset.equal (Fact.points x) (Fact.points x') then x else iterate x'
     in
-    iterate (Bitset.full n)
+    iterate (Fact.tt tree)
   in
-  let per_run fill =
-    let out = Array.make (max 1 n) false in
-    for r = 0 to n_runs - 1 do
-      fill r (Tree.run_length tree r) offsets.(r) out
-    done;
-    Bitset.init n (Array.get out)
-  in
-  let nvec = Array.make (Closure.size clo) (Bitset.create 0) in
+  let facts = Array.make (Closure.size clo) (Fact.ff tree) in
   Array.iter
     (fun (e : Closure.entry) ->
       Obs.incr c_vec_entries;
@@ -326,144 +193,77 @@ let eval_vec ?pool tree ~valuation formula =
       Budget.charge_points n;
       let v =
         Obs.span ("semantics.eval_vec." ^ op_tag e.formula) @@ fun () ->
-        let child k = nvec.(e.children.(k)) in
+        let child k = facts.(e.children.(k)) in
         match e.formula with
-        | True -> Bitset.full n
-        | False -> Bitset.create n
-        | Atom a ->
-          (* Node-memoized like Fact.of_state_pred: points sharing a
-             prefix query the valuation once. *)
-          let cache : (int, bool) Hashtbl.t = Hashtbl.create 64 in
-          Bitset.init n (fun i ->
-              let node = Tree.run_node tree ~run:run_of.(i) ~time:time_of.(i) in
-              match Hashtbl.find_opt cache node with
-              | Some v -> v
-              | None ->
-                let v = valuation a (Tree.node_state tree node) in
-                Hashtbl.add cache node v;
-                v)
-        | Not _ -> Bitset.complement (child 0)
-        | And _ -> Bitset.inter (child 0) (child 1)
-        | Or _ -> Bitset.union (child 0) (child 1)
-        | Implies _ -> Bitset.union (Bitset.complement (child 0)) (child 1)
-        | Iff _ -> Bitset.complement (Bitset.symdiff (child 0) (child 1))
+        | True -> Fact.tt tree
+        | False -> Fact.ff tree
+        | Atom a -> Fact.of_state_pred tree (valuation a)
+        | Not _ -> Fact.not_ (child 0)
+        | And _ -> Fact.and_ (child 0) (child 1)
+        | Or _ -> Fact.or_ (child 0) (child 1)
+        | Implies _ -> Fact.implies (child 0) (child 1)
+        | Iff _ -> Fact.iff (child 0) (child 1)
         | Does (i, act) ->
           check_agent i;
-          Bitset.init n (fun p ->
-              Tree.action_at tree ~agent:i ~run:run_of.(p) ~time:time_of.(p) = Some act)
-        | Eventually _ ->
-          let c = child 0 in
-          per_run (fun _ len off out ->
-              let any = ref false in
-              for t = 0 to len - 1 do
-                if Bitset.mem c (off + t) then any := true
-              done;
-              if !any then for t = 0 to len - 1 do out.(off + t) <- true done)
-        | Globally _ ->
-          let c = child 0 in
-          per_run (fun _ len off out ->
-              let all = ref true in
-              for t = 0 to len - 1 do
-                if not (Bitset.mem c (off + t)) then all := false
-              done;
-              if !all then for t = 0 to len - 1 do out.(off + t) <- true done)
-        | Next _ ->
-          let c = child 0 in
-          per_run (fun _ len off out ->
-              for t = 0 to len - 2 do
-                out.(off + t) <- Bitset.mem c (off + t + 1)
-              done)
-        | Once _ ->
-          let c = child 0 in
-          per_run (fun _ len off out ->
-              let seen = ref false in
-              for t = 0 to len - 1 do
-                if Bitset.mem c (off + t) then seen := true;
-                out.(off + t) <- !seen
-              done)
-        | Historically _ ->
-          let c = child 0 in
-          per_run (fun _ len off out ->
-              let sofar = ref true in
-              for t = 0 to len - 1 do
-                if not (Bitset.mem c (off + t)) then sofar := false;
-                out.(off + t) <- !sofar
-              done)
+          Fact.does tree ~agent:i ~act
+        | Eventually _ -> Fact.eventually (child 0)
+        | Globally _ -> Fact.globally (child 0)
+        | Next _ -> Fact.next (child 0)
+        | Once _ -> Fact.once (child 0)
+        | Historically _ -> Fact.historically (child 0)
         | Knows (i, _) ->
           check_agent i;
-          kvec ~agent:i (child 0)
+          kvec ?report:sink ~agent:i (child 0)
         | Believes (i, cmp, threshold, _) ->
           check_agent i;
-          bvec ~agent:i ~cmp ~threshold (child 0)
+          bvec ?report:sink ~agent:i ~cmp ~threshold (child 0)
         | EveryoneKnows (grp, _) ->
           let grp = check_group grp in
           List.iter check_agent grp;
-          evec grp (child 0)
+          evec ?report:sink grp (child 0)
         | CommonKnows (grp, _) ->
           let grp = check_group grp in
           List.iter check_agent grp;
           let inner = child 0 in
-          gfp_vec ~counter:c_gfp_iters_ck (fun x -> evec grp (Bitset.inter inner x))
+          (* gfp X. E_G(inner ∧ X) *)
+          gfp ~counter:c_gfp_iters_ck (fun x -> evec grp (Fact.and_ inner x))
         | EveryoneBelieves (grp, threshold, _) ->
           let grp = check_group grp in
           List.iter check_agent grp;
-          epvec grp threshold (child 0)
+          epvec ?report:sink grp threshold (child 0)
         | CommonBelief (grp, threshold, _) ->
           let grp = check_group grp in
           List.iter check_agent grp;
+          (* Monderer–Samet common p-belief as the greatest fixpoint
+             X = E^p_G(inner) ∧ E^p_G(X): the largest "p-evident" event
+             within everyone-p-believes-ϕ. *)
           let base = epvec grp threshold (child 0) in
-          gfp_vec ~counter:c_gfp_iters_cb (fun x -> Bitset.inter base (epvec grp threshold x))
+          gfp ~counter:c_gfp_iters_cb (fun x -> Fact.and_ base (epvec grp threshold x))
       in
-      nvec.(e.bit) <- v)
+      Option.iter (fun s -> s.entry e v) sink;
+      facts.(e.bit) <- v)
     (Closure.entries clo);
   Obs.add c_memo_hits (Closure.duplicates clo);
-  let root = nvec.(Closure.root_bit clo) in
-  Fact.of_pred tree (fun ~run ~time -> Bitset.mem root (offsets.(run) + time))
+  facts.(Closure.root_bit clo)
 
-(* ------------------------------------------------------------------ *)
-(* Engine selection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type engine = Recursive | Vectorized
-
-let engine_name = function Recursive -> "recursive" | Vectorized -> "vectorized"
-
-let engine_of_string = function
-  | "recursive" -> Some Recursive
-  | "vectorized" -> Some Vectorized
-  | _ -> None
-
-(* Atomic so front ends that set it once at startup and then evaluate
-   from pool domains (serve) read it race-free. *)
-let selected_engine = Atomic.make Vectorized
-let set_engine e = Atomic.set selected_engine e
-let current_engine () = Atomic.get selected_engine
-
-let eval_auto ?pool tree ~valuation formula =
-  match current_engine () with
-  | Recursive -> eval tree ~valuation formula
-  | Vectorized -> eval_vec ?pool tree ~valuation formula
+let eval ?pool tree ~valuation formula = walk ?pool tree ~valuation formula
+let eval_vec = eval
+let eval_auto = eval
 
 let sat tree ~valuation formula ~run ~time =
   Fact.holds (eval tree ~valuation formula) ~run ~time
 
 let valid tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
-  Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-      acc && Fact.holds fact ~run ~time)
+  Bitset.cardinal (Fact.points (eval tree ~valuation formula)) = Tree.n_points tree
+
+(* The time-0 point of every run, as an event over runs. *)
+let initially tree fact =
+  let bits = Fact.points fact in
+  Bitset.init (Tree.n_runs tree) (fun run -> Bitset.mem bits (Tree.run_offset tree run))
 
 let valid_initially tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
-  let ok = ref true in
-  for run = 0 to Tree.n_runs tree - 1 do
-    if not (Fact.holds fact ~run ~time:0) then ok := false
-  done;
-  !ok
+  let ev = initially tree (eval tree ~valuation formula) in
+  Bitset.cardinal ev = Tree.n_runs tree
 
 let probability tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
-  let ev = ref (Tree.empty_event tree) in
-  for run = 0 to Tree.n_runs tree - 1 do
-    if Fact.holds fact ~run ~time:0 then ev := Bitset.add !ev run
-  done;
-  Tree.measure tree !ev
+  Tree.measure tree (initially tree (eval tree ~valuation formula))

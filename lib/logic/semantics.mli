@@ -21,78 +21,72 @@ val generic_valuation : valuation
     local-state label is [label] (any agent count); every other atom is
     false. *)
 
-val eval : Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** Evaluate a formula to the fact (set of points) where it holds, by
-    structural recursion with a formula-keyed memo (the {e recursive}
-    engine). Subformulas are memoized, so shared structure is
-    evaluated once. *)
+val eval : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+(** Evaluate a formula to the fact (set of points) where it holds.
+    Builds the {!Closure} of the formula once, then evaluates its
+    entries bottom-up, one {!Pak_pps.Fact.t} (a packed bitset over
+    dense point indices) per entry: connectives are bulk bitset
+    operations, [K_i]/[E_G] and [B_i^{⋈q}]/[EB_G^q] are
+    per-indistinguishability-cell sweeps (sharded on [pool] when
+    given; the result does not depend on it), and the [C_G]/[CB_G^q]
+    fixpoints iterate whole facts from the top element.
+
+    Bumps [semantics.memo_misses] once per closure entry,
+    [semantics.memo_hits] once per hash-consed duplicate occurrence,
+    and [semantics.gfp_iters*] once per fixpoint step; the vector work
+    is profiled by the [closure.*], [eval_vec.*] and [bitset.*]
+    counters and the [semantics.eval_vec(.op)] spans. Charges the
+    points budget one whole vector per entry and per fixpoint equality
+    test, and one iteration per fixpoint step.
+    See [doc/EVALUATION.md] for the pipeline spec.
+    @raise Invalid_argument on an out-of-range agent or an empty
+    group. *)
 
 val eval_vec : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** The {e vectorized} engine: build the {!Closure} of the formula
-    once, then evaluate bottom-up with one packed truth-vector
-    ({!Pak_pps.Bitset.t} over dense point indices) per closure entry —
-    connectives are bulk bitset operations, [K_i]/[E_G] and
-    [B_i^{⋈q}]/[EB_G^q] are per-indistinguishability-cell sweeps
-    (sharded on [pool] when given), and the [C_G]/[CB_G^q] fixpoints
-    iterate whole vectors. Extensionally equal to {!eval} — same fact,
-    same raised errors — and bumps [semantics.memo_hits]/[_misses] and
-    the [semantics.gfp_iters*] counters identically (one miss per
-    closure entry, one hit per hash-consed duplicate, one iteration
-    per fixpoint step); the vector work itself is profiled by the
-    [closure.*], [eval_vec.*] and [bitset.*] counters and the
-    [semantics.eval_vec(.op)] spans. Charges the points budget one
-    whole vector per entry and per fixpoint equality test.
-    See [doc/EVALUATION.md] for the pipeline spec. *)
-
-(** {1 Engine selection}
-
-    Front ends choose the engine once (the [--engine] flag); library
-    callers that want the process-wide selection go through
-    {!eval_auto}. Calling {!eval} or {!eval_vec} directly always uses
-    that specific engine. *)
-
-type engine = Recursive | Vectorized
-
-val engine_name : engine -> string
-(** ["recursive"] / ["vectorized"] — the [--engine] flag's values. *)
-
-val engine_of_string : string -> engine option
-
-val set_engine : engine -> unit
-(** Set the process-wide engine used by {!eval_auto}. The default is
-    [Vectorized]. The selection is stored atomically, so setting it
-    once at startup and reading from pool domains is race-free. *)
-
-val current_engine : unit -> engine
+(** {!eval}, under the name it had when a second evaluator existed;
+    kept because external callers (the perfbench helper) still use
+    it. *)
 
 val eval_auto : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** {!eval} or {!eval_vec} according to {!current_engine}. [pool] is
-    used only by the vectorized engine (cell sweeps); the recursive
-    engine ignores it. *)
+(** {!eval}, under the name it had when a second evaluator existed;
+    kept because external callers (the perfbench helper) still use
+    it. *)
 
-(** {1 Evaluation primitives}
+(** {1 Evidence}
 
-    The building blocks [eval] combines, exposed so the provenance
-    layer ([Pak_cert]) can certify with {e exactly} the evaluator's
-    semantics rather than a reimplementation. *)
+    {!walk} is {!eval} with a sink that receives what the walk
+    computes, in evaluation order. The provenance layer ([Pak_cert])
+    builds certificates from it, so a certificate records the very
+    sets and cell outcomes the evaluator derived. *)
+
+type sink = {
+  entry : Closure.entry -> Fact.t -> unit;
+      (** Once per closure entry, in bit order, with the entry's final
+          fact. Everything reported since the previous [entry] call
+          belongs to this entry. *)
+  kcell : Tree.lkey -> bool -> unit;
+      (** A [K_i]/[E_G] cell: whether the inner fact holds at every
+          run of the local state. Reported per agent of the group in
+          the group's order (repeated agents are swept again), each
+          agent's cells in {!Tree.lstates} order. *)
+  bcell : Tree.lkey -> sat:Bitset.t -> degree:Pak_rational.Q.t -> bool -> unit;
+      (** A [B_i^{⋈q}]/[EB_G^q] cell: the runs of [ϕ@ℓ], the degree of
+          belief [µ(ϕ@ℓ | ℓ)], and its comparison with the threshold;
+          same order as [kcell]. *)
+  step : Fact.t -> unit;
+      (** A [C_G]/[CB_G^q] approximant [X_1, X_2, …], one per
+          [semantics.gfp_iters] bump; the last equals the one before
+          it (or the top element). Cells swept inside a fixpoint are
+          not reported. *)
+}
+
+val walk :
+  ?pool:Pak_par.Pool.t -> ?sink:sink -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+(** {!eval}, reporting to [sink]. Same fact, counters, charges and
+    errors. *)
 
 val satisfies_cmp : Formula.cmp -> Pak_rational.Q.t -> Pak_rational.Q.t -> bool
 (** [satisfies_cmp cmp degree threshold] is [degree ⋈ threshold]. *)
-
-val knows_fact : Tree.t -> agent:int -> Fact.t -> Fact.t
-(** The fact [K_i ϕ] given the fact for ϕ: true at a point iff ϕ holds
-    at every run of the agent's indistinguishability cell there. *)
-
-val believes_fact :
-  Tree.t ->
-  agent:int ->
-  cmp:Formula.cmp ->
-  threshold:Pak_rational.Q.t ->
-  Fact.t ->
-  Fact.t
-(** The fact [B_i^{⋈q} ϕ] given the fact for ϕ: true at a point iff the
-    agent's degree of belief ({!Pak_pps.Belief.degree_at_lstate}) at
-    its local state compares as required against the threshold. *)
 
 val sat : Tree.t -> valuation:valuation -> Formula.t -> run:int -> time:int -> bool
 (** [(T, r, t) ⊨ ϕ]. *)

@@ -88,6 +88,14 @@ let init cap p =
   done;
   { cap; words }
 
+let build cap fill =
+  if cap < 0 then invalid_arg "Bitset.build: negative capacity";
+  let words = Array.make (n_words cap) 0 in
+  fill (fun i ->
+      if i < 0 || i >= cap then invalid_arg "Bitset.build: index out of capacity";
+      set_bit words i);
+  { cap; words }
+
 let map2 name f a b =
   check_same a b name;
   Obs.incr c_set_ops;

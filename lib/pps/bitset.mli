@@ -35,6 +35,15 @@ val init : int -> (int -> bool) -> t
     use it instead of folding {!add} (which copies per element).
     @raise Invalid_argument if [n < 0]. *)
 
+val build : int -> ((int -> unit) -> unit) -> t
+(** [build n fill] is the set of capacity [n] holding every member
+    [fill] passes to the adder it is given, in any order. Bulk
+    constructor like {!init}, for callers that enumerate members
+    rather than test them; the adder must not be used after [fill]
+    returns.
+    @raise Invalid_argument if [n < 0] or a member is outside
+    [0 .. n-1]. *)
+
 val capacity : t -> int
 val cardinal : t -> int
 val is_empty : t -> bool

@@ -26,6 +26,10 @@ val of_run_pred : Tree.t -> (int -> bool) -> t
 (** A fact about runs ("all agents decide the same value"): true at
     every point of a run or at none. *)
 
+val of_lstates : Tree.t -> Tree.lkey list -> t
+(** The points where the local state of some key's agent is that key:
+    the union of the keys' local states, as points. *)
+
 val tt : Tree.t -> t
 val ff : Tree.t -> t
 
@@ -71,6 +75,14 @@ val at_time : Tree.t -> int -> t -> t
 (** {1 Queries} *)
 
 val tree : t -> Tree.t
+
+val points : t -> Bitset.t
+(** The satisfying points as a set of dense point indices: [(r, t)] is
+    member [Tree.run_offset tree r + t]. *)
+
+val to_list : t -> (int * int) list
+(** The satisfying points as [(run, time)] pairs in increasing order. *)
+
 val holds : t -> run:int -> time:int -> bool
 
 val is_about_runs : t -> bool

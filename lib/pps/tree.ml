@@ -33,6 +33,7 @@ type t = {
   nodes : node array;
   runs : run array;
   n_points : int;
+  run_first : int array; (* dense index of each run's time-0 point *)
   lstate_index : (lkey, Bitset.t) Hashtbl.t;
   node_runs : Bitset.t array; (* runs passing through each node *)
   denom : int; (* D, the lcm of the run-measure denominators; 0 if D >= 2^61 *)
@@ -179,7 +180,14 @@ module Builder = struct
     Array.iteri (fun id n -> if n.parent = -1 then descend Q.one id) nodes;
     let runs = Array.of_list (List.rev !runs) in
     let n_runs = Array.length runs in
-    let n_points = Array.fold_left (fun acc (r : run) -> acc + Array.length r.nodes) 0 runs in
+    (* Points get dense indices run by run: (r, t) is run_first.(r) + t. *)
+    let run_first = Array.make n_runs 0 and n_points = ref 0 in
+    Array.iteri
+      (fun r (run : run) ->
+        run_first.(r) <- !n_points;
+        n_points := !n_points + Array.length run.nodes)
+      runs;
+    let n_points = !n_points in
     (* The local-state index covers every point once; charge them all. *)
     Budget.charge_points n_points;
     (* Index: node -> event of runs passing through it; and local state
@@ -208,6 +216,7 @@ module Builder = struct
       nodes;
       runs;
       n_points;
+      run_first;
       lstate_index;
       node_runs;
       denom;
@@ -246,6 +255,7 @@ let initial_nodes t =
   |> List.filter_map (fun (id, n) -> if n.parent = -1 then Some (n.in_prob, id) else None)
 
 let run_length t r = check_run t r "Tree.run_length"; Array.length t.runs.(r).nodes
+let run_offset t r = check_run t r "Tree.run_offset"; t.run_first.(r)
 let run_measure t r = check_run t r "Tree.run_measure"; t.runs.(r).meas
 
 let run_node t ~run ~time =

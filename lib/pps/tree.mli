@@ -88,6 +88,12 @@ val initial_nodes : t -> (Q.t * int) list
 val run_length : t -> int -> int
 (** Number of points of the run (final time is [run_length - 1]). *)
 
+val run_offset : t -> int -> int
+(** Dense index of the run's time-0 point. Points are numbered run by
+    run, so [(r, t)] has index [run_offset t r + t] and the indices
+    cover [0 .. n_points - 1] in (run, time) order — the layout of
+    [Fact.t]'s point sets. *)
+
 val run_measure : t -> int -> Q.t
 (** Prior measure [µ_T(r)]; strictly positive. *)
 

@@ -891,15 +891,12 @@ let cache_key cfg req =
           (Option.value seed ~default:(-1))
     | Op_metrics | Op_status -> assert false  (* cache_key returns None above *));
     Buffer.add_char b '|';
-    (* Formula component: the engine name plus the formula's closure
-       digest when it parses — the digest canonicalizes spelling, so
+    (* Formula component: the formula's closure digest when it parses — the digest canonicalizes spelling, so
        differently written but structurally identical queries share a
        cache slot (and closure-identical queries at the same limits are
        subsumed by one computed entry). A formula that does not parse
        keys on its raw text; its request fails in the worker and is
        never cached, so the fallback only disambiguates misses. *)
-    Buffer.add_string b (Semantics.engine_name (Semantics.current_engine ()));
-    Buffer.add_char b ':';
     (match Parser.parse_result req.formula with
     | Ok f -> Buffer.add_string b (Closure.digest (Closure.of_formula f))
     | Result.Error _ -> Buffer.add_string b req.formula);
@@ -981,9 +978,9 @@ and perform_query st req =
     | Ok f -> f
     | Result.Error e -> raise (Error.Error (Error.with_context "formula" e))
   in
-  (* Engine-dispatching evaluation, no pool: serve's parallelism is
-     across requests (one worker domain each), not within one. *)
-  let fact = Semantics.eval_auto tree ~valuation:Semantics.generic_valuation formula in
+  (* No pool: serve's parallelism is across requests (one worker domain
+     each), not within one. *)
+  let fact = Semantics.eval tree ~valuation:Semantics.generic_valuation formula in
   match req.op with
   | Op_eval ->
       let sat = ref 0 in

@@ -48,7 +48,10 @@ let gen_formula : Formula.t QCheck.arbitrary =
   let atom_gen = map (fun i -> Formula.Atom (Printf.sprintf "p%d" i)) (int_range 0 4) in
   let rat_gen = map (fun (a, b) -> q a (a + b + 1)) (pair (int_range 0 5) (int_range 0 5)) in
   let cmp_gen = oneofl [ Formula.Geq; Formula.Gt; Formula.Leq; Formula.Lt; Formula.Eq ] in
-  let group_gen = oneofl [ [ 0 ]; [ 1 ]; [ 0; 1 ] ] in
+  (* Unsorted and repeated groups too: evidence is one cell per
+     (sorted, de-duplicated) agent and local state whatever the
+     spelling. *)
+  let group_gen = oneofl [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 0; 1 ] ] in
   let max_size = 6 in
   let gens = Array.make (max_size + 1) (return Formula.True) in
   let gen n = gens.(max 0 (min max_size n)) in
@@ -98,6 +101,16 @@ let eval_points tree f =
 (* The soundness loop (the acceptance criterion)                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Every node of a certificate, not only the root, must carry the
+   point set the recursive reference engine (test/oracle.ml) computes
+   for its subformula. *)
+let nodes_match_oracle t (c : Cert.t) =
+  let oracle = Oracle.evaluator t ~valuation in
+  let rec ok (n : Cert.node) =
+    n.Cert.points = Fact.to_list (oracle n.Cert.formula) && List.for_all ok n.Cert.children
+  in
+  ok c.Cert.root
+
 let prop_soundness =
   QCheck.Test.make ~count:1000
     ~name:"check t (certify t f) = Ok and root agrees with eval (1000 systems)"
@@ -108,7 +121,7 @@ let prop_soundness =
       (match Cert.check ~valuation t c with
       | Ok () -> ()
       | Error v -> QCheck.Test.fail_report (Cert.violation_to_string v));
-      c.Cert.root.Cert.points = eval_points t f)
+      c.Cert.root.Cert.points = eval_points t f && nodes_match_oracle t c)
 
 let prop_corrupted_rejected =
   QCheck.Test.make ~count:200 ~name:"tampered root point set is rejected"
@@ -397,6 +410,28 @@ let test_certify_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* Simplify certifies consistently                                     *)
+(* Group evidence is one cell per (agent, local state), agents sorted
+   and de-duplicated, however the group is spelled. *)
+let test_group_spelling () =
+  let t = fixed_tree () in
+  let evidence text =
+    let c = Cert.certify t ~valuation (Parser.parse text) in
+    (match Cert.check ~valuation t c with
+    | Ok () -> ()
+    | Error v -> Alcotest.fail (Cert.violation_to_string v));
+    (c.Cert.root.Cert.points, c.Cert.root.Cert.evidence)
+  in
+  let cells_per_agent = List.length (Tree.lstates t ~agent:0) + List.length (Tree.lstates t ~agent:1) in
+  (match evidence "E[1,0,1] p0" with
+  | _, Cert.Knowledge cells -> check_int "E cells" cells_per_agent (List.length cells)
+  | _ -> Alcotest.fail "expected knowledge evidence");
+  check_bool "E[1,0,1] = E[0,1]" true (evidence "E[1,0,1] p0" = evidence "E[0,1] p0");
+  (match evidence "EB[1,0]>=1/2 p1" with
+  | _, Cert.Belief cells -> check_int "EB cells" cells_per_agent (List.length cells)
+  | _ -> Alcotest.fail "expected belief evidence");
+  check_bool "EB[1,0] = EB[0,1]" true
+    (evidence "EB[1,0]>=1/2 p1" = evidence "EB[0,1]>=1/2 p1")
+
 (* ------------------------------------------------------------------ *)
 
 let prop_simplify_certifies =
@@ -434,7 +469,9 @@ let () =
           Alcotest.test_case "budget bounds certify" `Quick test_budget_bounds_certify
         ] );
       ( "surfaces",
-        [ Alcotest.test_case "holds_at/size/pp" `Quick test_surface_queries ] );
+        [ Alcotest.test_case "holds_at/size/pp" `Quick test_surface_queries;
+          Alcotest.test_case "repeated and unsorted groups" `Quick test_group_spelling
+        ] );
       ( "theorems",
         [ Alcotest.test_case "certify and re-check every kind" `Quick
             test_theorem_certificates;

@@ -8,7 +8,6 @@
 open Pak_pps
 module Obs = Pak_obs.Obs
 module Budget = Pak_guard.Budget
-module Semantics = Pak_logic.Semantics
 module Journal = Pak_journal.Journal
 module Serve = Pak_serve.Serve
 module Replay = Pak_serve.Replay
@@ -323,7 +322,7 @@ let test_meta_roundtrip () =
       limits = Budget.limits ~max_points:1234 ~timeout_ms:500 ()
     }
   in
-  let cfg', engine = Replay.config_of_meta (Replay.meta_of_config cfg) in
+  let cfg' = Replay.config_of_meta (Replay.meta_of_config cfg) in
   check_int "jobs" 3 cfg'.Serve.jobs;
   check_int "max_pending" 7 cfg'.Serve.max_pending;
   check_int "batch" 2 cfg'.Serve.batch;
@@ -333,12 +332,38 @@ let test_meta_roundtrip () =
     (cfg'.Serve.limits.Budget.max_points = Some 1234
     && cfg'.Serve.limits.Budget.timeout_ms = Some 500
     && cfg'.Serve.limits.Budget.max_nodes = None);
-  check_bool "engine recorded" true (engine = Some (Semantics.current_engine ()));
   (* Tolerance: garbage meta degrades to the defaults, no exception. *)
-  let dflt, engine = Replay.config_of_meta "not a serve-config" in
+  let dflt = Replay.config_of_meta "not a serve-config" in
   check_int "garbage meta falls back to default jobs"
-    Serve.default_config.Serve.jobs dflt.Serve.jobs;
-  check_bool "no engine from garbage meta" true (engine = None)
+    Serve.default_config.Serve.jobs dflt.Serve.jobs
+
+(* Recorders that still had an evaluator selector wrote an
+   (engine recursive|vectorized) field right after the version. Such
+   journals must replay under the same configuration as ones without
+   it: the field is ignored. *)
+let test_meta_engine_field_ignored () =
+  let cfg =
+    { Serve.default_config with
+      Serve.jobs = 2;
+      cache_max = 5;
+      limits = Budget.limits ~max_iters:9 ~timeout_ms:250 ()
+    }
+  in
+  let meta = Replay.meta_of_config cfg in
+  check_bool "no engine field written" false (contains meta "(engine");
+  let prefix = "(serve-config (version 1) " in
+  check_bool "meta starts with the version" true
+    (String.length meta > String.length prefix
+    && String.sub meta 0 (String.length prefix) = prefix);
+  let rest = String.sub meta (String.length prefix) (String.length meta - String.length prefix) in
+  List.iter
+    (fun engine ->
+      let older = prefix ^ "(engine " ^ engine ^ ") " ^ rest in
+      check_string
+        (Printf.sprintf "(engine %s) parses to the same config" engine)
+        meta
+        (Replay.meta_of_config (Replay.config_of_meta older)))
+    [ "recursive"; "vectorized" ]
 
 (* ------------------------------------------------------------------ *)
 (* Record -> replay round-trip                                         *)
@@ -478,6 +503,8 @@ let () =
           Alcotest.test_case "record/replay round-trip" `Quick
             test_record_replay_roundtrip;
           Alcotest.test_case "tampered journal diverges" `Quick
-            test_tampered_journal_diverges
+            test_tampered_journal_diverges;
+          Alcotest.test_case "older meta with an engine field" `Quick
+            test_meta_engine_field_ignored
         ] )
     ]

@@ -396,43 +396,42 @@ let prop_closure_deterministic =
       && Closure.duplicates c1 = Closure.duplicates c2)
 
 (* The cross-engine oracle: on random systems and random formulas the
-   recursive and vectorized engines must return the same point set and
-   bump the engine-invariant semantics.* counters identically (memo
-   traffic maps onto closure construction, gfp fixpoints iterate in
-   lock-step — see doc/EVALUATION.md). 1000 cases = 1000 generated
+   closure walk (Semantics.eval) and the recursive reference engine
+   (test/oracle.ml) must return the same point set, and the walk's
+   semantics.* counters must match the reference engine's own counts
+   (memo traffic maps onto closure construction, gfp fixpoints iterate
+   in lock-step — see doc/EVALUATION.md). 1000 cases = 1000 generated
    systems. *)
 let prop_cross_engine_oracle =
-  let invariant_counters =
-    [ "semantics.gfp_iters";
+  let walk_counters =
+    [ "semantics.memo_hits";
+      "semantics.memo_misses";
       "semantics.gfp_iters.common_knowledge";
       "semantics.gfp_iters.common_belief";
-      "semantics.memo_misses";
-      "semantics.memo_hits"
+      "semantics.gfp_iters"
     ]
-  in
-  let observe thunk =
-    Obs.enable ();
-    Fun.protect ~finally:Obs.disable (fun () ->
-        let before = List.map Obs.counter_value invariant_counters in
-        let fact = thunk () in
-        let deltas =
-          List.map2
-            (fun name b -> Obs.counter_value name - b)
-            invariant_counters before
-        in
-        (fact, deltas))
   in
   QCheck.Test.make ~count:1000 ~name:"recursive/vectorized engines agree"
     (QCheck.pair seeds gen_formula)
     (fun (seed, f) ->
       let t = Gen.tree seed in
-      let fr, dr = observe (fun () -> Semantics.eval t ~valuation:gen_valuation f) in
-      let fv, dv =
-        observe (fun () -> Semantics.eval_vec t ~valuation:gen_valuation f)
+      let counts = Oracle.counts () in
+      let fr = Oracle.eval ~counts t ~valuation:gen_valuation f in
+      Obs.enable ();
+      let before = List.map Obs.counter_value walk_counters in
+      let fv =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            Semantics.eval t ~valuation:gen_valuation f)
       in
-      dr = dv
-      && Tree.fold_points t ~init:true ~f:(fun acc ~run ~time ->
-             acc && Fact.holds fr ~run ~time = Fact.holds fv ~run ~time))
+      let deltas = List.map2 (fun name b -> Obs.counter_value name - b) walk_counters before in
+      deltas
+      = [ counts.Oracle.memo_hits;
+          counts.memo_misses;
+          counts.gfp_ck;
+          counts.gfp_cb;
+          counts.gfp_ck + counts.gfp_cb
+        ]
+      && Fact.to_list fr = Fact.to_list fv)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

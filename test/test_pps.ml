@@ -864,6 +864,179 @@ let prop_belief_complement =
                   (Belief.degree fact ~agent:0 ~run ~time)
                   (Belief.degree neg ~agent:0 ~run ~time))))
 
+(* ------------------------------------------------------------------ *)
+(* Fact against a point-by-point model                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The model of a fact is a bool matrix [run].(time), and every Fact
+   operation is checked against its pointwise definition on that
+   matrix. Trees: Gen at depths 1-5, Gen.tree_arbitrary with early
+   leaves (runs of different lengths), and the built-in systems. *)
+let fact_model_trees =
+  lazy
+    (let module S = Pak_systems in
+     let gen d seed = Gen.tree ~params:{ Gen.default_params with Gen.depth = d } seed in
+     let arbitrary seed =
+       Gen.tree_arbitrary
+         ~params:{ Gen.default_params with Gen.depth = 4; early_stop_pct = 35 }
+         seed
+     in
+     Array.of_list
+       (List.concat_map (fun d -> [ gen d 1; gen d 2 ]) [ 1; 2; 3; 4; 5 ]
+       @ List.map arbitrary [ 1; 2; 3; 4 ]
+       @ [ S.Firing_squad.tree S.Firing_squad.Original;
+           S.Firing_squad.tree S.Firing_squad.Improved;
+           S.Figure_one.tree ();
+           S.Threshold_gap.tree ~p:Q.half ~eps:(Q.of_ints 1 10);
+           S.Coordinated_attack.tree ~rounds:2 ();
+           S.Mutex.tree ();
+           S.Judge.tree ~rounds:3 ~convict_at:2 ();
+           S.Consensus.tree ~rounds:2 ();
+           S.Aloha.tree ~n:2 ~slots:2 ();
+           S.Interactive_proof.tree ~rounds:2 ()
+         ]))
+
+let prop_fact_model =
+  let trees = fact_model_trees in
+  QCheck.Test.make ~count:300 ~name:"Fact operations match a bool-matrix model"
+    QCheck.(pair (int_range 0 1000) (int_range 0 1_000_000))
+    (fun (pick, seed) ->
+      let trees = Lazy.force trees in
+      let t = trees.(pick mod Array.length trees) in
+      let n_runs = Tree.n_runs t in
+      let len r = Tree.run_length t r in
+      let model p = Array.init n_runs (fun run -> Array.init (len run) (fun time -> p ~run ~time)) in
+      let of_fact f = model (Fact.holds f) in
+      let same f m = of_fact f = m in
+      let map m g = Array.map (Array.map g) m in
+      let map2 m m' g = Array.map2 (Array.map2 g) m m' in
+      let per_run m g = Array.map (fun row -> Array.map (fun _ -> g row) row) m in
+      let scan m init g =
+        Array.map
+          (fun row ->
+            let acc = ref init in
+            Array.map (fun v -> acc := g !acc v; !acc) row)
+          m
+      in
+      let p salt ~run ~time = Hashtbl.hash (seed, salt, run, time) mod 3 = 0 in
+      let a = Fact.of_pred t (p 1) and b = Fact.of_pred t (p 2) in
+      let ma = model (p 1) and mb = model (p 2) in
+      let raises msg thunk =
+        match thunk () with
+        | _ -> false
+        | exception Invalid_argument m -> m = msg
+      in
+      let agents = List.init (Tree.n_agents t) Fun.id in
+      let runs_where g = List.filter g (List.init n_runs Fun.id) in
+      let exists_time run g = List.exists g (List.init (len run) Fun.id) in
+      let is_run_model m = Array.for_all (fun row -> Array.for_all (( = ) row.(0)) row) m in
+      let past_based_model m =
+        let seen = Hashtbl.create 64 in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun run row ->
+               Array.for_all Fun.id
+                 (Array.mapi
+                    (fun time v ->
+                      let node = Tree.run_node t ~run ~time in
+                      match Hashtbl.find_opt seen node with
+                      | Some v' -> v = v'
+                      | None -> Hashtbl.add seen node v; true)
+                    row))
+             m)
+      in
+      let state_pred g = Hashtbl.hash (seed, Gstate.local g 0) mod 2 = 0 in
+      let run_pred r = Hashtbl.hash (seed, r) mod 2 = 0 in
+      let ev = Fact.eventually a in
+      (* Constructors. *)
+      same (Fact.tt t) (model (fun ~run:_ ~time:_ -> true))
+      && same (Fact.ff t) (model (fun ~run:_ ~time:_ -> false))
+      && same a ma
+      && Bitset.cardinal (Fact.points a) = List.length (Fact.to_list a)
+      && Fact.to_list a
+         = List.concat
+             (List.init n_runs (fun run ->
+                  List.filter_map
+                    (fun time -> if ma.(run).(time) then Some (run, time) else None)
+                    (List.init (len run) Fun.id)))
+      && same (Fact.of_state_pred t state_pred)
+           (model (fun ~run ~time -> state_pred (Tree.node_state t (Tree.run_node t ~run ~time))))
+      && same (Fact.of_run_pred t run_pred) (model (fun ~run ~time:_ -> run_pred run))
+      && List.for_all
+           (fun agent ->
+             let acts = Tree.agent_actions t ~agent in
+             List.for_all
+               (fun act ->
+                 same (Fact.does t ~agent ~act)
+                   (model (fun ~run ~time -> Tree.action_at t ~agent ~run ~time = Some act)))
+               acts
+             && List.for_all
+                  (fun key ->
+                    let label = Tree.lkey_label key in
+                    same
+                      (Fact.local_label_is t ~agent ~label)
+                      (model (fun ~run ~time ->
+                           Tree.lkey_label (Tree.lkey t ~agent ~run ~time) = label))
+                    && same (Fact.of_lstates t [ key ])
+                         (model (fun ~run ~time -> Tree.lkey t ~agent ~run ~time = key)))
+                  (Tree.lstates t ~agent))
+           agents
+      (* Connectives. *)
+      && same (Fact.not_ a) (map ma not)
+      && same (Fact.and_ a b) (map2 ma mb ( && ))
+      && same (Fact.or_ a b) (map2 ma mb ( || ))
+      && same (Fact.implies a b) (map2 ma mb (fun x y -> (not x) || y))
+      && same (Fact.iff a b) (map2 ma mb ( = ))
+      && same (Fact.conj t [ a; b ]) (map2 ma mb ( && ))
+      && same (Fact.disj t [ a; b ]) (map2 ma mb ( || ))
+      (* Temporal operators. *)
+      && same ev (per_run ma (Array.exists Fun.id))
+      && same (Fact.globally a) (per_run ma (Array.for_all Fun.id))
+      && same (Fact.once a) (scan ma false ( || ))
+      && same (Fact.historically a) (scan ma true ( && ))
+      && same (Fact.next a)
+           (Array.map
+              (fun row -> Array.mapi (fun time _ -> time + 1 < Array.length row && row.(time + 1)) row)
+              ma)
+      && List.for_all
+           (fun k ->
+             same (Fact.at_time t k a)
+               (per_run ma (fun row -> k < Array.length row && row.(k))))
+           (List.init 7 Fun.id)
+      (* Queries and their errors. *)
+      && raises "Fact.holds: unknown run" (fun () -> Fact.holds a ~run:(-1) ~time:0)
+      && raises "Fact.holds: unknown run" (fun () -> Fact.holds a ~run:n_runs ~time:0)
+      && raises "Fact.holds: time out of range for run" (fun () ->
+             Fact.holds a ~run:0 ~time:(-1))
+      && raises "Fact.holds: time out of range for run" (fun () ->
+             Fact.holds a ~run:(n_runs - 1) ~time:(len (n_runs - 1)))
+      && Fact.is_about_runs a = is_run_model ma
+      && Fact.is_about_runs ev
+      && Fact.is_past_based a = past_based_model ma
+      && Fact.is_past_based (Fact.once a) = past_based_model (scan ma false ( || ))
+      && Bitset.to_list (Fact.event_of_run_fact ev) = runs_where (fun r -> exists_time r (fun time -> ma.(r).(time)))
+      && (is_run_model ma
+         || raises "Fact.event_of_run_fact: fact is not a fact about runs" (fun () ->
+                Fact.event_of_run_fact a))
+      (* The @-operators. *)
+      && List.for_all
+           (fun agent ->
+             List.for_all
+               (fun key ->
+                 Bitset.to_list (Fact.at_lstate a key)
+                 = runs_where (fun r ->
+                       exists_time r (fun time ->
+                           Tree.lkey t ~agent ~run:r ~time = key && ma.(r).(time))))
+               (Tree.lstates t ~agent))
+           agents
+      && List.for_all
+           (fun (agent, act) ->
+             Bitset.to_list (Fact.at_action a ~agent ~act)
+             = runs_where (fun r ->
+                   exists_time r (fun time ->
+                       Tree.action_at t ~agent ~run:r ~time = Some act && ma.(r).(time))))
+           (Gen.proper_actions t))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bitset_bulk_oracle;
@@ -909,7 +1082,8 @@ let () =
           Alcotest.test_case "temporal operators" `Quick test_fact_temporal;
           Alcotest.test_case "run facts" `Quick test_fact_run_facts;
           Alcotest.test_case "past-based" `Quick test_fact_past_based;
-          Alcotest.test_case "@-operators" `Quick test_fact_at_operators
+          Alcotest.test_case "@-operators" `Quick test_fact_at_operators;
+          QCheck_alcotest.to_alcotest prop_fact_model
         ] );
       ( "action",
         [ Alcotest.test_case "properness" `Quick test_action_properness;

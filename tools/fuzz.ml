@@ -1,4 +1,4 @@
-(* fuzz [--mode boundaries|explain|frame|eval-vec|openmetrics|journal]
+(* fuzz [--mode boundaries|explain|frame|openmetrics|journal]
         [--iters N] [--seed S] [--corpus DIR] [--jobs J] — in-process
    fuzzer for the untrusted-input boundaries.
 
@@ -19,19 +19,13 @@
    pipeline instead: parse -> certify -> independent check -> JSON
    round-trip -> re-check, on a fixed small system. The contract is
    stricter than crash-freedom: a parsed formula must always certify,
-   the fresh certificate must always verify, and its JSON must parse
-   back to a certificate that verifies again — a rejection anywhere in
-   that chain is a finding, not a graceful Rejected. Mutated
+   the certificate's root points must be exactly the fact
+   Semantics.eval returns, the fresh certificate must always verify,
+   and its JSON must parse back to a certificate that verifies again —
+   a rejection anywhere in that chain is a finding, not a graceful
+   Rejected. Mutated
    certificate JSON additionally probes Cert.of_json_string, which
    must return Ok or Error without raising.
-
-   --mode eval-vec is a differential mode: any input that parses as a
-   formula is evaluated by BOTH engines (recursive and vectorized, see
-   doc/EVALUATION.md) on a fixed small system. The contract is the
-   cross-engine equivalence guarantee at the fuzzing boundary: the
-   engines must agree on the satisfying point set, and neither may
-   raise where the other returns — a one-sided exception, a message
-   mismatch, or a point-set disagreement is a finding.
 
    --mode frame targets the serve front end's wire boundary with raw
    bytes, mutated frame streams and valid headers over mutated
@@ -84,14 +78,14 @@ let mode = ref "boundaries"
 
 let usage () =
   prerr_endline
-    "usage: fuzz [--mode boundaries|explain|frame|eval-vec|openmetrics|journal] [--iters N] [--seed S] [--corpus DIR] [--jobs J]";
+    "usage: fuzz [--mode boundaries|explain|frame|openmetrics|journal] [--iters N] [--seed S] [--corpus DIR] [--jobs J]";
   exit 2
 
 let rec parse_args = function
   | [] -> ()
   | "--mode" :: v :: rest ->
     (match v with
-    | "boundaries" | "explain" | "frame" | "eval-vec" | "openmetrics" | "journal" ->
+    | "boundaries" | "explain" | "frame" | "openmetrics" | "journal" ->
       mode := v
     | _ -> usage ());
     parse_args rest
@@ -150,6 +144,8 @@ let explain_boundaries =
           (match Cert.certify_result tree ~valuation f with
           | Error e -> Rejected e
           | Ok cert ->
+            if Fact.to_list (Semantics.eval tree ~valuation f) <> cert.Cert.root.Cert.points
+            then failwith "certificate root differs from Semantics.eval's fact";
             (match Cert.check ~valuation tree cert with
             | Ok () -> ()
             | Error v ->
@@ -167,42 +163,6 @@ let explain_boundaries =
         match Cert.of_json_string input with
         | Ok _ -> Accepted
         | Error msg -> Rejected (Error.make Error.Parse msg) )
-  ]
-
-(* --mode eval-vec: differential testing of the two evaluation
-   engines. Budget exhaustion inside either engine surfaces as the
-   typed outcome of [probe]'s budget scope, so only genuine
-   divergences — a one-sided Invalid_argument, different messages, or
-   different point sets — count as findings. *)
-let eval_vec_boundaries =
-  [ ( "eval-vec",
-      fun input ->
-        match Parser.parse_result input with
-        | Error e -> Rejected e
-        | Ok f ->
-          let tree = Lazy.force explain_tree in
-          let valuation = Semantics.generic_valuation in
-          let attempt eval =
-            match eval () with
-            | fact -> Ok fact
-            | exception Invalid_argument msg -> Error msg
-          in
-          let r = attempt (fun () -> Semantics.eval tree ~valuation f) in
-          let v = attempt (fun () -> Semantics.eval_vec tree ~valuation f) in
-          (match (r, v) with
-          | Error a, Error b ->
-            if String.equal a b then Rejected (Error.make Error.Invalid_system a)
-            else
-              failwith (Printf.sprintf "engines raise differently: %S vs %S" a b)
-          | Ok _, Error m -> failwith ("only the vectorized engine raised: " ^ m)
-          | Error m, Ok _ -> failwith ("only the recursive engine raised: " ^ m)
-          | Ok fr, Ok fv ->
-            let same =
-              Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-                  acc && Fact.holds fr ~run ~time = Fact.holds fv ~run ~time)
-            in
-            if same then Accepted
-            else failwith "engines disagree on the satisfying point set") )
   ]
 
 (* --mode frame: the serve wire boundary. The server's own per-request
@@ -484,7 +444,6 @@ let () =
     match !mode with
     | "explain" -> explain_boundaries
     | "frame" -> frame_boundaries
-    | "eval-vec" -> eval_vec_boundaries
     | "openmetrics" -> openmetrics_boundaries
     | "journal" -> journal_boundaries
     | _ -> boundaries
@@ -511,13 +470,6 @@ let () =
          | 0 -> random_bytes r
          | 1 -> mutate r explain_formulas.(next r mod Array.length explain_formulas)
          | _ -> mutate r cert_json)
-      | "eval-vec" ->
-        (* Formula mutants dominate: random bytes rarely parse, and
-           the differential contract only bites past the parser. *)
-        (match i mod 3 with
-         | 0 -> random_bytes r
-         | 1 -> mutate r explain_formulas.(next r mod Array.length explain_formulas)
-         | _ -> mutate r seed_formulas.(next r mod Array.length seed_formulas))
       | "frame" ->
         (* Whole-stream mutants attack the reader's resync; valid
            headers over mutated payloads get past it and attack the

@@ -107,22 +107,21 @@ let valuation = Semantics.generic_valuation
 (* Must render exactly what lib/serve renders for an ok outcome. *)
 let eval_body tree formula =
   let f = Parser.parse formula in
-  let fact = Semantics.eval_auto tree ~valuation f in
+  let fact = Semantics.eval tree ~valuation f in
   let sat = ref 0 in
   Tree.iter_points tree (fun ~run ~time ->
       if Fact.holds fact ~run ~time then incr sat);
-  let initially = ref (Tree.empty_event tree) in
-  for r = 0 to Tree.n_runs tree - 1 do
-    if Fact.holds fact ~run:r ~time:0 then initially := Bitset.add !initially r
-  done;
+  let initially =
+    Bitset.init (Tree.n_runs tree) (fun r -> Fact.holds fact ~run:r ~time:0)
+  in
   Printf.sprintf
     "(code 0) (status ok) (result (points %d) (sat %d) (valid %b) (prob %s))"
     (Tree.n_points tree) !sat
     (!sat = Tree.n_points tree)
-    (Q.to_string (Tree.measure tree !initially))
+    (Q.to_string (Tree.measure tree initially))
 
 let belief_exact_body tree formula ~agent ~run ~time =
-  let fact = Semantics.eval_auto tree ~valuation (Parser.parse formula) in
+  let fact = Semantics.eval tree ~valuation (Parser.parse formula) in
   Printf.sprintf "(code 0) (status ok) (result (degree %s))"
     (Q.to_string (Belief.degree fact ~agent ~run ~time))
 
@@ -131,15 +130,13 @@ let belief_exact_body tree formula ~agent ~run ~time =
    are charged on every [Tree.measure] instead: size a points budget to
    exactly what the formula eval spends, so the eval succeeds and the
    first conditional measure inside [Belief.degree] busts. The probe
-   goes through [eval_auto] — the dispatcher the server uses — because
-   the two engines charge points differently and the cap must fit the
-   engine that will actually serve the request. *)
+   goes through [Semantics.eval], the evaluation the server runs. *)
 let eval_points_spend tree formula =
   match
     Budget.with_budget
       (Budget.limits ~max_points:max_int ())
       (fun () ->
-        ignore (Semantics.eval_auto tree ~valuation (Parser.parse formula));
+        ignore (Semantics.eval tree ~valuation (Parser.parse formula));
         List.assoc "points" (Budget.spent ()))
   with
   | Ok n -> n
@@ -154,7 +151,7 @@ let belief_degraded_body tree formula ~agent ~run ~time ~samples ~seed
   let lim = Budget.limits ~max_points () in
   match
     Budget.with_budget lim (fun () ->
-        let fact = Semantics.eval_auto tree ~valuation (Parser.parse formula) in
+        let fact = Semantics.eval tree ~valuation (Parser.parse formula) in
         Belief.degree_graded ~samples ~seed fact ~agent ~run ~time)
   with
   | Ok (Graded.Estimated { value; samples }) ->
