@@ -712,7 +712,9 @@ let sweep_cmd =
             else begin
               let reports =
                 with_jobs_pool (fun pool ->
-                    List.map (fun c -> Sweep.run ?pool ~params ~eps c ~first_seed ~count) checks)
+                    match sel with
+                    | None -> Sweep.run_all ?pool ~params ~eps ~first_seed ~count ()
+                    | Some c -> [ Sweep.run ?pool ~params ~eps c ~first_seed ~count ])
               in
               List.iter (fun r -> Format.printf "%a@." Sweep.pp_report r) reports;
               if List.for_all Sweep.passed reports then 0 else 1

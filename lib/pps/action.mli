@@ -16,7 +16,13 @@ exception Not_proper of string
     action that is not proper; the payload describes the action. *)
 
 val occurrences : Tree.t -> agent:int -> act:string -> (int * int) list
-(** All points [(run, time)] at which the agent performs the action. *)
+(** All points [(run, time)] at which the agent performs the action, in
+    (run, time) order. *)
+
+val iter_occurrences :
+  Tree.t -> agent:int -> act:string -> (run:int -> time:int -> unit) -> unit
+(** The same points, in no particular order, without building the list:
+    for callers that fill a set from them. *)
 
 val runs_performing : Tree.t -> agent:int -> act:string -> Bitset.t
 (** The event [R_α]: runs in which the action is performed at least

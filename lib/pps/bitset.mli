@@ -63,6 +63,13 @@ val complement : t -> t
 val equal : t -> t -> bool
 val subset : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
+
+val iter_members : (int -> unit) -> t -> unit
+(** {!iter} without the [bitset.scans] count: for building another
+    set from the members, as [Action] builds run and point sets from
+    the runs through nodes, where the scan is not an event-algebra
+    step. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool

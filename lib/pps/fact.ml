@@ -55,7 +55,9 @@ let tt tree = { tree; bits = Bitset.full (Tree.n_points tree) }
 let ff tree = { tree; bits = Bitset.create (Tree.n_points tree) }
 
 let does tree ~agent ~act =
-  of_pred tree (fun ~run ~time -> Tree.action_at tree ~agent ~run ~time = Some act)
+  build tree (fun add ->
+      Action.iter_occurrences tree ~agent ~act (fun ~run ~time ->
+          add (Tree.run_offset tree run + time)))
 
 let does_env tree ~act =
   of_pred tree (fun ~run ~time -> Tree.env_action_at tree ~run ~time = Some act)
@@ -175,10 +177,9 @@ let and_action_at_lstate t ~agent ~act key =
 
 let at_action t ~agent ~act =
   Action.check_proper t.tree ~agent ~act;
-  Action.occurrences t.tree ~agent ~act
-  |> List.filter_map (fun (run, time) ->
-         if Bitset.mem t.bits (Tree.run_offset t.tree run + time) then Some run else None)
-  |> Bitset.of_list (Tree.n_runs t.tree)
+  Bitset.build (Tree.n_runs t.tree) (fun add ->
+      Action.iter_occurrences t.tree ~agent ~act (fun ~run ~time ->
+          if Bitset.mem t.bits (Tree.run_offset t.tree run + time) then add run))
 
 let prob t ev = Tree.measure t.tree ev
 

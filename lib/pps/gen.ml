@@ -1,5 +1,7 @@
 open Pak_rational
 
+module Obs = Pak_obs.Obs
+
 type params = {
   n_agents : int;
   depth : int;
@@ -43,8 +45,49 @@ end
 
 let normalized_weights rng ~max_weight k =
   let ws = List.init k (fun _ -> 1 + Prng.int rng max_weight) in
-  let total = Q.of_int (List.fold_left ( + ) 0 ws) in
-  List.map (fun w -> Q.div (Q.of_int w) total) ws
+  let total = List.fold_left ( + ) 0 ws in
+  List.map (fun w -> Q.of_ints w total) ws
+
+(* The labels [<prefix><depth>_<i>] of one generation, for depths below
+   [depths] and indices below [width], each formatted on first use and
+   shared after that. The draws keep every index below its alphabet's
+   size (or 1 when that is not positive), and a negative act alphabet
+   size [-n] yields indices below [n] by [mod]. A table belongs to one
+   call: sweeps generate trees on several domains. *)
+let label_table prefix ~depths ~width =
+  let width = max 1 (abs width) in
+  let table = Array.make (max 1 depths * width) "" in
+  fun depth i ->
+    let slot = (depth * width) + i in
+    match table.(slot) with
+    | "" ->
+      let s = prefix ^ string_of_int depth ^ "_" ^ string_of_int i in
+      table.(slot) <- s;
+      s
+    | s -> s
+
+(* The label tables both generators share; [p.depth + 1] depths cover
+   the states of runs of length [p.depth]. *)
+type labels = {
+  local : int -> int -> string; (* s<depth>_<i> *)
+  env : int -> int -> string; (* env<depth>_<i> *)
+  act : int -> int -> string; (* a<depth>_<i> *)
+  env_act : int -> int -> string; (* e<depth>_<j> *)
+}
+
+let labels p =
+  let depths = p.depth + 1 in
+  { local = label_table "s" ~depths ~width:p.label_alphabet;
+    env = label_table "env" ~depths ~width:p.label_alphabet;
+    act = label_table "a" ~depths ~width:p.act_alphabet;
+    env_act = label_table "e" ~depths ~width:p.max_branching
+  }
+
+(* The state of a node at [depth]: first the agents' labels, then the
+   environment's, drawn in that order. *)
+let draw_state p rng lb depth =
+  let locals = Array.init p.n_agents (fun _ -> lb.local depth (Prng.int rng p.label_alphabet)) in
+  { Gstate.env = lb.env depth (Prng.int rng p.label_alphabet); locals }
 
 (* Protocol-consistent generation: agent i's action distribution is a
    memoized function of i's local state (time, label), exactly as a
@@ -56,13 +99,11 @@ let normalized_weights rng ~max_weight k =
    have uniform length, so generated action labels (which embed their
    depth) are always proper. *)
 let tree ?(params = default_params) seed =
+  Obs.span "gen.tree" @@ fun () ->
   let p = params in
   let rng = Prng.create seed in
+  let lb = labels p in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
-  let fresh_labels depth =
-    Array.init p.n_agents (fun _ ->
-        Printf.sprintf "s%d_%d" depth (Prng.int rng p.label_alphabet))
-  in
   (* P_i(ℓ): memoized per (agent, depth, label). *)
   let protocol_memo : (int * int * string, (string * Q.t) list) Hashtbl.t =
     Hashtbl.create 32
@@ -73,49 +114,49 @@ let tree ?(params = default_params) seed =
     | None ->
       let d =
         if p.deterministic_acts then
-          [ (Printf.sprintf "a%d_%d" depth (Hashtbl.hash (agent, label) mod p.act_alphabet),
-             Q.one) ]
+          [ (lb.act depth (Hashtbl.hash (agent, label) mod p.act_alphabet), Q.one) ]
         else begin
           let support = 1 + Prng.int rng (min 2 p.act_alphabet) in
           let first = Prng.int rng p.act_alphabet in
-          let labels =
-            List.init support (fun k ->
-                Printf.sprintf "a%d_%d" depth ((first + k) mod p.act_alphabet))
-          in
+          let labels = List.init support (fun k -> lb.act depth ((first + k) mod p.act_alphabet)) in
           List.combine labels (normalized_weights rng ~max_weight:p.max_weight support)
         end
       in
       Hashtbl.add protocol_memo (agent, depth, label) d;
       d
   in
-  let rec expand node depth labels =
+  let combos_memo = Hashtbl.create 16 in
+  let rec expand node depth (state : Gstate.t) =
     if depth < p.depth then begin
       let env_choices = 1 + Prng.int rng p.max_branching in
       let env_probs = normalized_weights rng ~max_weight:p.max_weight env_choices in
-      let dists = Array.init p.n_agents (fun i -> agent_dist i depth labels.(i)) in
-      (* Cartesian product of the agents' action choices. *)
+      let dists = Array.init p.n_agents (fun i -> agent_dist i depth state.locals.(i)) in
+      (* Cartesian product of the agents' action choices, a function
+         of their labels. *)
       let combos =
-        Array.fold_right
-          (fun d acc ->
-            List.concat_map (fun (a, q) -> List.map (fun (rest, qr) -> (a :: rest, Q.mul q qr)) acc) d)
-          dists
-          [ ([], Q.one) ]
+        match Hashtbl.find_opt combos_memo (depth, state.locals) with
+        | Some c -> c
+        | None ->
+          let c =
+            Array.fold_right
+              (fun d acc ->
+                List.concat_map (fun (a, q) -> List.map (fun (rest, qr) -> (a :: rest, Q.mul q qr)) acc) d)
+              dists
+              [ ([], Q.one) ]
+          in
+          Hashtbl.add combos_memo (depth, state.locals) c;
+          c
       in
       List.iteri
         (fun j env_p ->
           List.iter
             (fun (agent_acts, acts_p) ->
-              let acts = Array.of_list (Printf.sprintf "e%d_%d" depth j :: agent_acts) in
-              let child_labels = fresh_labels (depth + 1) in
-              let state =
-                Gstate.make
-                  ~env:(Printf.sprintf "env%d_%d" (depth + 1) (Prng.int rng p.label_alphabet))
-                  ~locals:(Array.to_list child_labels)
-              in
+              let acts = Array.of_list (lb.env_act depth j :: agent_acts) in
+              let child_state = draw_state p rng lb (depth + 1) in
               let child =
-                Tree.Builder.add_child b ~parent:node ~prob:(Q.mul env_p acts_p) ~acts state
+                Tree.Builder.add_child b ~parent:node ~prob:(Q.mul env_p acts_p) ~acts child_state
               in
-              expand child (depth + 1) child_labels)
+              expand child (depth + 1) child_state)
             combos)
         env_probs
     end
@@ -124,14 +165,9 @@ let tree ?(params = default_params) seed =
   let ws0 = normalized_weights rng ~max_weight:p.max_weight k0 in
   List.iter
     (fun w ->
-      let labels = fresh_labels 0 in
-      let state =
-        Gstate.make
-          ~env:(Printf.sprintf "env0_%d" (Prng.int rng p.label_alphabet))
-          ~locals:(Array.to_list labels)
-      in
+      let state = draw_state p rng lb 0 in
       let node = Tree.Builder.add_initial b ~prob:w state in
-      expand node 0 labels)
+      expand node 0 state)
     ws0;
   Tree.Builder.finalize b
 
@@ -143,11 +179,8 @@ let tree ?(params = default_params) seed =
 let tree_arbitrary ?(params = default_params) seed =
   let p = params in
   let rng = Prng.create (seed lxor 0x3C6EF372) in
+  let lb = labels p in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
-  let fresh_labels depth =
-    Array.init p.n_agents (fun _ ->
-        Printf.sprintf "s%d_%d" depth (Prng.int rng p.label_alphabet))
-  in
   let rec expand node depth =
     if depth < p.depth && not (depth > 0 && Prng.int rng 100 < p.early_stop_pct) then begin
       let k = 1 + Prng.int rng p.max_branching in
@@ -156,16 +189,10 @@ let tree_arbitrary ?(params = default_params) seed =
         (fun j w ->
           let acts =
             Array.init (p.n_agents + 1) (fun slot ->
-                if slot = 0 then Printf.sprintf "e%d_%d" depth j
-                else Printf.sprintf "a%d_%d" depth (Prng.int rng p.act_alphabet))
+                if slot = 0 then lb.env_act depth j
+                else lb.act depth (Prng.int rng p.act_alphabet))
           in
-          let child_labels = fresh_labels (depth + 1) in
-          let state =
-            Gstate.make
-              ~env:(Printf.sprintf "env%d_%d" (depth + 1) (Prng.int rng p.label_alphabet))
-              ~locals:(Array.to_list child_labels)
-          in
-          let child = Tree.Builder.add_child b ~parent:node ~prob:w ~acts state in
+          let child = Tree.Builder.add_child b ~parent:node ~prob:w ~acts (draw_state p rng lb (depth + 1)) in
           expand child (depth + 1))
         ws
     end
@@ -174,13 +201,7 @@ let tree_arbitrary ?(params = default_params) seed =
   let ws0 = normalized_weights rng ~max_weight:p.max_weight k0 in
   List.iter
     (fun w ->
-      let labels = fresh_labels 0 in
-      let state =
-        Gstate.make
-          ~env:(Printf.sprintf "env0_%d" (Prng.int rng p.label_alphabet))
-          ~locals:(Array.to_list labels)
-      in
-      let node = Tree.Builder.add_initial b ~prob:w state in
+      let node = Tree.Builder.add_initial b ~prob:w (draw_state p rng lb 0) in
       expand node 0)
     ws0;
   Tree.Builder.finalize b
@@ -203,27 +224,35 @@ let run_fact tree ~seed =
   let per_run = Array.init (Tree.n_runs tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_run_pred tree (fun run -> per_run.(run))
 
-(* One walk over the points decides every (agent, action) pair: the
-   walk meets exactly the performed ones, and a pair is proper unless a
-   run performs it twice. [last.(agent)] maps each action met to the
-   last run it was met in, or -1 once it is known to be improper. *)
+let rec mem_string s = function [] -> false | x :: rest -> String.equal x s || mem_string s rest
+
+(* One pass over the nodes per agent decides every (agent, action)
+   pair. A parent's id is below its children's, so by the time a node
+   is reached [above.(parent)] holds the agent's actions on the edges
+   from the root down to its parent; an action is proper unless one of
+   its edges lies below another (a run then performs it twice).
+   [proper] maps each action met to whether it is still proper. *)
 let proper_actions tree =
-  let n_agents = Tree.n_agents tree in
-  let last = Array.init n_agents (fun _ -> Hashtbl.create 16) in
-  Tree.iter_points tree (fun ~run ~time ->
-      for agent = 0 to n_agents - 1 do
-        match Tree.action_at tree ~agent ~run ~time with
-        | None -> ()
-        | Some act ->
-          (match Hashtbl.find_opt last.(agent) act with
-           | Some r when r = run || r = -1 -> Hashtbl.replace last.(agent) act (-1)
-           | Some _ | None -> Hashtbl.replace last.(agent) act run)
-      done);
+  Obs.span "gen.proper_actions" @@ fun () ->
+  let n = Tree.n_nodes tree in
   let pairs = ref [] in
-  Array.iteri
-    (fun agent seen ->
-      Hashtbl.iter (fun act r -> if r <> -1 then pairs := (agent, act) :: !pairs) seen)
-    last;
+  for agent = 0 to Tree.n_agents tree - 1 do
+    let above = Array.make n [] and proper = Hashtbl.create 16 in
+    for id = 0 to n - 1 do
+      match Tree.node_parent tree id with
+      | None -> ()
+      | Some parent ->
+        let act = (Tree.node_acts tree id).(agent + 1) in
+        let path = above.(parent) in
+        let repeated = mem_string act path in
+        (match Hashtbl.find_opt proper act with
+         | None -> Hashtbl.add proper act (not repeated)
+         | Some true -> if repeated then Hashtbl.replace proper act false
+         | Some false -> ());
+        above.(id) <- act :: path
+    done;
+    Hashtbl.iter (fun act ok -> if ok then pairs := (agent, act) :: !pairs) proper
+  done;
   List.sort compare !pairs
 
 let pick_proper_action tree ~seed =

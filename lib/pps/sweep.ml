@@ -58,56 +58,63 @@ let seed_instance ?(params = Gen.default_params) seed =
   | None -> None
   | Some (agent, act) -> Some (tree, (agent, act), Gen.past_based_fact tree ~seed)
 
-(* One seed: generate, pick, check. The per-seed semantics mirror the
+(* One check on one seed's instance. The per-seed semantics mirror the
    reproduction bench's random sweeps exactly. *)
-let run_seed ~params ~eps check seed =
+let check_instance ~eps check (agent, act) fact =
+  Obs.incr c_checked;
+  match check with
+  | Expectation ->
+    let r = Theorems.expectation_identity fact ~agent ~act in
+    r.Theorems.independent && r.Theorems.identity
+  | Sufficiency ->
+    (match Belief.min_at_action fact ~agent ~act with
+     | None -> false
+     | Some p -> (Theorems.sufficiency fact ~agent ~act ~p).Theorems.respected)
+  | Lemma43 -> (Theorems.lemma43 fact ~agent ~act).Theorems.independent
+  | Necessity ->
+    let p = Constr.mu_given_action fact ~agent ~act in
+    (Theorems.necessity_exists fact ~agent ~act ~p).Theorems.respected
+  | Pak_corollary -> (Theorems.pak_corollary fact ~agent ~act ~eps).Theorems.respected
+  | Kop -> (Theorems.kop fact ~agent ~act).Theorems.respected
+
+(* The given checks on one seed, which is generated once for all of
+   them: one outcome per check, in order. *)
+let run_seed ~params ~eps checks seed =
   match seed_instance ~params seed with
   | None ->
-    Obs.incr c_skipped;
-    Skipped
-  | Some (_tree, (agent, act), fact) ->
-    Obs.incr c_checked;
-    let ok =
-      match check with
-      | Expectation ->
-        let r = Theorems.expectation_identity fact ~agent ~act in
-        r.Theorems.independent && r.Theorems.identity
-      | Sufficiency ->
-        (match Belief.min_at_action fact ~agent ~act with
-         | None -> false
-         | Some p -> (Theorems.sufficiency fact ~agent ~act ~p).Theorems.respected)
-      | Lemma43 -> (Theorems.lemma43 fact ~agent ~act).Theorems.independent
-      | Necessity ->
-        let p = Constr.mu_given_action fact ~agent ~act in
-        (Theorems.necessity_exists fact ~agent ~act ~p).Theorems.respected
-      | Pak_corollary -> (Theorems.pak_corollary fact ~agent ~act ~eps).Theorems.respected
-      | Kop -> (Theorems.kop fact ~agent ~act).Theorems.respected
-    in
-    Checked ok
+    Obs.add c_skipped (List.length checks);
+    List.map (fun _ -> Skipped) checks
+  | Some (_tree, pick, fact) -> List.map (fun c -> Checked (check_instance ~eps c pick fact)) checks
 
-let run ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) check ~first_seed ~count =
+(* Pool.map assembles outcomes in seed order whatever the schedule, so
+   folding them yields job-count-independent reports. *)
+let run_checks ?pool ~params ~eps checks ~first_seed ~count =
   if count < 0 then invalid_arg "Sweep.run: negative count";
   let seeds = Array.init count (fun i -> first_seed + i) in
-  let eval seed = run_seed ~params ~eps check seed in
-  (* Pool.map assembles outcomes in seed order whatever the schedule,
-     so folding them here yields a job-count-independent report. *)
+  let eval seed = run_seed ~params ~eps checks seed in
   let outcomes =
     match pool with Some pool -> Pool.map pool eval seeds | None -> Array.map eval seeds
   in
-  let checked = ref 0 and skipped = ref 0 and violations = ref [] in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Skipped -> incr skipped
-      | Checked ok ->
-        incr checked;
-        if not ok then violations := seeds.(i) :: !violations)
-    outcomes;
-  { check; eps; first_seed; count; checked = !checked; skipped = !skipped;
-    violations = List.rev !violations }
+  List.mapi
+    (fun k check ->
+      let checked = ref 0 and skipped = ref 0 and violations = ref [] in
+      Array.iteri
+        (fun i per_check ->
+          match List.nth per_check k with
+          | Skipped -> incr skipped
+          | Checked ok ->
+            incr checked;
+            if not ok then violations := seeds.(i) :: !violations)
+        outcomes;
+      { check; eps; first_seed; count; checked = !checked; skipped = !skipped;
+        violations = List.rev !violations })
+    checks
 
-let run_all ?pool ?params ?eps ~first_seed ~count () =
-  List.map (fun check -> run ?pool ?params ?eps check ~first_seed ~count) all_checks
+let run ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) check ~first_seed ~count =
+  List.hd (run_checks ?pool ~params ~eps [ check ] ~first_seed ~count)
+
+let run_all ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) ~first_seed ~count () =
+  run_checks ?pool ~params ~eps all_checks ~first_seed ~count
 
 let pp_report fmt r =
   Format.fprintf fmt "%-8s (%s): seeds %d..%d: %d checked, %d skipped, %d violations  %s"

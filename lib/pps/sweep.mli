@@ -86,7 +86,9 @@ val run_all :
   count:int ->
   unit ->
   report list
-(** {!run} for every member of {!all_checks}, in order. *)
+(** {!run} for every member of {!all_checks}, in order: the same
+    reports, but each seed's instance is generated once and checked
+    six times. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line per sweep:

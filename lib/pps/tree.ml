@@ -201,13 +201,15 @@ module Builder = struct
       (fun id n ->
         for agent = 0 to b.b_n_agents - 1 do
           let key = { agent; time = n.depth; label = Gstate.local n.state agent } in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt lstate_ranges key) in
-          Hashtbl.replace lstate_ranges key ((first.(id), last.(id)) :: prev)
+          let range = (first.(id), last.(id)) in
+          match Hashtbl.find_opt lstate_ranges key with
+          | Some ranges -> ranges := range :: !ranges
+          | None -> Hashtbl.add lstate_ranges key (ref [ range ])
         done)
       nodes;
     let lstate_index = Hashtbl.create (Hashtbl.length lstate_ranges) in
     Hashtbl.iter
-      (fun key ranges -> Hashtbl.add lstate_index key (Bitset.of_ranges n_runs ranges))
+      (fun key ranges -> Hashtbl.add lstate_index key (Bitset.of_ranges n_runs !ranges))
       lstate_ranges;
     let denom = common_denominator runs in
     incr next_id;
@@ -242,6 +244,8 @@ let node_depth t id = check_node t id "Tree.node_depth"; t.nodes.(id).depth
 let node_parent t id =
   check_node t id "Tree.node_parent";
   match t.nodes.(id).parent with -1 -> None | p -> Some p
+
+let node_acts t id = check_node t id "Tree.node_acts"; t.nodes.(id).in_acts
 
 let node_children t id =
   check_node t id "Tree.node_children";
@@ -358,6 +362,15 @@ let action_at t ~agent ~run ~time =
     invalid_arg "Tree.action_at: time out of range for run";
   if time = Array.length nodes - 1 then None
   else Some t.nodes.(nodes.(time + 1)).in_acts.(agent + 1)
+
+let action_nodes t ~agent ~act =
+  if agent < 0 || agent >= t.n_agents then invalid_arg "Tree.action_nodes: agent out of range";
+  let acc = ref [] in
+  for id = Array.length t.nodes - 1 downto 0 do
+    let acts = t.nodes.(id).in_acts in
+    if Array.length acts > 0 && String.equal acts.(agent + 1) act then acc := id :: !acc
+  done;
+  !acc
 
 let env_action_at t ~run ~time =
   check_run t run "Tree.env_action_at";

@@ -47,7 +47,8 @@ module Builder : sig
   (** Add a successor of [parent], reached when the joint action [acts]
       is performed, with the given transition probability. [acts] has
       length [n_agents + 1]: index 0 is the environment's action, index
-      [i+1] is agent [i]'s. Returns the new node id.
+      [i+1] is agent [i]'s. Returns the new node id; ids are handed out
+      in insertion order, so a child's id is above its parent's.
       @raise Invalid_argument on a bad probability, a bad [acts] length,
       an unknown parent, or a duplicate joint action among the parent's
       existing edges (a joint action must determine a unique successor). *)
@@ -79,6 +80,10 @@ val node_parent : t -> int -> int option
 
 val node_children : t -> int -> (Q.t * string array * int) list
 (** Outgoing edges as (probability, joint action, child id). *)
+
+val node_acts : t -> int -> string array
+(** The joint action on the node's incoming edge, in the layout of
+    [Builder.add_child]'s [acts]; [[||]] for initial states. *)
 
 val initial_nodes : t -> (Q.t * int) list
 (** The root's children with their probabilities. *)
@@ -160,6 +165,13 @@ val action_at : t -> agent:int -> run:int -> time:int -> string option
     point (no action is performed at leaves). *)
 
 val env_action_at : t -> run:int -> time:int -> string option
+
+val action_nodes : t -> agent:int -> act:string -> int list
+(** The nodes whose incoming edge carries [act] as the agent's action,
+    in ascending id order. Every run through such a node at depth [d]
+    performs the action at time [d-1], and these are all the points
+    where it is performed. One scan of the nodes per call.
+    @raise Invalid_argument if the agent is out of range. *)
 
 val agent_actions : t -> agent:int -> string list
 (** All distinct action labels the agent ever performs, sorted. *)

@@ -515,6 +515,117 @@ let test_action_proper_actions () =
   check_bool "some built-in system has an improper action" true
     (List.exists (fun (_, t) -> List.length (Gen.proper_actions t) < candidates t) builtin)
 
+(* Everything [Action] answers about a tree, results and exceptions
+   alike, as comparable lines: every agent (and one on each side of
+   the range) against every action it performs plus an unknown label,
+   every run (and one on each side of the range), every local state of
+   the agent plus one of another agent and one that never occurs. *)
+module type ACTION = sig
+  val occurrences : Tree.t -> agent:int -> act:string -> (int * int) list
+  val runs_performing : Tree.t -> agent:int -> act:string -> Bitset.t
+  val count_in_run : Tree.t -> agent:int -> act:string -> run:int -> int
+  val time_performed : Tree.t -> agent:int -> act:string -> run:int -> int option
+  val is_performed : Tree.t -> agent:int -> act:string -> bool
+  val is_proper : Tree.t -> agent:int -> act:string -> bool
+  val check_proper : Tree.t -> agent:int -> act:string -> unit
+  val is_deterministic : Tree.t -> agent:int -> act:string -> bool
+  val performing_lstates : Tree.t -> agent:int -> act:string -> Tree.lkey list
+  val performed_at_lstate : Tree.t -> agent:int -> act:string -> Tree.lkey -> Bitset.t
+end
+
+module Action_answers (A : ACTION) = struct
+  let show_keys keys = String.concat ";" (List.map (Format.asprintf "%a" Tree.pp_lkey) keys)
+  let show_runs ev = String.concat "," (List.map string_of_int (Bitset.to_list ev))
+
+  let answers t =
+    let out = ref [] in
+    let say what f =
+      out := (what ^ ": " ^ (try f () with e -> "raised " ^ Printexc.to_string e)) :: !out
+    in
+    let n = Tree.n_agents t in
+    let agents = List.init (n + 2) (fun i -> i - 1) in
+    List.iter
+      (fun agent ->
+        let in_range = agent >= 0 && agent < n in
+        let acts = "no-such-action" :: (if in_range then Tree.agent_actions t ~agent else []) in
+        List.iter
+          (fun act ->
+            let what name = Printf.sprintf "%s agent %d %s" name agent act in
+            say (what "occurrences") (fun () ->
+                String.concat ";"
+                  (List.map (fun (r, time) -> Printf.sprintf "%d,%d" r time)
+                     (A.occurrences t ~agent ~act)));
+            say (what "runs_performing") (fun () -> show_runs (A.runs_performing t ~agent ~act));
+            say (what "is_performed") (fun () -> string_of_bool (A.is_performed t ~agent ~act));
+            say (what "is_proper") (fun () -> string_of_bool (A.is_proper t ~agent ~act));
+            say (what "check_proper") (fun () -> A.check_proper t ~agent ~act; "ok");
+            say (what "is_deterministic") (fun () ->
+                string_of_bool (A.is_deterministic t ~agent ~act));
+            say (what "performing_lstates") (fun () ->
+                show_keys (A.performing_lstates t ~agent ~act));
+            for run = -1 to Tree.n_runs t do
+              say (what (Printf.sprintf "count_in_run %d" run)) (fun () ->
+                  string_of_int (A.count_in_run t ~agent ~act ~run));
+              say (what (Printf.sprintf "time_performed %d" run)) (fun () ->
+                  match A.time_performed t ~agent ~act ~run with
+                  | None -> "none"
+                  | Some time -> string_of_int time)
+            done;
+            let keys =
+              Tree.lkey_make ~agent ~time:1 ~label:"nowhere"
+              :: (if in_range then Tree.lstates t ~agent else [])
+              @ (if n > 1 then [ List.hd (Tree.lstates t ~agent:((max agent 0 + 1) mod n)) ]
+                 else [])
+            in
+            List.iter
+              (fun key ->
+                say (what (Format.asprintf "performed_at_lstate %a" Tree.pp_lkey key))
+                  (fun () -> show_runs (A.performed_at_lstate t ~agent ~act key)))
+              keys)
+          acts)
+      agents;
+    List.rev !out
+end
+
+module Answers = Action_answers (Action)
+module Oracle_answers = Action_answers (Action_oracle)
+
+let same_action_answers t = Answers.answers t = Oracle_answers.answers t
+
+(* Node-reading [Action] against the point-walking one it replaced, on
+   the built-in systems (improper and mixed actions) and the fixed Gen
+   and arbitrary families. *)
+let test_action_point_oracle () =
+  let gen, builtin = oracle_trees () in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check (list string)) name (Oracle_answers.answers t) (Answers.answers t))
+    (builtin @ gen)
+
+(* Random generator parameters: depth 0-5, 1-3 agents, deterministic
+   acts, and two-digit labels. Three agents with mixed acts stay at
+   depth 3 or less, where a node can have 16 children. *)
+let gen_params_arb =
+  let params (depth, n_agents, deterministic_acts, wide) =
+    let depth = if n_agents = 3 && not deterministic_acts then min depth 3 else depth in
+    { Gen.default_params with
+      Gen.depth; n_agents; deterministic_acts;
+      label_alphabet = (if wide then 12 else 2);
+      act_alphabet = (if wide then 11 else 3)
+    }
+  in
+  QCheck.(map params (quad (int_range 0 5) (int_range 1 3) bool bool))
+
+let prop_action_point_oracle =
+  QCheck.Test.make ~count:80 ~name:"Action matches the point-walking oracle"
+    QCheck.(pair (int_range 0 1_000_000) gen_params_arb)
+    (fun (seed, params) ->
+      (* The oracle walks every point per query; depth 5 stays with the
+         fixed families of [test_action_point_oracle]. *)
+      let params = { params with Gen.depth = min params.Gen.depth 4 } in
+      same_action_answers (Gen.tree ~params seed)
+      && same_action_answers (Gen.tree_arbitrary ~params seed))
+
 (* ------------------------------------------------------------------ *)
 (* Beliefs                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1037,6 +1148,20 @@ let prop_fact_model =
                        Tree.action_at t ~agent ~run:r ~time = Some act && ma.(r).(time))))
            (Gen.proper_actions t))
 
+(* [Gen] against the Printf-based generator it replaced: the same
+   documents byte for byte and the same proper actions, across depth
+   0-5, 1-3 agents, deterministic acts and two-digit labels. *)
+let prop_gen_oracle =
+  QCheck.Test.make ~count:200 ~name:"Gen matches the Printf-based generator"
+    QCheck.(pair (int_range 0 1_000_000) gen_params_arb)
+    (fun (seed, params) ->
+      let same t t0 =
+        Tree_io.to_string t = Tree_io.to_string t0
+        && Gen.proper_actions t = Gen_oracle.proper_actions t0
+      in
+      same (Gen.tree ~params seed) (Gen_oracle.tree ~params seed)
+      && same (Gen.tree_arbitrary ~params seed) (Gen_oracle.tree_arbitrary ~params seed))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bitset_bulk_oracle;
@@ -1089,7 +1214,9 @@ let () =
         [ Alcotest.test_case "properness" `Quick test_action_properness;
           Alcotest.test_case "determinism" `Quick test_action_determinism;
           Alcotest.test_case "Li[alpha]" `Quick test_action_lstates;
-          Alcotest.test_case "proper_actions one walk" `Quick test_action_proper_actions
+          Alcotest.test_case "proper_actions one walk" `Quick test_action_proper_actions;
+          Alcotest.test_case "point-walking oracle" `Quick test_action_point_oracle;
+          QCheck_alcotest.to_alcotest prop_action_point_oracle
         ] );
       ( "belief",
         [ Alcotest.test_case "figure 1" `Quick test_belief_figure1;
@@ -1108,5 +1235,6 @@ let () =
           Alcotest.test_case "7.1 and 7.2 PAK" `Quick test_theorem_71_corollary_72;
           Alcotest.test_case "F.1 KoP" `Quick test_kop
         ] );
-      ("properties", qcheck_cases)
+      ("properties", qcheck_cases);
+      ("gen", [ QCheck_alcotest.to_alcotest prop_gen_oracle ])
     ]
