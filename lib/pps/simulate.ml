@@ -20,80 +20,121 @@ module Prng = struct
     (z lxor (z lsr 31)) land max_int
 end
 
-(* Draw a uniform rational in [0,1) with denominator 2^30 — plenty of
-   resolution against the edge probabilities that occur in practice. *)
-let uniform rng =
-  let bits = Prng.next rng land ((1 lsl 30) - 1) in
-  Q.of_ints bits (1 lsl 30)
+(* The walk reads a read-only table built once per call. Slot [id] of
+   [first] holds node [id]'s outgoing edges, slot [n_nodes] the root's
+   (the initial nodes): edges [first.(s) .. first.(s+1) - 1], children
+   in insertion order with the cumulative thresholds of [threshold]. A
+   step draws [bits], uniform in [0, 2^30), and takes the first child
+   whose threshold exceeds it — the last child unconditionally. Every
+   node has one incoming edge, so there are [n_nodes] edges in all. *)
+type table = {
+  first : int array;
+  child : int array;
+  thr : int array;
+  leaf_run : int array; (* run ending at each leaf node; -1 elsewhere *)
+}
 
-let pick rng choices =
-  (* choices: (weight, value) list with weights summing to 1. *)
-  let u = uniform rng in
-  let rec go acc = function
-    | [] -> invalid_arg "Simulate.pick: weights below 1"
-    | [ (_, v) ] -> v
-    | (w, v) :: rest ->
-      let acc = Q.add acc w in
-      if Q.lt u acc then v else go acc rest
+let scale = 1 lsl 30
+
+(* [bits/2^30 < acc] iff [bits < ⌈acc·2^30⌉] for an integer [bits]. The
+   ceiling division runs on ints when [acc]'s parts are below 2^30
+   (the product stays below 2^60), on [Bigint] otherwise. *)
+let threshold acc =
+  if Q.geq acc Q.one then scale
+  else if Q.sign acc <= 0 then 0
+  else
+    let n = Bigint.small (Q.num acc) and d = Bignat.small (Q.den acc) in
+    if n >= 0 && d >= 0 then ((n * scale) + d - 1) / d
+    else
+      let q, r =
+        Bigint.divmod (Bigint.mul (Q.num acc) (Bigint.of_int scale)) (Bigint.of_bignat (Q.den acc))
+      in
+      (* 0 < acc < 1, so 0 <= q < 2^30 *)
+      Option.get (Bigint.to_int_opt q) + if Bigint.is_zero r then 0 else 1
+
+let table tree =
+  let n = Tree.n_nodes tree in
+  let first = Array.make (n + 2) 0 and child = Array.make n 0 and thr = Array.make n 0 in
+  let k = ref 0 in
+  let edge acc p id =
+    let acc = Q.add acc p in
+    child.(!k) <- id;
+    thr.(!k) <- threshold acc;
+    incr k;
+    acc
   in
-  go Q.zero choices
-
-(* Leaf node -> run index. Runs are enumerated depth-first at finalize,
-   but recomputing the map here keeps Simulate independent of that
-   ordering detail. *)
-let leaf_index tree =
-  let map = Hashtbl.create (Tree.n_runs tree) in
-  for run = 0 to Tree.n_runs tree - 1 do
-    let last = Tree.run_length tree run - 1 in
-    Hashtbl.replace map (Tree.run_node tree ~run ~time:last) run
+  for id = 0 to n - 1 do
+    first.(id) <- !k;
+    ignore (List.fold_left (fun acc (p, _, c) -> edge acc p c) Q.zero (Tree.node_children tree id))
   done;
-  map
+  first.(n) <- !k;
+  ignore (List.fold_left (fun acc (p, id) -> edge acc p id) Q.zero (Tree.initial_nodes tree));
+  first.(n + 1) <- !k;
+  let leaf_run = Array.make n (-1) in
+  for run = 0 to Tree.n_runs tree - 1 do
+    leaf_run.(Tree.run_node tree ~run ~time:(Tree.run_length tree run - 1)) <- run
+  done;
+  { first; child; thr; leaf_run }
 
-let walk tree rng leaves =
-  let node =
-    ref (pick rng (List.map (fun (p, id) -> (p, id)) (Tree.initial_nodes tree)))
-  in
-  let rec descend () =
-    match Tree.node_children tree !node with
-    | [] -> ()
-    | children ->
-      node := pick rng (List.map (fun (p, _, id) -> (p, id)) children);
-      descend ()
-  in
-  descend ();
-  Hashtbl.find leaves !node
+let rec choose thr bits k last =
+  if k = last || bits < thr.(k) then k else choose thr bits (k + 1) last
+
+let rec descend tb rng slot =
+  let lo = tb.first.(slot) and hi = tb.first.(slot + 1) in
+  if lo = hi then tb.leaf_run.(slot)
+  else
+    let bits = Prng.next rng land (scale - 1) in
+    descend tb rng tb.child.(choose tb.thr bits lo (hi - 1))
+
+let walk tb rng = descend tb rng (Array.length tb.leaf_run)
 
 let sample_run tree ~seed =
   let rng = Prng.create seed in
   Obs.incr c_samples;
-  walk tree rng (leaf_index tree)
+  walk (table tree) rng
 
 let sample_runs tree ~samples ~seed =
   if samples < 0 then invalid_arg "Simulate.sample_runs: negative sample count";
   let rng = Prng.create seed in
-  let leaves = leaf_index tree in
+  let tb = table tree in
   Obs.add c_samples samples;
-  Array.init samples (fun _ -> walk tree rng leaves)
+  Array.init samples (fun _ -> walk tb rng)
+
+(* [n] walks on the stream of [seed]: (runs in [event], runs in
+   [given]), or (runs in [event], 0) without [given]. *)
+let counts tb ~event ~given ~seed ~n =
+  let rng = Prng.create seed in
+  let hits = ref 0 and given_hits = ref 0 in
+  for _ = 1 to n do
+    let r = walk tb rng in
+    match given with
+    | None -> if Bitset.mem event r then incr hits
+    | Some g ->
+      if Bitset.mem g r then begin
+        incr given_hits;
+        if Bitset.mem event r then incr hits
+      end
+  done;
+  (!hits, !given_hits)
+
+let cond_estimate (hits, given_hits) =
+  Obs.add c_accepted given_hits;
+  if given_hits = 0 then None else Some (Q.of_ints hits given_hits)
+
+let seq_counts tree ~event ~given ~samples ~seed =
+  Obs.add c_samples samples;
+  counts (table tree) ~event ~given ~seed ~n:samples
 
 let estimate tree ~event ~samples ~seed =
   if samples <= 0 then invalid_arg "Simulate.estimate: need at least one sample";
-  let runs = sample_runs tree ~samples ~seed in
-  let hits = Array.fold_left (fun acc r -> if Bitset.mem event r then acc + 1 else acc) 0 runs in
+  Obs.span "simulate.estimate" @@ fun () ->
+  let hits, _ = seq_counts tree ~event ~given:None ~samples ~seed in
   Q.of_ints hits samples
 
 let estimate_cond tree ~event ~given ~samples ~seed =
   if samples <= 0 then invalid_arg "Simulate.estimate_cond: need at least one sample";
-  let runs = sample_runs tree ~samples ~seed in
-  let hits = ref 0 and given_hits = ref 0 in
-  Array.iter
-    (fun r ->
-      if Bitset.mem given r then begin
-        incr given_hits;
-        if Bitset.mem event r then incr hits
-      end)
-    runs;
-  Obs.add c_accepted !given_hits;
-  if !given_hits = 0 then None else Some (Q.of_ints !hits !given_hits)
+  Obs.span "simulate.estimate" @@ fun () ->
+  cond_estimate (seq_counts tree ~event ~given:(Some given) ~samples ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel estimation with splittable seeds                           *)
@@ -114,29 +155,15 @@ let mix_seed seed b =
   let z = (z lxor (z lsr 13)) * 0xC2B2AE35 land max_int in
   (z lxor (z lsr 16)) land max_int
 
-let block_counts tree ~event ~given leaves ~seed ~n =
-  let rng = Prng.create seed in
-  let hits = ref 0 and given_hits = ref 0 in
-  for _ = 1 to n do
-    let r = walk tree rng leaves in
-    match given with
-    | None -> if Bitset.mem event r then incr hits
-    | Some g ->
-      if Bitset.mem g r then begin
-        incr given_hits;
-        if Bitset.mem event r then incr hits
-      end
-  done;
-  (!hits, !given_hits)
-
+(* The table is read-only, so the pool's domains share one. *)
 let par_counts ?pool tree ~event ~given ~samples ~seed =
-  let leaves = leaf_index tree in
+  let tb = table tree in
   let nblocks = (samples + sample_block - 1) / sample_block in
   let blocks =
     Array.init nblocks (fun b ->
         (b, min sample_block (samples - (b * sample_block))))
   in
-  let count (b, n) = block_counts tree ~event ~given leaves ~seed:(mix_seed seed b) ~n in
+  let count (b, n) = counts tb ~event ~given ~seed:(mix_seed seed b) ~n in
   let combine (h1, g1) (h2, g2) = (h1 + h2, g1 + g2) in
   Obs.add c_samples samples;
   match pool with
@@ -145,14 +172,14 @@ let par_counts ?pool tree ~event ~given ~samples ~seed =
 
 let estimate_par ?pool tree ~event ~samples ~seed =
   if samples <= 0 then invalid_arg "Simulate.estimate_par: need at least one sample";
+  Obs.span "simulate.estimate" @@ fun () ->
   let hits, _ = par_counts ?pool tree ~event ~given:None ~samples ~seed in
   Q.of_ints hits samples
 
 let estimate_cond_par ?pool tree ~event ~given ~samples ~seed =
   if samples <= 0 then invalid_arg "Simulate.estimate_cond_par: need at least one sample";
-  let hits, given_hits = par_counts ?pool tree ~event ~given:(Some given) ~samples ~seed in
-  Obs.add c_accepted given_hits;
-  if given_hits = 0 then None else Some (Q.of_ints hits given_hits)
+  Obs.span "simulate.estimate" @@ fun () ->
+  cond_estimate (par_counts ?pool tree ~event ~given:(Some given) ~samples ~seed)
 
 let standard_error ~p ~samples =
   let pf = Q.to_float p in

@@ -8,9 +8,22 @@
     systems too large to enumerate events over (sampling is O(depth)
     per run regardless of the number of runs).
 
+    Each step draws [bits] uniform in [\[0, 2^30)] and takes the first
+    child whose cumulative probability [acc] exceeds [bits/2^30], the
+    last child unconditionally. The choice is made by exact integer
+    thresholds, [bits < threshold acc], which is equivalent to the
+    rational comparison; the thresholds are built once per call, so a
+    step allocates nothing. The estimators record one
+    [simulate.estimate] span per call.
+
     All sampling is a pure function of the [seed]. *)
 
 open Pak_rational
+
+val threshold : Q.t -> int
+(** [threshold acc] is [⌈acc·2^30⌉] clamped to [\[0, 2^30\]]: for every integer
+    [bits] in [\[0, 2^30)], [bits < threshold acc] iff
+    [bits/2^30 < acc]. Computed exactly. *)
 
 val sample_run : Tree.t -> seed:int -> int
 (** One run index, drawn from [µ_T] (up to the 2⁻³⁰ granularity of the

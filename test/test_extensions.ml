@@ -566,6 +566,125 @@ let prop_simulate_random_trees =
       abs_float (Q.to_float est -. Q.to_float exact)
       < (5. *. Simulate.standard_error ~p:exact ~samples) +. 0.005)
 
+(* [bits < threshold acc] must agree with the rational comparison the
+   sampler used to make, on both sides of every threshold. *)
+let test_simulate_thresholds () =
+  let scale = 1 lsl 30 in
+  let near k = [ q k scale; q ((k lsl 10) - 1) (1 lsl 40); q ((k lsl 10) + 1) (1 lsl 40) ] in
+  let accs =
+    List.concat_map near [ 1; 2; 12_345; 1 lsl 29; scale - 1 ]
+    @ [ q 1 3; q 2 3; q ((1 lsl 31) - 1) (1 lsl 31); Q.one;
+        (* judge 8's µ(guilty@convict | convict) *)
+        q 99_999_927 118_689_454 ]
+  in
+  List.iter
+    (fun acc ->
+      let thr = Simulate.threshold acc in
+      check_bool "threshold in [0, 2^30]" true (thr >= 0 && thr <= scale);
+      for bits = max 0 (thr - 2) to min (scale - 1) (thr + 1) do
+        check_bool
+          (Printf.sprintf "bits %d vs %s" bits (Q.to_string acc))
+          (Q.lt (q bits scale) acc) (bits < thr)
+      done)
+    accs
+
+(* Edge probabilities that are not dyadic (1/3, 1/7), dyadic (k/2^m),
+   and one cumulative probability a hair either side of k/2^30. *)
+let fractions_tree () =
+  let b = Tree.Builder.create ~n_agents:1 in
+  let st l = Gstate.make ~env:"e" ~locals:[ l ] in
+  let kids parent probs =
+    List.mapi
+      (fun i p ->
+        Tree.Builder.add_child b ~parent ~prob:p ~acts:[| "t" ^ string_of_int i; "a" |]
+          (st (Printf.sprintf "%d_%d" parent i)))
+      probs
+  in
+  let i0 = Tree.Builder.add_initial b ~prob:(q 1 7) (st "x")
+  and i1 = Tree.Builder.add_initial b ~prob:(q 2 7) (st "y")
+  and i2 = Tree.Builder.add_initial b ~prob:(q 4 7) (st "z") in
+  let a = kids i0 [ q 1 3; q 1 3; q 1 3 ] in
+  ignore (kids i1 [ q 3 8; q 5 8 ]);
+  let k = (12_345 lsl 10) + 1 in
+  ignore (kids i2 [ q k (1 lsl 40); q ((1 lsl 40) - k) (1 lsl 40) ]);
+  ignore (kids (List.hd a) [ q 1 1024; q 511 1024; q 1 2 ]);
+  ignore (kids (List.nth a 2) [ q 2 7; q 5 7 ]);
+  Tree.Builder.finalize b
+
+(* Three agents stay at depth 3 or less, where a tree already has
+   thousands of nodes. *)
+let simulate_trees_arb =
+  let trees (seed, depth, n_agents, arbitrary) =
+    let depth = if n_agents = 3 then min depth 3 else depth in
+    let params = { Gen.default_params with Gen.depth; n_agents } in
+    if arbitrary then Gen.tree_arbitrary ~params seed else Gen.tree ~params seed
+  in
+  QCheck.(map trees (quad (int_range 0 1_000_000) (int_range 0 5) (int_range 1 3) bool))
+
+(* [Simulate] against the Q walk it replaced: the same runs, and the
+   same sequential and block-parallel estimates, with and without a
+   pool, for several seeds. *)
+let same_as_oracle pool t =
+  let n = Tree.n_runs t in
+  let event = Bitset.of_list n (List.filter (fun r -> r mod 3 = 0) (List.init n Fun.id))
+  and given = Bitset.of_list n (List.filter (fun r -> r mod 2 = 1) (List.init n Fun.id)) in
+  List.for_all
+    (fun seed ->
+      Simulate.sample_runs t ~samples:200 ~seed = Simulate_oracle.sample_runs t ~samples:200 ~seed
+      && Q.equal
+           (Simulate.estimate t ~event ~samples:200 ~seed)
+           (Simulate_oracle.estimate t ~event ~samples:200 ~seed)
+      && Simulate.estimate_cond t ~event ~given ~samples:200 ~seed
+         = Simulate_oracle.estimate_cond t ~event ~given ~samples:200 ~seed
+      &&
+      let par = Simulate_oracle.estimate_cond_par t ~event ~given ~samples:1100 ~seed in
+      Simulate.estimate_cond_par t ~event ~given ~samples:1100 ~seed = par
+      && Simulate.estimate_cond_par ~pool t ~event ~given ~samples:1100 ~seed = par)
+    [ 1; 7; 424_242 ]
+
+let test_simulate_oracle () =
+  Pak_par.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (name, t) -> check_bool name true (same_as_oracle pool t))
+        [ ("fractions", fractions_tree ());
+          ("firing squad", fs ());
+          ("judge 4", Judge.tree ~rounds:4 ~convict_at:2 ())
+        ];
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:60 ~name:"Simulate matches the Q walk" simulate_trees_arb
+           (same_as_oracle pool)))
+
+(* [pak simulate]'s estimates, as computed by the Q walk. *)
+let test_simulate_pinned () =
+  let pinned name tree fact ~agent ~act expected =
+    let given = Action.runs_performing tree ~agent ~act in
+    let event = Fact.at_action fact ~agent ~act in
+    let est pool = Simulate.estimate_cond_par ?pool tree ~event ~given ~samples:100_000 ~seed:1 in
+    Alcotest.(check (option string)) name (Some expected) (Option.map Q.to_string (est None));
+    Pak_par.Pool.with_pool ~jobs:2 (fun pool ->
+        Alcotest.(check (option string)) (name ^ " -j 2") (Some expected)
+          (Option.map Q.to_string (est (Some pool))))
+  in
+  let t = fs () in
+  pinned "firing-squad" t (Firing_squad.phi_both t) ~agent:Firing_squad.alice
+    ~act:Firing_squad.fire "49453/49964";
+  let t = Judge.tree ~rounds:4 ~convict_at:2 () in
+  pinned "judge --rounds 4" t (Judge.guilty_fact t) ~agent:Judge.judge ~act:Judge.convict
+    "49933/52519"
+
+(* After the table is built, a walk allocates nothing: twice the samples
+   cost no more words. *)
+let test_simulate_no_alloc () =
+  let t = Judge.tree ~rounds:4 ~convict_at:2 () in
+  let event = Tree.all_runs t in
+  let words samples =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Simulate.estimate t ~event ~samples ~seed:5));
+    Gc.minor_words () -. w0
+  in
+  let w1 = words 10_000 and w2 = words 20_000 in
+  check_bool (Printf.sprintf "10k more samples cost %.0f words" (w2 -. w1)) true (w2 -. w1 < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Tree serialization                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -890,7 +1009,11 @@ let () =
       ( "simulate",
         [ Alcotest.test_case "deterministic" `Quick test_simulate_deterministic;
           Alcotest.test_case "converges" `Quick test_simulate_converges;
-          Alcotest.test_case "conditional" `Quick test_simulate_conditional
+          Alcotest.test_case "conditional" `Quick test_simulate_conditional;
+          Alcotest.test_case "threshold boundaries" `Quick test_simulate_thresholds;
+          Alcotest.test_case "Q walk oracle" `Quick test_simulate_oracle;
+          Alcotest.test_case "pinned estimates" `Quick test_simulate_pinned;
+          Alcotest.test_case "walk allocates nothing" `Quick test_simulate_no_alloc
         ] );
       ( "tree_io",
         [ Alcotest.test_case "round trip" `Quick test_tree_io_roundtrip;
