@@ -783,11 +783,37 @@ let export_par () =
         (name, timings))
       engines
   in
+  (* Host calibration: the same non-allocating loop timed alone, then
+     twice at once on two domains (the caller and one spawned). The
+     ratio 2·alone/both reads about 2 when the host runs two domains in
+     parallel and about 1 when it grants one CPU, so the -j columns
+     compare across commits only when this calibration agrees. Each loop
+     is 48 spins (tens of ms); best of three, at most two domains. *)
+  let par_j2 =
+    let timed f = let t0 = wall () in ignore (Sys.opaque_identity (f ())); wall () -. t0 in
+    let loop seed =
+      let acc = ref 0 in
+      for i = 0 to 47 do
+        acc := !acc + spin (seed + i)
+      done;
+      !acc
+    in
+    let alone () = loop 17 in
+    let both () =
+      let d = Domain.spawn (fun () -> loop 19) in
+      let a = loop 17 in
+      a + Domain.join d
+    in
+    let best f = List.fold_left (fun m _ -> Float.min m (timed f)) infinity [ 1; 2; 3 ] in
+    let t1 = best alone and t2 = best both in
+    2. *. t1 /. t2
+  in
   let serial_ms timings = match timings with (1, ms, _, _) :: _ -> ms | _ -> nan in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "{\n  \"schema_version\": %d,\n" bench_schema_version);
   Buffer.add_string buf
     (Printf.sprintf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ()));
+  Buffer.add_string buf (Printf.sprintf "  \"host\": {\"par_j2\": %.3f},\n" par_j2);
   Buffer.add_string buf "  \"benchmarks\": [\n";
   List.iteri
     (fun i (name, timings) ->
@@ -810,10 +836,11 @@ let export_par () =
   let out = open_out "BENCH_par.json" in
   Buffer.output_buffer out buf;
   close_out out;
-  Printf.printf "\n== Parallelism export: BENCH_par.json (%d engines x jobs %s, %d domains recommended) ==\n"
+  Printf.printf
+    "\n== Parallelism export: BENCH_par.json (%d engines x jobs %s, %d domains recommended, host par_j2 %.2f) ==\n"
     (List.length rows)
     (String.concat "/" (List.map string_of_int jobs_list))
-    (Domain.recommended_domain_count ());
+    (Domain.recommended_domain_count ()) par_j2;
   List.iter
     (fun (name, timings) ->
       Printf.printf "  %-22s" name;

@@ -208,6 +208,30 @@ let expected_children : Formula.t -> Formula.t list = function
     [ g ]
   | And (a, b) | Or (a, b) | Implies (a, b) | Iff (a, b) -> [ a; b ]
 
+(* The least member of a non-empty set. *)
+let least s =
+  let exception Found of int in
+  match Bitset.iter_members (fun i -> raise_notrace (Found i)) s with
+  | () -> invalid_arg "Cert.least: empty set"
+  | exception Found i -> i
+
+(* Whether the set's members, in increasing order, are the list. *)
+let same_members s l =
+  let rest = ref l and ok = ref true in
+  Bitset.iter_members
+    (fun i ->
+      match !rest with
+      | x :: tl when x = i -> rest := tl
+      | _ -> ok := false)
+    s;
+  !ok && !rest = []
+
+(* Point sets are point-indexed bitsets, as in [Fact]: (r, t) is bit
+   [Tree.run_offset tree r + t], so (run, time) order is bit order and
+   the first point where two sets differ is the least member of their
+   symmetric difference. Each node's validated list becomes one set;
+   every connective is re-derived as a whole set and compared with
+   [Bitset.equal]; only a mismatch looks for the point to report. *)
 let check ?valuation tree cert =
   Obs.incr c_checks;
   Obs.span "cert.check" @@ fun () ->
@@ -215,39 +239,51 @@ let check ?valuation tree cert =
     raise (Violation { path; formula = Formula.to_string formula; reason })
   in
   let failf path formula fmt = Printf.ksprintf (fail path formula) fmt in
-  let n_runs = Tree.n_runs tree in
-  let validate_points path f pts =
-    let rec go prev = function
-      | [] -> ()
-      | (r, t) :: rest ->
-        if r < 0 || r >= n_runs then
-          failf path f "point (%d,%d): run index out of range" r t;
-        if t < 0 || t >= Tree.run_length tree r then
-          failf path f "point (%d,%d): time out of range for the run" r t;
-        (match prev with
-        | Some (pr, pt) when not (pr < r || (pr = r && pt < t)) ->
-          failf path f "point list not strictly increasing at (%d,%d)" r t
-        | _ -> ());
-        go (Some (r, t)) rest
+  let n_runs = Tree.n_runs tree and n_points = Tree.n_points tree in
+  let off = Array.init n_runs (Tree.run_offset tree) in
+  let len = Array.init n_runs (Tree.run_length tree) in
+  (* The (run, time) of the first point where two unequal sets differ:
+     the run is the last one starting at or before that point. *)
+  let first_difference a b =
+    let i = least (Bitset.symdiff a b) in
+    let rec run lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if off.(mid) <= i then run mid hi else run lo mid
     in
-    go None pts
+    let r = run 0 n_runs in
+    (i, r, i - off.(r))
   in
-  let pset_of pts =
-    let h = Hashtbl.create (List.length pts * 2 + 1) in
-    List.iter (fun p -> Hashtbl.replace h p ()) pts;
-    h
+  (* A point list as a set, validated as it is read. *)
+  let point_set path f pts =
+    Bitset.build n_points (fun add ->
+        let rec go pr pt = function
+          | [] -> ()
+          | (r, t) :: rest ->
+            if r < 0 || r >= n_runs then
+              failf path f "point (%d,%d): run index out of range" r t;
+            if t < 0 || t >= len.(r) then
+              failf path f "point (%d,%d): time out of range for the run" r t;
+            if not (pr < r || (pr = r && pt < t)) then
+              failf path f "point list not strictly increasing at (%d,%d)" r t;
+            add (off.(r) + t);
+            go r t rest
+        in
+        go (-1) 0 pts)
   in
-  let pmem h run time = Hashtbl.mem h (run, time) in
-  let assert_pointwise path f pset pred =
-    Tree.iter_points tree (fun ~run ~time ->
-        let recorded = pmem pset run time in
-        let derived = pred ~run ~time in
-        if recorded <> derived then
-          failf path f
-            "point (%d,%d): certificate records the subformula as %s but re-derivation says %s"
-            run time
-            (if recorded then "holding" else "not holding")
-            (if derived then "holding" else "not holding"))
+  (* One pass over the points is charged wherever the checker compares
+     or builds a whole point set, as a walk over the points would be. *)
+  let charge_pass () = Budget.charge_points n_points in
+  let holding b = if b then "holding" else "not holding" in
+  let assert_equal path f recorded derived =
+    if not (Bitset.equal recorded derived) then begin
+      let i, run, time = first_difference recorded derived in
+      let r = Bitset.mem recorded i in
+      failf path f
+        "point (%d,%d): certificate records the subformula as %s but re-derivation says %s"
+        run time (holding r) (holding (not r))
+    end
   in
   let check_agent path f i =
     if i < 0 || i >= Tree.n_agents tree then
@@ -257,6 +293,17 @@ let check ?valuation tree cert =
     if grp = [] then failf path f "empty agent group";
     List.iter (check_agent path f) grp;
     group_agents grp
+  in
+  (* Each agent's local states, in [Tree.lstates] order, and their
+     cells as (time, runs). *)
+  let lstates_of = Array.init (Tree.n_agents tree) (fun i -> lazy (Tree.lstates tree ~agent:i)) in
+  let cells_of =
+    Array.map
+      (fun lks ->
+        lazy
+          (Array.of_list
+             (List.map (fun lk -> (Tree.lkey_time lk, Tree.lstate_runs tree lk)) (Lazy.force lks))))
+      lstates_of
   in
   (* Exact coverage: one cell per (agent, local state), no extras. *)
   let check_coverage path f agents keys =
@@ -277,7 +324,7 @@ let check ?valuation tree cert =
               failf path f "missing evidence cell for agent %d local state (t=%d, %S)" i
                 (Tree.lkey_time lk) (Tree.lkey_label lk);
             Hashtbl.remove seen key)
-          (Tree.lstates tree ~agent:i))
+          (Lazy.force lstates_of.(i)))
       agents;
     Hashtbl.iter
       (fun (a, time, label) () ->
@@ -285,89 +332,72 @@ let check ?valuation tree cert =
           time label)
       seen
   in
-  (* Truth of a per-local-state table at a point: look the agent's local
-     state up. The coverage check above guarantees presence. *)
-  let table_pred tables ~run ~time =
-    List.for_all
-      (fun (i, h) ->
-        let key = Tree.lkey tree ~agent:i ~run ~time in
-        match Hashtbl.find_opt h (Tree.lkey_time key, Tree.lkey_label key) with
-        | Some b -> b
-        | None -> false)
-      tables
+  (* Whether the set holds at every run of a cell at the cell's time. *)
+  let throughout set time cell =
+    Bitset.for_all (fun r -> Bitset.mem set (off.(r) + time)) cell
   in
-  (* Re-derived evidence tables for one fixpoint step. *)
-  let know_tables agents member =
-    List.map
+  (* [ϕ@ℓ]: the cell's runs whose point at the cell's time is in the
+     set. *)
+  let sat_runs set time cell = Bitset.filter (fun r -> Bitset.mem set (off.(r) + time)) cell in
+  (* The points of the holding cells of one agent, intersected over the
+     agents: what K/B/E/EB derive from their per-cell outcomes. *)
+  let from_cells agents cells =
+    let per_agent i =
+      Bitset.build n_points (fun add ->
+          List.iter
+            (fun (agent, time, cell) ->
+              if agent = i then Bitset.iter_members (fun r -> add (off.(r) + time)) cell)
+            cells)
+    in
+    match agents with
+    | [] -> Bitset.full n_points
+    | i :: rest -> List.fold_left (fun acc j -> Bitset.inter acc (per_agent j)) (per_agent i) rest
+  in
+  (* One step's derived cells: every local state of every agent of the
+     group whose cell passes [holds]. *)
+  let step_cells agents holds =
+    let acc = ref [] in
+    List.iter
       (fun i ->
-        let h = Hashtbl.create 16 in
-        List.iter
-          (fun lk ->
-            let time = Tree.lkey_time lk in
-            let ok =
-              Bitset.for_all (fun r -> member ~run:r ~time) (Tree.lstate_runs tree lk)
-            in
-            Hashtbl.replace h (time, Tree.lkey_label lk) ok)
-          (Tree.lstates tree ~agent:i);
-        (i, h))
-      agents
+        Array.iter
+          (fun (time, cell) -> if holds time cell then acc := (i, time, cell) :: !acc)
+          (Lazy.force cells_of.(i)))
+      agents;
+    !acc
   in
-  let believe_tables agents threshold member =
-    List.map
-      (fun i ->
-        let h = Hashtbl.create 16 in
-        List.iter
-          (fun lk ->
-            let time = Tree.lkey_time lk in
-            let cell = Tree.lstate_runs tree lk in
-            let sat = Bitset.filter (fun r -> member ~run:r ~time) cell in
-            let degree = Q.div (Tree.measure tree sat) (Tree.measure tree cell) in
-            Hashtbl.replace h (time, Tree.lkey_label lk) (Q.geq degree threshold))
-          (Tree.lstates tree ~agent:i);
-        (i, h))
-      agents
-  in
-  let all_points =
-    List.rev
-      (Tree.fold_points tree ~init:[] ~f:(fun acc ~run ~time -> (run, time) :: acc))
-  in
-  let check_kcells path f agents child_pset cells =
+  let check_kcells path f agents child cells =
     check_coverage path f agents
       (List.map (fun kc -> (kc.kc_agent, kc.kc_time, kc.kc_label)) cells);
-    let tables = List.map (fun i -> (i, Hashtbl.create 16)) agents in
-    List.iter
+    List.filter_map
       (fun kc ->
         let lk = Tree.lkey_make ~agent:kc.kc_agent ~time:kc.kc_time ~label:kc.kc_label in
         let cell = Tree.lstate_runs tree lk in
-        if Bitset.to_list cell <> kc.kc_cell then
+        if not (same_members cell kc.kc_cell) then
           failf path f
             "K-cell for agent %d (t=%d, %S): recorded runs do not match the tree's indistinguishability cell"
             kc.kc_agent kc.kc_time kc.kc_label;
-        let holds = Bitset.for_all (fun r -> pmem child_pset r kc.kc_time) cell in
+        let holds = throughout child kc.kc_time cell in
         if holds <> kc.kc_holds then
           failf path f
             "K-cell for agent %d (t=%d, %S): recorded holds=%b but the inner formula %s at every run of the cell"
             kc.kc_agent kc.kc_time kc.kc_label kc.kc_holds
             (if holds then "does hold" else "does not hold");
-        Hashtbl.replace (List.assoc kc.kc_agent tables) (kc.kc_time, kc.kc_label)
-          kc.kc_holds)
-      cells;
-    tables
+        if holds then Some (kc.kc_agent, kc.kc_time, cell) else None)
+      cells
   in
-  let check_bcells path f agents ~cmp ~threshold child_pset cells =
+  let check_bcells path f agents ~cmp ~threshold child cells =
     check_coverage path f agents
       (List.map (fun bc -> (bc.bc_agent, bc.bc_time, bc.bc_label)) cells);
-    let tables = List.map (fun i -> (i, Hashtbl.create 16)) agents in
-    List.iter
+    List.filter_map
       (fun bc ->
         let lk = Tree.lkey_make ~agent:bc.bc_agent ~time:bc.bc_time ~label:bc.bc_label in
         let cell = Tree.lstate_runs tree lk in
-        if Bitset.to_list cell <> bc.bc_cell then
+        if not (same_members cell bc.bc_cell) then
           failf path f
             "B-cell for agent %d (t=%d, %S): recorded conditioning cell does not match the tree"
             bc.bc_agent bc.bc_time bc.bc_label;
-        let sat = Bitset.filter (fun r -> pmem child_pset r bc.bc_time) cell in
-        if Bitset.to_list sat <> bc.bc_sat then
+        let sat = sat_runs child bc.bc_time cell in
+        if not (same_members sat bc.bc_sat) then
           failf path f
             "B-cell for agent %d (t=%d, %S): recorded satisfying runs do not match the inner formula"
             bc.bc_agent bc.bc_time bc.bc_label;
@@ -392,53 +422,60 @@ let check ?valuation tree cert =
           failf path f
             "B-cell for agent %d (t=%d, %S): threshold comparison re-derives to %b, certificate says %b"
             bc.bc_agent bc.bc_time bc.bc_label holds bc.bc_holds;
-        Hashtbl.replace (List.assoc bc.bc_agent tables) (bc.bc_time, bc.bc_label)
-          bc.bc_holds)
-      cells;
-    tables
+        if holds then Some (bc.bc_agent, bc.bc_time, cell) else None)
+      cells
   in
-  let check_fixpoint path f node_pts iters step =
+  (* [E^p_G] of a set, from the measures of every cell. *)
+  let everyone_believes agents threshold set =
+    from_cells agents
+      (step_cells agents (fun time cell ->
+           let sat = sat_runs set time cell in
+           let degree = Q.div (Tree.measure tree sat) (Tree.measure tree cell) in
+           Q.geq degree threshold))
+  in
+  let check_fixpoint path f node_set iters step =
     if iters = [] then failf path f "fixpoint evidence records no iterations";
-    List.iter (validate_points path f) iters;
-    let prev = ref (pset_of all_points) in
-    List.iteri
-      (fun k pts ->
-        Budget.charge_iters 1;
-        let pset = pset_of pts in
-        let derived = step (fun ~run ~time -> pmem !prev run time) in
-        Tree.iter_points tree (fun ~run ~time ->
-            if pmem pset run time <> derived ~run ~time then
-              failf path f
-                "fixpoint iteration %d: recorded approximant differs from the re-computed step at point (%d,%d)"
-                (k + 1) run time);
-        prev := pset)
-      iters;
-    let n = List.length iters in
-    let last = List.nth iters (n - 1) in
-    let before_last = if n = 1 then all_points else List.nth iters (n - 2) in
-    if last <> before_last then
+    let sets = List.map (point_set path f) iters in
+    let last =
+      List.fold_left
+        (fun (k, prev) set ->
+          Budget.charge_iters 1;
+          let derived = step prev in
+          charge_pass ();
+          if not (Bitset.equal set derived) then begin
+            let _, run, time = first_difference set derived in
+            failf path f
+              "fixpoint iteration %d: recorded approximant differs from the re-computed step at point (%d,%d)"
+              (k + 1) run time
+          end;
+          (k + 1, set))
+        (0, Bitset.full n_points) sets
+      |> snd
+    in
+    let before_last =
+      match List.rev sets with _ :: prev :: _ -> prev | _ -> Bitset.full n_points
+    in
+    if not (Bitset.equal last before_last) then
       failf path f
         "fixpoint evidence is not terminated: the last two approximants differ (not a fixed point)";
-    if node_pts <> last then
+    if not (Bitset.equal node_set last) then
       failf path f "node point set differs from the final fixpoint approximant"
   in
-  let checked : (Formula.t, node * (int * int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let rec check_node path (n : node) : (int * int, unit) Hashtbl.t =
+  let checked : (Formula.t, node * Bitset.t) Hashtbl.t = Hashtbl.create 32 in
+  let rec check_node path (n : node) : Bitset.t =
     match Hashtbl.find_opt checked n.formula with
     (* Certify shares subtrees for repeated subformulas; re-checking a
        physically identical node would repeat identical work. A node
        that merely *claims* an already-checked formula is still checked
        in full. *)
-    | Some (n0, pset) when n0 == n -> pset
+    | Some (n0, set) when n0 == n -> set
     | _ ->
-      let pset = check_node_uncached path n in
-      Hashtbl.replace checked n.formula (n, pset);
-      pset
+      let set = check_node_uncached path n in
+      Hashtbl.replace checked n.formula (n, set);
+      set
   and check_node_uncached path (n : node) =
     let f = n.formula in
-    validate_points path f n.points;
+    let set = point_set path f n.points in
     let expected = expected_children f in
     if List.length n.children <> List.length expected then
       failf path f "expected %d children, certificate has %d" (List.length expected)
@@ -450,85 +487,101 @@ let check ?valuation tree cert =
             (Formula.to_string child.formula)
             (Formula.to_string ef))
       (List.combine n.children expected);
-    let child_psets =
+    let child_sets =
       List.mapi (fun i c -> check_node (path ^ "." ^ string_of_int i) c) n.children
     in
-    let pset = pset_of n.points in
-    let direct pred =
+    let child i = List.nth child_sets i in
+    (* A node whose set follows from its children (or the valuation). *)
+    let direct derive =
       (match n.evidence with
       | Direct -> ()
       | _ -> failf path f "unexpected evidence kind for a %s node" (kind_of f));
-      match pred with Some pred -> assert_pointwise path f pset pred | None -> ()
+      match derive with
+      | Some derive ->
+        charge_pass ();
+        assert_equal path f set (derive ())
+      | None -> ()
     in
-    let child_pset i = List.nth child_psets i in
+    (* A temporal operator, run by run: [g o l mem add] reads the run
+       starting at point [o] of length [l]. *)
+    let per_run g () =
+      let c = child 0 in
+      Bitset.build n_points (fun add ->
+          for r = 0 to n_runs - 1 do
+            g off.(r) len.(r) (Bitset.mem c) add
+          done)
+    in
+    let fill o l add = for i = o to o + l - 1 do add i done in
     (match f with
-    | True -> direct (Some (fun ~run:_ ~time:_ -> true))
-    | False -> direct (Some (fun ~run:_ ~time:_ -> false))
+    | True -> direct (Some (fun () -> Bitset.full n_points))
+    | False -> direct (Some (fun () -> Bitset.create n_points))
     | Atom a ->
       direct
         (match valuation with
         | None -> None (* leaf trusted when the valuation is not supplied *)
         | Some v ->
           Some
-            (fun ~run ~time ->
-              v a (Tree.node_state tree (Tree.run_node tree ~run ~time))))
-    | Not _ ->
-      let c = child_pset 0 in
-      direct (Some (fun ~run ~time -> not (pmem c run time)))
-    | And _ ->
-      let a = child_pset 0 and b = child_pset 1 in
-      direct (Some (fun ~run ~time -> pmem a run time && pmem b run time))
-    | Or _ ->
-      let a = child_pset 0 and b = child_pset 1 in
-      direct (Some (fun ~run ~time -> pmem a run time || pmem b run time))
-    | Implies _ ->
-      let a = child_pset 0 and b = child_pset 1 in
-      direct (Some (fun ~run ~time -> (not (pmem a run time)) || pmem b run time))
-    | Iff _ ->
-      let a = child_pset 0 and b = child_pset 1 in
-      direct (Some (fun ~run ~time -> pmem a run time = pmem b run time))
+            (fun () ->
+              Bitset.build n_points (fun add ->
+                  for id = 0 to Tree.n_nodes tree - 1 do
+                    if v a (Tree.node_state tree id) then begin
+                      let time = Tree.node_depth tree id in
+                      Bitset.iter_members (fun r -> add (off.(r) + time)) (Tree.node_runs tree id)
+                    end
+                  done)))
+    | Not _ -> direct (Some (fun () -> Bitset.complement (child 0)))
+    | And _ -> direct (Some (fun () -> Bitset.inter (child 0) (child 1)))
+    | Or _ -> direct (Some (fun () -> Bitset.union (child 0) (child 1)))
+    | Implies _ -> direct (Some (fun () -> Bitset.union (Bitset.complement (child 0)) (child 1)))
+    | Iff _ -> direct (Some (fun () -> Bitset.complement (Bitset.symdiff (child 0) (child 1))))
     | Does (i, act) ->
       check_agent path f i;
       direct
-        (Some (fun ~run ~time -> Tree.action_at tree ~agent:i ~run ~time = Some act))
+        (Some
+           (fun () ->
+             Bitset.build n_points (fun add ->
+                 List.iter
+                   (fun id ->
+                     let time = Tree.node_depth tree id - 1 in
+                     Bitset.iter_members (fun r -> add (off.(r) + time)) (Tree.node_runs tree id))
+                   (Tree.action_nodes tree ~agent:i ~act))))
     | Eventually _ ->
-      let c = child_pset 0 in
-      let flags =
-        Array.init n_runs (fun r ->
-            let len = Tree.run_length tree r in
-            let rec ex t = t < len && (pmem c r t || ex (t + 1)) in
-            ex 0)
-      in
-      direct (Some (fun ~run ~time:_ -> flags.(run)))
+      direct
+        (Some
+           (per_run (fun o l mem add ->
+                let rec ex i = i < o + l && (mem i || ex (i + 1)) in
+                if ex o then fill o l add)))
     | Globally _ ->
-      let c = child_pset 0 in
-      let flags =
-        Array.init n_runs (fun r ->
-            let len = Tree.run_length tree r in
-            let rec all t = t >= len || (pmem c r t && all (t + 1)) in
-            all 0)
-      in
-      direct (Some (fun ~run ~time:_ -> flags.(run)))
+      direct
+        (Some
+           (per_run (fun o l mem add ->
+                let rec all i = i >= o + l || (mem i && all (i + 1)) in
+                if all o then fill o l add)))
     | Next _ ->
-      let c = child_pset 0 in
       direct
         (Some
-           (fun ~run ~time ->
-             time + 1 < Tree.run_length tree run && pmem c run (time + 1)))
+           (per_run (fun o l mem add ->
+                for i = o to o + l - 2 do
+                  if mem (i + 1) then add i
+                done)))
     | Once _ ->
-      let c = child_pset 0 in
       direct
         (Some
-           (fun ~run ~time ->
-             let rec ex t = t >= 0 && (pmem c run t || ex (t - 1)) in
-             ex time))
+           (per_run (fun o l mem add ->
+                let seen = ref false in
+                for i = o to o + l - 1 do
+                  if mem i then seen := true;
+                  if !seen then add i
+                done)))
     | Historically _ ->
-      let c = child_pset 0 in
       direct
         (Some
-           (fun ~run ~time ->
-             let rec all t = t < 0 || (pmem c run t && all (t - 1)) in
-             all time))
+           (per_run (fun o l mem add ->
+                let sofar = ref true in
+                for i = o to o + l - 1 do
+                  if not (mem i) then sofar := false;
+                  if !sofar then add i
+                done)))
     | Knows _ | EveryoneKnows _ -> (
       let agents =
         match f with
@@ -540,8 +593,9 @@ let check ?valuation tree cert =
       in
       match n.evidence with
       | Knowledge cells ->
-        let tables = check_kcells path f agents (child_pset 0) cells in
-        assert_pointwise path f pset (table_pred tables)
+        let holding = check_kcells path f agents (child 0) cells in
+        charge_pass ();
+        assert_equal path f set (from_cells agents holding)
       | _ -> failf path f "expected knowledge-cell evidence for a %s node" (kind_of f))
     | Believes (_, _, _, _) | EveryoneBelieves (_, _, _) -> (
       let agents, cmp, threshold =
@@ -554,42 +608,33 @@ let check ?valuation tree cert =
       in
       match n.evidence with
       | Belief cells ->
-        let tables = check_bcells path f agents ~cmp ~threshold (child_pset 0) cells in
-        assert_pointwise path f pset (table_pred tables)
+        let holding = check_bcells path f agents ~cmp ~threshold (child 0) cells in
+        charge_pass ();
+        assert_equal path f set (from_cells agents holding)
       | _ -> failf path f "expected belief-cell evidence for a %s node" (kind_of f))
     | CommonKnows (grp, _) -> (
       let agents = check_group path f grp in
       match n.evidence with
       | Fixpoint iters ->
-        let c = child_pset 0 in
-        check_fixpoint path f n.points iters (fun x ->
-            let tables =
-              know_tables agents (fun ~run ~time -> pmem c run time && x ~run ~time)
-            in
-            table_pred tables)
+        let c = child 0 in
+        (* X ↦ E_G(ϕ ∧ X) *)
+        check_fixpoint path f set iters (fun x ->
+            let inner = Bitset.inter c x in
+            from_cells agents (step_cells agents (throughout inner)))
       | _ -> failf path f "expected fixpoint evidence for a C node")
     | CommonBelief (grp, threshold, _) -> (
       let agents = check_group path f grp in
       match n.evidence with
       | Fixpoint iters ->
-        let c = child_pset 0 in
-        let base =
-          let tables =
-            believe_tables agents threshold (fun ~run ~time -> pmem c run time)
-          in
-          let pred = table_pred tables in
-          let h = Hashtbl.create 64 in
-          Tree.iter_points tree (fun ~run ~time ->
-              if pred ~run ~time then Hashtbl.replace h (run, time) ());
-          h
-        in
-        check_fixpoint path f n.points iters (fun x ->
-            let tables = believe_tables agents threshold x in
-            let pred = table_pred tables in
-            fun ~run ~time -> pmem base run time && pred ~run ~time)
+        (* X ↦ E^p_G(ϕ) ∧ E^p_G(X) *)
+        let base = everyone_believes agents threshold (child 0) in
+        charge_pass ();
+        check_fixpoint path f set iters (fun x ->
+            Bitset.inter base (everyone_believes agents threshold x))
       | _ -> failf path f "expected fixpoint evidence for a CB node"));
-    pset
+    set
   in
+  charge_pass ();
   try
     if cert.version <> schema_version then
       failf "root" cert.root.formula "certificate schema version %d, this checker expects %d"
@@ -629,12 +674,22 @@ let add_jstring buf s =
     s;
   Buffer.add_char buf '"'
 
+(* [string_of_int], written into the buffer. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
 let add_ints buf l =
   Buffer.add_char buf '[';
   List.iteri
     (fun i n ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int n))
+      add_int buf n)
     l;
   Buffer.add_char buf ']'
 
@@ -643,13 +698,26 @@ let add_points buf pts =
   List.iteri
     (fun i (r, t) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%d,%d]" r t))
+      Buffer.add_char buf '[';
+      add_int buf r;
+      Buffer.add_char buf ',';
+      add_int buf t;
+      Buffer.add_char buf ']')
     pts;
   Buffer.add_char buf ']'
+
+(* {"agent":a,"time":t,"label": *)
+let add_cell_head buf agent time =
+  Buffer.add_string buf "{\"agent\":";
+  add_int buf agent;
+  Buffer.add_string buf ",\"time\":";
+  add_int buf time;
+  Buffer.add_string buf ",\"label\":"
 
 let add_q buf q = add_jstring buf (Q.to_string q)
 
 let to_json cert =
+  Obs.span "cert.to_json" @@ fun () ->
   let buf = Buffer.create 4096 in
   let rec add_node (n : node) =
     Buffer.add_string buf "{\"formula\":";
@@ -665,11 +733,13 @@ let to_json cert =
       List.iteri
         (fun i kc ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "{\"agent\":%d,\"time\":%d,\"label\":" kc.kc_agent kc.kc_time);
+          add_cell_head buf kc.kc_agent kc.kc_time;
           add_jstring buf kc.kc_label;
           Buffer.add_string buf ",\"cell\":";
           add_ints buf kc.kc_cell;
-          Buffer.add_string buf (Printf.sprintf ",\"holds\":%b}" kc.kc_holds))
+          Buffer.add_string buf ",\"holds\":";
+          add_bool buf kc.kc_holds;
+          Buffer.add_char buf '}')
         cells;
       Buffer.add_string buf "]}"
     | Belief cells ->
@@ -677,7 +747,7 @@ let to_json cert =
       List.iteri
         (fun i bc ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "{\"agent\":%d,\"time\":%d,\"label\":" bc.bc_agent bc.bc_time);
+          add_cell_head buf bc.bc_agent bc.bc_time;
           add_jstring buf bc.bc_label;
           Buffer.add_string buf ",\"cell\":";
           add_ints buf bc.bc_cell;
@@ -689,7 +759,9 @@ let to_json cert =
           add_q buf bc.bc_sat_measure;
           Buffer.add_string buf ",\"degree\":";
           add_q buf bc.bc_degree;
-          Buffer.add_string buf (Printf.sprintf ",\"holds\":%b}" bc.bc_holds))
+          Buffer.add_string buf ",\"holds\":";
+          add_bool buf bc.bc_holds;
+          Buffer.add_char buf '}')
         cells;
       Buffer.add_string buf "]}"
     | Fixpoint iters ->

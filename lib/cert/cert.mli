@@ -129,7 +129,16 @@ val check : ?valuation:Semantics.valuation -> Tree.t -> t -> (unit, violation) r
     of every fixpoint approximant (initial element, each step, the
     terminating [X_n = X_{n-1}] condition). With [?valuation], atom
     leaves are re-derived too; without it they are trusted (useful when
-    checking a certificate shipped without its valuation). *)
+    checking a certificate shipped without its valuation).
+
+    Each node's point list, once validated (in range, strictly
+    increasing), becomes one point-indexed bitset; every re-derivation
+    is a whole set compared with the recorded one. A mismatch reports
+    the first differing point in (run, time) order — the least member
+    of the symmetric difference. The installed {!Pak_guard.Budget} is
+    charged one pass over the points per comparison, one fixpoint
+    iteration per approximant, and the {!Tree.measure} calls of the
+    belief cells. *)
 
 val holds_at : t -> run:int -> time:int -> bool
 (** Root verdict at a point (membership in the root point set). *)

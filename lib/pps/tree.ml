@@ -137,6 +137,7 @@ module Builder = struct
     id
 
   let finalize b : tree =
+    Obs.span "tree.finalize" @@ fun () ->
     if b.b_count = 0 then invalid_arg "Tree.finalize: no initial states";
     let nodes = Array.sub b.b_nodes 0 b.b_count in
     Array.iter (fun n -> n.children <- List.rev n.children) nodes;
@@ -254,9 +255,12 @@ let node_children t id =
     t.nodes.(id).children
 
 let initial_nodes t =
-  Array.to_list t.nodes
-  |> List.mapi (fun id n -> (id, n))
-  |> List.filter_map (fun (id, n) -> if n.parent = -1 then Some (n.in_prob, id) else None)
+  let acc = ref [] in
+  for id = Array.length t.nodes - 1 downto 0 do
+    let n = t.nodes.(id) in
+    if n.parent = -1 then acc := (n.in_prob, id) :: !acc
+  done;
+  !acc
 
 let run_length t r = check_run t r "Tree.run_length"; Array.length t.runs.(r).nodes
 let run_offset t r = check_run t r "Tree.run_offset"; t.run_first.(r)

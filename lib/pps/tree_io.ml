@@ -1,5 +1,6 @@
 open Pak_rational
 module Error = Pak_guard.Error
+module Obs = Pak_obs.Obs
 
 exception Parse_error of string
 
@@ -60,163 +61,423 @@ let to_string tree =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: a minimal s-expression reader                              *)
+(* Reading: the byte scanner drives the builder                        *)
 (* ------------------------------------------------------------------ *)
-
-type sexp = Atom of string | Str of string | List of sexp list
 
 (* Nesting bound: documents are untrusted, and the depth of legitimate
    pps documents is constant (node fields), so any deeply-nested input
-   is garbage. The explicit accumulator stack keeps reading
-   tail-recursive — parse depth and list length are both
-   input-controlled and must not be able to overflow the OCaml stack. *)
+   is garbage. Every loop below is tail-recursive or iterative, so
+   neither depth nor list length can overflow the OCaml stack. *)
 let max_nesting = 1000
+
+(* Labels, interned per document: open addressing over the label's
+   bytes, so an escape-free label already seen costs a hash and one
+   comparison, and each distinct label is one string in the tree. The
+   hash is not collision-resistant and documents are untrusted, so a
+   lookup gives up after [max_probes] slots and the label is then
+   simply not shared: crafted collisions cost a bounded amount per
+   label, never a quadratic scan. *)
+module Labels = struct
+  type t = { mutable hashes : int array; (* -1 = vacant *) mutable keys : string array;
+             mutable count : int }
+
+  let create () = { hashes = Array.make 32 (-1); keys = Array.make 32 ""; count = 0 }
+
+  let hash s a b =
+    let h = ref 0 in
+    for i = a to b - 1 do
+      h := ((!h * 31) + Char.code (String.unsafe_get s i)) land max_int
+    done;
+    !h
+
+  let rec same_from key s a b i =
+    i >= b || (String.unsafe_get key (i - a) = String.unsafe_get s i && same_from key s a b (i + 1))
+
+  let same key s a b = String.length key = b - a && same_from key s a b a
+
+  let max_probes = 16
+
+  (* The slot holding the label or the vacant one where it goes, or -1
+     after [max_probes] occupied slots. *)
+  let rec slot t h s a b i k =
+    let hi = t.hashes.(i) in
+    if hi < 0 || (hi = h && same t.keys.(i) s a b) then i
+    else if k = max_probes then -1
+    else slot t h s a b ((i + 1) land (Array.length t.hashes - 1)) (k + 1)
+
+  let grow t =
+    let hashes = t.hashes and keys = t.keys in
+    let size = 2 * Array.length hashes in
+    t.hashes <- Array.make size (-1);
+    t.keys <- Array.make size "";
+    Array.iteri
+      (fun i h ->
+        if h >= 0 then begin
+          let key = keys.(i) in
+          let j = slot t h key 0 (String.length key) (h land (size - 1)) 1 in
+          if j >= 0 then begin
+            t.hashes.(j) <- h;
+            t.keys.(j) <- key
+          end
+        end)
+      hashes
+
+  (* The label [s.[a .. b - 1]]. *)
+  let intern t s a b =
+    let h = hash s a b in
+    let i = slot t h s a b (h land (Array.length t.hashes - 1)) 1 in
+    if i < 0 then String.sub s a (b - a)
+    else if t.hashes.(i) >= 0 then t.keys.(i)
+    else begin
+      let key = if a = 0 && b = String.length s then s else String.sub s a (b - a) in
+      t.hashes.(i) <- h;
+      t.keys.(i) <- key;
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length t.hashes then grow t;
+      key
+    end
+end
+
+type reader = {
+  input : string;
+  len : int;
+  mutable pos : int;
+  mutable depth : int; (* lists open at [pos] *)
+  mutable start : int; (* the last atom is input.[start .. pos - 1] *)
+  mutable stop : int; (* a field value's atom ends before [stop] *)
+  mutable label : string; (* the last string's value, when decoded *)
+  labels : Labels.t;
+  buf : Buffer.t; (* escape decoding *)
+  mutable scratch : string array; (* the labels of an (acts ...) or (locals ...) field *)
+  mutable fields : int; (* elements of the current node after "node" *)
+}
+
+(* One element of the input, as [step] meets it. *)
+type elem = Eof | Open | Close | Atom | Str
 
 let is_delimiter = function
   | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' -> true
   | _ -> false
 
-(* The quoted string whose body starts at [i]; returns it with the index
-   just past its closing quote. A body without escapes is one
-   [String.sub]; otherwise each run of plain bytes is one blit. *)
-let rec read_plain input i j =
-  if j >= String.length input then raise (Parse_error "unterminated string")
+(* Index of the closing quote of the string whose body starts at [i],
+   or of the first backslash before it. *)
+let rec plain_end input len i =
+  if i >= len then raise (Parse_error "unterminated string")
   else
-    match input.[j] with
-    | '"' -> (String.sub input i (j - i), j + 1)
-    | '\\' -> read_escaped input (Buffer.create (j - i + 16)) i j
-    | _ -> read_plain input i (j + 1)
+    match String.unsafe_get input i with
+    | '"' | '\\' -> i
+    | _ -> plain_end input len (i + 1)
 
-(* [input.[start .. j - 1]] is plain bytes not yet copied into [buf]. *)
-and read_escaped input buf start j =
-  if j >= String.length input then raise (Parse_error "unterminated string")
+(* The rest of a string with escapes, from the backslash at [j];
+   [buf] holds the value so far when [decode]. Returns the index just
+   past the closing quote. *)
+let rec escaped_end r ~decode j =
+  if j >= r.len then raise (Parse_error "unterminated string")
   else
-    match input.[j] with
-    | '"' ->
-      Buffer.add_substring buf input start (j - start);
-      (Buffer.contents buf, j + 1)
+    match String.unsafe_get r.input j with
+    | '"' -> j + 1
     | '\\' ->
-      if j + 1 >= String.length input then raise (Parse_error "dangling escape in string");
-      Buffer.add_substring buf input start (j - start);
-      Buffer.add_char buf input.[j + 1];
-      read_escaped input buf (j + 2) (j + 2)
-    | _ -> read_escaped input buf start (j + 1)
+      if j + 1 >= r.len then raise (Parse_error "dangling escape in string");
+      if decode then Buffer.add_char r.buf r.input.[j + 1];
+      escaped_end r ~decode (j + 2)
+    | c ->
+      if decode then Buffer.add_char r.buf c;
+      escaped_end r ~decode (j + 1)
 
-let read_string input i = read_plain input i i
+(* The string whose body starts at [r.pos]; with [decode], its interned
+   value goes to [r.label]. *)
+let read_string r ~decode =
+  let i = r.pos in
+  let j = plain_end r.input r.len i in
+  if r.input.[j] = '"' then begin
+    if decode then r.label <- Labels.intern r.labels r.input i j;
+    r.pos <- j + 1
+  end
+  else begin
+    if decode then begin
+      Buffer.clear r.buf;
+      Buffer.add_substring r.buf r.input i (j - i)
+    end;
+    r.pos <- escaped_end r ~decode j;
+    if decode then begin
+      let s = Buffer.contents r.buf in
+      r.label <- Labels.intern r.labels s 0 (String.length s)
+    end
+  end
 
 (* After a structural error the rest of the input is still lexed, so a
    lexical error anywhere in the document takes precedence over it. *)
-let rec lex_rest input i =
-  if i < String.length input then
-    if input.[i] = '"' then lex_rest input (snd (read_string input (i + 1)))
-    else lex_rest input (i + 1)
+let structural r i msg =
+  r.pos <- i;
+  while r.pos < r.len do
+    if r.input.[r.pos] = '"' then begin
+      r.pos <- r.pos + 1;
+      read_string r ~decode:false
+    end
+    else r.pos <- r.pos + 1
+  done;
+  raise (Parse_error msg)
 
-(* One pass over the input: tokens become [sexp] values as they are
-   scanned. [stack] holds the enclosing lists' accumulators. *)
+(* The next element: lexical and structural errors are raised here. *)
+let rec step r ~decode =
+  if r.pos >= r.len then if r.depth > 0 then raise (Parse_error "unterminated '('") else Eof
+  else
+    match String.unsafe_get r.input r.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      r.pos <- r.pos + 1;
+      step r ~decode
+    | '(' ->
+      if r.depth >= max_nesting then
+        structural r (r.pos + 1) (Printf.sprintf "nesting deeper than %d" max_nesting);
+      r.pos <- r.pos + 1;
+      r.depth <- r.depth + 1;
+      Open
+    | ')' ->
+      if r.depth = 0 then structural r (r.pos + 1) "unexpected ')'";
+      r.pos <- r.pos + 1;
+      r.depth <- r.depth - 1;
+      Close
+    | '"' ->
+      r.pos <- r.pos + 1;
+      read_string r ~decode;
+      Str
+    | _ ->
+      r.start <- r.pos;
+      r.pos <- r.pos + 1;
+      while r.pos < r.len && not (is_delimiter (String.unsafe_get r.input r.pos)) do
+        r.pos <- r.pos + 1
+      done;
+      Atom
+
+(* Skim to the end of the input, [tops] top-level elements begun so
+   far: the first lexical or structural error is raised, and the one
+   document must be all there is. *)
+let rec skim r tops =
+  let top = r.depth = 0 in
+  match step r ~decode:false with
+  | Eof ->
+    if tops = 0 then raise (Parse_error "unexpected end of input");
+    if tops > 1 then raise (Parse_error "trailing input after document")
+  | Open | Atom | Str -> skim r (if top then tops + 1 else tops)
+  | Close -> skim r tops
+
+(* An interpretation, builder or budget error is final only once the
+   rest of the input holds no lexical or structural error. *)
+let fail r e =
+  skim r 1;
+  raise e
+
+(* Skim until only [d] lists are open. *)
+let skim_to r d =
+  while r.depth > d do
+    ignore (step r ~decode:false)
+  done
+
+(* Skim the rest of the innermost open list, its ')' included; returns
+   how many elements it still had. *)
+let close_list r =
+  let d = r.depth and n = ref 0 in
+  while r.depth >= d do
+    let at_d = r.depth = d in
+    match step r ~decode:false with
+    | Open | Atom | Str -> if at_d then incr n
+    | Close | Eof -> ()
+  done;
+  !n
+
+let atom_is r key = Labels.same key r.input r.start r.pos
+
+(* The value of the 1 to 18 decimal digits s.[a .. b - 1], or -1 for
+   any other text; 18 digits stay below 10^18 < 2^62. *)
+let digits s a b =
+  if b <= a || b - a > 18 then -1
+  else begin
+    let v = ref 0 and i = ref a in
+    while !i < b && s.[!i] >= '0' && s.[!i] <= '9' do
+      v := (10 * !v) + (Char.code s.[!i] - Char.code '0');
+      incr i
+    done;
+    if !i = b then !v else -1
+  end
+
+let negative s a b = b > a && s.[a] = '-'
+
+exception Not_integer
+
+(* An atom as an integer: "n" or "-n" with at most 18 digits is read in
+   place; every other text is [int_of_string_opt]'s, which also takes
+   signs, radix prefixes and underscores. *)
+let int_atom r a b =
+  let neg = negative r.input a b in
+  let v = digits r.input (if neg then a + 1 else a) b in
+  if v >= 0 then if neg then -v else v
+  else
+    match int_of_string_opt (String.sub r.input a (b - a)) with
+    | Some v -> v
+    | None -> raise Not_integer
+
+exception Not_rational
+
+let rec slash_in s i b = if i >= b || s.[i] = '/' then i else slash_in s (i + 1) b
+
+(* An atom as a rational: "n" or "n/d" with at most 18 digits a side
+   (n optionally negative, d > 0) goes to [Q.of_ints], which is what
+   [Q.of_string] does with it; every other text is [Q.of_string]'s. *)
+let q_atom r a b =
+  let s = r.input in
+  let slash = slash_in s a b in
+  let neg = negative s a slash in
+  let n = digits s (if neg then a + 1 else a) slash in
+  let d = if slash = b then 1 else digits s (slash + 1) b in
+  if n >= 0 && d > 0 then Q.of_ints (if neg then -n else n) d
+  else try Q.of_string (String.sub s a (b - a)) with _ -> raise Not_rational
+
+let e_top = Parse_error "expected (pps (agents n) (node ...) ...)"
+let e_node = Parse_error "expected (node ...)"
+let e_shape = Parse_error "node: expected (parent)(prob)(acts)(env)(locals)"
+
+(* A node's element count is checked before its fields, and a field's
+   element count before its value, so an error inside a field is only
+   final once the enclosing list's count is known: it is raised as
+   [Bad] and the node decides. [Shape] is a node with fewer or more
+   than five fields, already read to its ')'. *)
+exception Bad of string
+exception Shape
+exception Build of exn
+
+(* After a field's '(': its key. *)
+let field_key r key =
+  match step r ~decode:true with
+  | Atom when atom_is r key -> ()
+  | _ -> raise (Bad ("expected (" ^ key ^ " ...)"))
+
+(* The next field of a node, up to and including its key. *)
+let next_field r key =
+  match step r ~decode:true with
+  | Open ->
+    r.fields <- r.fields + 1;
+    field_key r key
+  | Atom | Str ->
+    r.fields <- r.fields + 1;
+    raise (Bad ("expected (" ^ key ^ " ...)"))
+  | Close | Eof -> raise Shape
+
+(* The one value of a field, read to the field's ')': [count] unless
+   there is exactly one. Returns the value's kind; an atom's bytes are
+   left at [r.start .. r.stop - 1], a string's value in [r.label]. *)
+let one_value r count =
+  match step r ~decode:true with
+  | Close -> raise (Bad count)
+  | kind ->
+    let a = r.start and b = r.pos in
+    if kind = Open then skim_to r (r.depth - 1);
+    if close_list r > 0 then raise (Bad count);
+    r.start <- a;
+    r.stop <- b;
+    kind
+
+let int_value r ~count what =
+  match one_value r count with
+  | Atom -> (try int_atom r r.start r.stop with Not_integer -> raise (Bad (what ^ ": not an integer")))
+  | _ -> raise (Bad (what ^ ": not an integer"))
+
+let q_value r =
+  match one_value r "(prob q) expected" with
+  | Atom -> (try q_atom r r.start r.stop with Not_rational -> raise (Bad "prob: not a rational"))
+  | _ -> raise (Bad "prob: not a rational")
+
+let label_value r =
+  match one_value r "(env label) expected" with
+  | Str -> r.label
+  | _ -> raise (Bad "env: not a string")
+
+(* The strings of an (acts ...) or (locals ...) field, to its ')'. *)
+let rec labels_value r what n =
+  match step r ~decode:true with
+  | Close -> Array.sub r.scratch 0 n
+  | Str ->
+    if n = Array.length r.scratch then begin
+      let bigger = Array.make (2 * n) "" in
+      Array.blit r.scratch 0 bigger 0 n;
+      r.scratch <- bigger
+    end;
+    r.scratch.(n) <- r.label;
+    labels_value r what (n + 1)
+  | Open | Atom | Eof -> raise (Bad (what ^ ": not a string"))
+
+(* After a node's '(': its five fields, then the builder call. *)
+let node r b =
+  let dn = r.depth in
+  (match step r ~decode:true with
+   | Atom when atom_is r "node" -> ()
+   | _ -> fail r e_node);
+  r.fields <- 0;
+  match
+    next_field r "parent";
+    let parent = int_value r ~count:"(parent id) expected" "parent" in
+    next_field r "prob";
+    let prob = q_value r in
+    next_field r "acts";
+    let acts = labels_value r "acts" 0 in
+    next_field r "env";
+    let env = label_value r in
+    next_field r "locals";
+    let locals = labels_value r "locals" 0 in
+    if close_list r > 0 then raise Shape;
+    let state = { Gstate.env; locals } in
+    try
+      ignore
+        (if parent = -1 then Tree.Builder.add_initial b ~prob state
+         else Tree.Builder.add_child b ~parent ~prob ~acts state)
+    with e -> raise (Build e)
+  with
+  | () -> ()
+  | exception Shape -> fail r e_shape
+  | exception Bad msg ->
+    skim_to r dn;
+    let rest = close_list r in
+    fail r (if r.fields + rest = 5 then Parse_error msg else e_shape)
+  | exception Build e -> fail r e
+
+(* After "(pps": the (agents n) header. *)
+let header r =
+  match step r ~decode:true with
+  | Open -> (
+    match
+      field_key r "agents";
+      int_value r ~count:"(agents n) expected" "agents"
+    with
+    | n -> n
+    | exception Bad msg -> fail r (Parse_error msg))
+  | Atom | Str -> fail r (Parse_error "expected (agents ...)")
+  | Close | Eof -> fail r e_top
+
 let read input =
-  let n = String.length input in
-  let structural i msg =
-    lex_rest input i;
-    raise (Parse_error msg)
+  let r =
+    { input; len = String.length input; pos = 0; depth = 0; start = 0; stop = 0; label = "";
+      labels = Labels.create (); buf = Buffer.create 64; scratch = Array.make 8 "";
+      fields = 0 }
   in
-  let rec go i depth stack acc =
-    if i >= n then
-      if depth > 0 then raise (Parse_error "unterminated '('")
-      else
-        match acc with
-        | [ sexp ] -> sexp
-        | [] -> raise (Parse_error "unexpected end of input")
-        | _ -> raise (Parse_error "trailing input after document")
-    else
-      match input.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) depth stack acc
-      | '(' ->
-        if depth >= max_nesting then
-          structural (i + 1) (Printf.sprintf "nesting deeper than %d" max_nesting);
-        go (i + 1) (depth + 1) (acc :: stack) []
-      | ')' ->
-        (match stack with
-         | [] -> structural (i + 1) "unexpected ')'"
-         | parent :: stack' -> go (i + 1) (depth - 1) stack' (List (List.rev acc) :: parent))
-      | '"' ->
-        let s, j = read_string input (i + 1) in
-        go j depth stack (Str s :: acc)
-      | _ ->
-        let j = ref (i + 1) in
-        while !j < n && not (is_delimiter input.[!j]) do
-          incr j
-        done;
-        go !j depth stack (Atom (String.sub input i (!j - i)) :: acc)
-  in
-  go 0 0 [] []
-
-(* ------------------------------------------------------------------ *)
-(* Document interpretation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let field name = function
-  | List (Atom key :: rest) when key = name -> rest
-  | _ -> raise (Parse_error (Printf.sprintf "expected (%s ...)" name))
-
-let as_int what = function
-  | Atom a ->
-    (match int_of_string_opt a with
-     | Some v -> v
-     | None -> raise (Parse_error (what ^ ": not an integer")))
-  | _ -> raise (Parse_error (what ^ ": not an integer"))
-
-let as_string what = function
-  | Str s -> s
-  | _ -> raise (Parse_error (what ^ ": not a string"))
-
-let as_q what = function
-  | Atom a ->
-    (try Q.of_string a
-     with _ -> raise (Parse_error (what ^ ": not a rational")))
-  | _ -> raise (Parse_error (what ^ ": not a rational"))
-
-let interpret input =
-  match read input with
-  | List (Atom "pps" :: header :: nodes) ->
-    let n_agents =
-      match field "agents" header with
-      | [ v ] -> as_int "agents" v
-      | _ -> raise (Parse_error "(agents n) expected")
+  match step r ~decode:true with
+  | Eof -> raise (Parse_error "unexpected end of input")
+  | Atom | Str | Close -> fail r e_top
+  | Open ->
+    (match step r ~decode:true with
+     | Atom when atom_is r "pps" -> ()
+     | _ -> fail r e_top);
+    let n_agents = header r in
+    let b = try Tree.Builder.create ~n_agents with e -> fail r e in
+    let rec nodes () =
+      match step r ~decode:true with
+      | Close -> ()
+      | Open ->
+        node r b;
+        nodes ()
+      | Atom | Str | Eof -> fail r e_node
     in
-    let b = Tree.Builder.create ~n_agents in
-    List.iter
-      (fun node ->
-        match node with
-        | List (Atom "node" :: fields) ->
-          (match fields with
-           | [ parent_f; prob_f; acts_f; env_f; locals_f ] ->
-             let parent =
-               match field "parent" parent_f with
-               | [ v ] -> as_int "parent" v
-               | _ -> raise (Parse_error "(parent id) expected")
-             in
-             let prob =
-               match field "prob" prob_f with
-               | [ v ] -> as_q "prob" v
-               | _ -> raise (Parse_error "(prob q) expected")
-             in
-             let acts =
-               field "acts" acts_f |> List.map (as_string "acts") |> Array.of_list
-             in
-             let env =
-               match field "env" env_f with
-               | [ v ] -> as_string "env" v
-               | _ -> raise (Parse_error "(env label) expected")
-             in
-             let locals = field "locals" locals_f |> List.map (as_string "locals") in
-             let state = Gstate.make ~env ~locals in
-             if parent = -1 then ignore (Tree.Builder.add_initial b ~prob state)
-             else ignore (Tree.Builder.add_child b ~parent ~prob ~acts state)
-           | _ -> raise (Parse_error "node: expected (parent)(prob)(acts)(env)(locals)"))
-        | _ -> raise (Parse_error "expected (node ...)"))
-      nodes;
+    nodes ();
+    skim r 1;
     Tree.Builder.finalize b
-  | _ -> raise (Parse_error "expected (pps (agents n) (node ...) ...)")
 
 (* The typed boundary. Lexical/grammatical failures are [Parse];
    well-formed documents violating a tree invariant (bad probabilities,
@@ -224,7 +485,7 @@ let interpret input =
    [Invalid_argument]) are [Invalid_system]; budget errors pass
    through. *)
 let of_string_result input =
-  match interpret input with
+  match Obs.span "tree_io.read" (fun () -> read input) with
   | tree -> Ok tree
   | exception Parse_error msg ->
     Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Parse msg))

@@ -14,7 +14,29 @@
     rationals. Parsing rebuilds the tree through {!Tree.Builder}, so
     every structural invariant is re-validated on load; a parsed tree
     is observationally identical to the original (same runs, measures,
-    labels, actions — checked in the test suite). *)
+    labels, actions — checked in the test suite).
+
+    The reader drives the builder straight from the byte scanner, node
+    by node, with no intermediate s-expression. Labels are interned per
+    document: equal labels of one document are one shared string.
+    [(parent n)] and [(prob n/d)] numerals of at most 18 digits a side
+    are read in place; any other atom is [int_of_string_opt]'s or
+    [Q.of_string]'s, which also take signs, radix prefixes, underscores
+    and decimals. Nesting deeper than 1000 lists is rejected.
+
+    Which error a malformed document reports is part of the contract:
+    - a lexical error (an unterminated string, a dangling escape)
+      anywhere in the input wins;
+    - otherwise the first structural error (unbalanced parentheses,
+      nesting, no document or more than one);
+    - otherwise the first interpretation error in document order: a
+      malformed header or node, a builder [Invalid_argument] or
+      [Division_by_zero], or an exhausted budget. A node's element
+      count is checked before its fields and a field's count before
+      its value, so [(node (parent x) …)] with six fields reports the
+      node's shape, and [(parent 1 2)] reports [(parent id) expected].
+    On a document that loads, the builder sees the same nodes in the
+    same order, so budget charges are those of building the tree. *)
 
 val to_string : Tree.t -> string
 

@@ -447,11 +447,157 @@ let prop_simplify_certifies =
       | Error v -> QCheck.Test.fail_report (Cert.violation_to_string v));
       c.Cert.root.Cert.points = c'.Cert.root.Cert.points)
 
+(* ------------------------------------------------------------------ *)
+(* The checker against [Cert_oracle], the checker it replaced           *)
+(* ------------------------------------------------------------------ *)
+
+let rec node_paths path (n : Cert.node) =
+  (List.rev path, n)
+  :: List.concat (List.mapi (fun i c -> node_paths (i :: path) c) n.Cert.children)
+
+let rec replace_at path f (n : Cert.node) =
+  match path with
+  | [] -> f n
+  | i :: rest ->
+    { n with Cert.children = List.mapi (fun j c -> if j = i then replace_at rest f c else c) n.Cert.children }
+
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
+
+let drop_nth k l = List.filteri (fun i _ -> i <> k) l
+
+let change_nth k f l = List.mapi (fun i x -> if i = k then f x else x) l
+
+(* One corruption of a point list: a point dropped, added, swapped
+   with its neighbour, or out of range. *)
+let corrupt_points rng t pts =
+  let n = List.length pts in
+  match Random.State.int rng 5 with
+  | 0 when n > 0 -> drop_nth (Random.State.int rng n) pts
+  | 1 ->
+    let r = Random.State.int rng (Tree.n_runs t) in
+    let p = (r, Random.State.int rng (Tree.run_length t r)) in
+    List.sort_uniq compare (p :: pts)
+  | 2 when n > 1 ->
+    let k = Random.State.int rng (n - 1) in
+    let a = List.nth pts k and b = List.nth pts (k + 1) in
+    change_nth k (fun _ -> b) (change_nth (k + 1) (fun _ -> a) pts)
+  | 3 -> pts @ [ (Tree.n_runs t, 0) ]
+  | _ ->
+    let r = Random.State.int rng (Tree.n_runs t) in
+    List.sort_uniq compare ((r, Tree.run_length t r) :: pts)
+
+let corrupt_runs rng runs =
+  match runs with
+  | [] -> [ 0 ]
+  | _ when Random.State.bool rng -> drop_nth (Random.State.int rng (List.length runs)) runs
+  | _ -> List.sort_uniq compare (Random.State.int rng (List.hd (List.rev runs) + 2) :: runs)
+
+let bump q = Q.add q (Q.of_ints 1 1000)
+
+let corrupt_evidence rng t (ev : Cert.evidence) : Cert.evidence =
+  let cell_edit cells f =
+    match cells with
+    | [] -> cells
+    | _ -> (
+      let k = Random.State.int rng (List.length cells) in
+      match Random.State.int rng 8 with
+      | 0 -> drop_nth k cells
+      | 1 -> cells @ [ List.nth cells k ]
+      | _ -> change_nth k f cells)
+  in
+  match ev with
+  | Cert.Direct -> Cert.Knowledge []
+  | Cert.Knowledge cells ->
+    Cert.Knowledge
+      (cell_edit cells (fun kc ->
+           match Random.State.int rng 3 with
+           | 0 -> { kc with Cert.kc_holds = not kc.Cert.kc_holds }
+           | 1 -> { kc with Cert.kc_cell = corrupt_runs rng kc.Cert.kc_cell }
+           | _ -> { kc with Cert.kc_label = kc.Cert.kc_label ^ "'" }))
+  | Cert.Belief cells ->
+    Cert.Belief
+      (cell_edit cells (fun bc ->
+           match Random.State.int rng 6 with
+           | 0 -> { bc with Cert.bc_holds = not bc.Cert.bc_holds }
+           | 1 -> { bc with Cert.bc_cell = corrupt_runs rng bc.Cert.bc_cell }
+           | 2 -> { bc with Cert.bc_sat = corrupt_runs rng bc.Cert.bc_sat }
+           | 3 -> { bc with Cert.bc_cell_measure = bump bc.Cert.bc_cell_measure }
+           | 4 -> { bc with Cert.bc_sat_measure = bump bc.Cert.bc_sat_measure }
+           | _ -> { bc with Cert.bc_degree = bump bc.Cert.bc_degree }))
+  | Cert.Fixpoint iters ->
+    let n = List.length iters in
+    Cert.Fixpoint
+      (match Random.State.int rng 4 with
+       | 0 when n > 0 -> drop_nth (Random.State.int rng n) iters
+       | 1 when n > 0 -> change_nth (Random.State.int rng n) (corrupt_points rng t) iters
+       | 2 when n > 0 -> iters @ [ List.nth iters (n - 1) ]
+       | _ -> [])
+
+(* One corruption of one node of the certificate, over every node and
+   evidence kind. *)
+let corrupt rng t (c : Cert.t) =
+  let path, n = pick rng (node_paths [] c.Cert.root) in
+  let edit (n : Cert.node) =
+    match Random.State.int rng 6 with
+    | 0 | 1 -> { n with Cert.points = corrupt_points rng t n.Cert.points }
+    | 2 | 3 | 4 -> { n with Cert.evidence = corrupt_evidence rng t n.Cert.evidence }
+    | _ -> { n with Cert.children = List.rev n.Cert.children }
+  in
+  ignore n;
+  { c with Cert.root = replace_at path edit c.Cert.root }
+
+let show_check = function
+  | Ok () -> "Ok"
+  | Error v -> Cert.violation_to_string v
+
+let prop_check_oracle =
+  QCheck.Test.make ~count:1500
+    ~name:"checker matches the hashed-point oracle on corrupted certificates"
+    (QCheck.triple seeds gen_formula (QCheck.int_range 0 1_000_000))
+    (fun (seed, f, cseed) ->
+      let t = Gen.tree seed in
+      let c = Cert.certify t ~valuation f in
+      let rng = Random.State.make [| cseed |] in
+      let c' = if cseed mod 10 = 0 then c else corrupt rng t c in
+      List.for_all
+        (fun valuation ->
+          let a = Cert.check ?valuation t c' and b = Cert_oracle.check ?valuation t c' in
+          if a <> b then
+            QCheck.Test.fail_reportf "checker: %s@.oracle: %s" (show_check a) (show_check b);
+          true)
+        [ Some valuation; None ])
+
+(* Under point and fixpoint-iteration limits the checker and the oracle
+   run out at the same charge. *)
+let test_check_budget_parity () =
+  let t = fixed_tree () in
+  let n = Tree.n_points t in
+  List.iter
+    (fun text ->
+      let c = Cert.certify t ~valuation (Parser.parse text) in
+      let limits =
+        List.map (fun k -> Budget.limits ~max_points:k ())
+          [ 0; n / 2; n; (2 * n) - 1; 2 * n; 3 * n; 5 * n; 8 * n; 13 * n; 21 * n; 40 * n ]
+        @ List.map (fun k -> Budget.limits ~max_iters:k ()) [ 0; 1; 2; 3; 5 ]
+      in
+      List.iter
+        (fun l ->
+          let run check = Budget.with_budget l (fun () -> check ~valuation t c) in
+          let a = run (fun ~valuation t c -> Cert.check ~valuation t c)
+          and b = run (fun ~valuation t c -> Cert_oracle.check ~valuation t c) in
+          if a <> b then Alcotest.failf "%s: budget outcomes differ" text)
+        limits)
+    [ "K[0] p0 & B[1]>=1/3 F p1"; "CB[0,1]>=1/2 (p0 | p1)"; "C[0,1] (p0 | !p2)";
+      "EB[0,1]>=2/3 X p3 -> E[0,1] H p4"; "does[0](act_a) <-> P p1" ]
+
 let () =
   Alcotest.run "cert"
     [ ( "soundness",
         List.map QCheck_alcotest.to_alcotest
           [ prop_soundness; prop_corrupted_rejected; prop_check_without_valuation ] );
+      ( "oracle",
+        Alcotest.test_case "budget parity" `Quick test_check_budget_parity
+        :: List.map QCheck_alcotest.to_alcotest [ prop_check_oracle ] );
       ( "violations",
         [ Alcotest.test_case "wrong system" `Quick test_violation_wrong_system;
           Alcotest.test_case "belief measure" `Quick test_violation_belief_measure;

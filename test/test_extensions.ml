@@ -795,6 +795,231 @@ let test_tree_io_reader_errors () =
     Alcotest.(check string) "escaped local" "a\\b" (Gstate.local st 0)
   | Error e -> Alcotest.failf "escaped labels rejected: %s" (Pak_guard.Error.to_string e)
 
+(* The reader against [Tree_io_oracle], the reader it replaced: the same
+   tree (compared as printed bytes) or the same [Error.t]. *)
+let read_new s = Result.map Tree_io.to_string (Tree_io.of_string_result s)
+let read_old s = Result.map Tree_io.to_string (Tree_io_oracle.of_string_result s)
+
+let show_read = function
+  | Ok doc -> "Ok " ^ String.escaped doc
+  | Error e -> "Error " ^ Pak_guard.Error.to_string e
+
+let same_read s =
+  let a = read_new s and b = read_old s in
+  if a <> b then
+    QCheck.Test.fail_reportf "input %S@.reader: %s@.oracle: %s" s (show_read a) (show_read b);
+  true
+
+let gen_params depth n_agents = { Gen.default_params with Gen.depth; n_agents }
+
+(* Labels carrying escapes: every label starting with s or a gains a
+   quote and a backslash, consistently, so the document still loads. *)
+let with_escapes doc =
+  let buf = Buffer.create (String.length doc + 64) in
+  String.iteri
+    (fun i c ->
+      Buffer.add_char buf c;
+      if c = '"' && i + 1 < String.length doc && (doc.[i + 1] = 's' || doc.[i + 1] = 'a')
+         && i > 0 && doc.[i - 1] = ' '
+      then Buffer.add_string buf "\\\"\\\\")
+    doc;
+  Buffer.contents buf
+
+(* Top-level elements of a node line "(node F1 ... F5)": the spans of
+   its fields, by paren matching that skips quoted strings. *)
+let node_fields line =
+  let n = String.length line in
+  let fields = ref [] and depth = ref 0 and start = ref 0 and i = ref 0 in
+  while !i < n do
+    (match line.[!i] with
+     | '"' ->
+       incr i;
+       while !i < n && line.[!i] <> '"' do
+         if line.[!i] = '\\' then incr i;
+         incr i
+       done
+     | '(' ->
+       if !depth = 1 then start := !i;
+       incr depth
+     | ')' ->
+       decr depth;
+       if !depth = 1 then fields := String.sub line !start (!i - !start + 1) :: !fields
+     | _ -> ());
+    incr i
+  done;
+  List.rev !fields
+
+let numerals =
+  [| "+3"; "0x1f"; "0.5"; "1_0"; "-0"; "007"; "1/0"; "2/4"; "+1/2"; "0b1"; "-1"; "1e3";
+     "000000000000000000000000001"; "123456789012345678901234567890/3";
+     "1/123456789012345678901234567890"; "4611686018427387904"; "-4611686018427387905";
+     "9223372036854775807"; "1/-2"; "/2"; "1/"; "-"; "1//2"; "\0121/2"; "x" |]
+
+(* One random edit of a document: a byte flip, a truncation, an
+   inserted structural byte, a node's fields reordered, duplicated,
+   dropped or extended, or a numeral replaced. *)
+let mutate rng doc =
+  let n = String.length doc in
+  let pos () = Random.State.int rng (max 1 n) in
+  let lines = String.split_on_char '\n' doc in
+  let node_edit f =
+    let nodes = List.filter (fun l -> String.length l > 7 && String.sub l 0 7 = "  (node") lines in
+    if nodes = [] then doc
+    else
+      let victim = List.nth nodes (Random.State.int rng (List.length nodes)) in
+      let fields = Array.of_list (node_fields victim) in
+      let edited = "  (node " ^ String.concat " " (f fields) ^ ")" in
+      String.concat "\n" (List.map (fun l -> if l == victim then edited else l) lines)
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  match Random.State.int rng 9 with
+  | 0 ->
+    let i = pos () in
+    if n = 0 then doc
+    else String.sub doc 0 i ^ String.make 1 (Char.chr (Random.State.int rng 256))
+         ^ String.sub doc (i + 1) (n - i - 1)
+  | 1 -> String.sub doc 0 (pos ())
+  | 2 ->
+    let i = pos () in
+    String.sub doc 0 i ^ pick [| "("; ")"; "\""; "\\" |] ^ String.sub doc i (n - i)
+  | 3 ->
+    node_edit (fun fs ->
+        let l = Array.to_list fs in
+        match l with a :: b :: rest -> b :: a :: rest | l -> l)
+  | 4 ->
+    node_edit (fun fs ->
+        let k = Random.State.int rng (max 1 (Array.length fs)) in
+        List.concat (List.mapi (fun i f -> if i = k then [ f; f ] else [ f ]) (Array.to_list fs)))
+  | 5 ->
+    node_edit (fun fs ->
+        let k = Random.State.int rng (max 1 (Array.length fs)) in
+        List.filteri (fun i _ -> i <> k) (Array.to_list fs))
+  | 6 -> node_edit (fun fs -> Array.to_list fs @ [ pick [| "(extra 1)"; "x"; "\"s\""; "()" |] ])
+  | 7 ->
+    node_edit (fun fs ->
+        Array.to_list
+          (Array.map
+             (fun f ->
+               match String.index_opt f ' ' with
+               | Some sp when (String.sub f 0 sp = "(parent" || String.sub f 0 sp = "(prob")
+                              && Random.State.bool rng ->
+                 String.sub f 0 sp ^ " " ^ pick numerals ^ ")"
+               | _ -> f)
+             fs))
+  | _ ->
+    (* A field's value count or kind. *)
+    node_edit (fun fs ->
+        Array.to_list
+          (Array.mapi
+             (fun i f ->
+               if i <> Random.State.int rng (Array.length fs) then f
+               else
+                 let inner = String.sub f 1 (String.length f - 2) in
+                 pick
+                   [| "(" ^ inner ^ " 1)"; "(" ^ inner ^ " \"v\")"; "(" ^ inner ^ " (1))";
+                      (match String.index_opt inner ' ' with
+                       | Some sp -> "(" ^ String.sub inner 0 sp ^ ")"
+                       | None -> f);
+                      "\"" ^ inner ^ "\""; "(" ^ String.uppercase_ascii inner ^ ")" |])
+             fs))
+
+let doc_of_seed ?(depths = 6) seed =
+  let depth = seed mod depths and n_agents = 1 + (seed / 6 mod 3) in
+  let params = gen_params depth n_agents in
+  let t = if seed / 18 mod 2 = 0 then Gen.tree ~params seed else Gen.tree_arbitrary ~params seed in
+  Tree_io.to_string t
+
+let prop_reader_oracle_gen =
+  QCheck.Test.make ~count:300 ~name:"reader matches the s-expression oracle on Gen documents"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let doc = doc_of_seed seed in
+      same_read doc && same_read (with_escapes doc))
+
+let prop_reader_oracle_mutants =
+  QCheck.Test.make ~count:2000 ~name:"reader matches the s-expression oracle on mutated documents"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 4))
+    (fun (seed, edits) ->
+      let rng = Random.State.make [| seed |] in
+      let doc = doc_of_seed ~depths:4 (seed mod 48) in
+      let doc = if Random.State.bool rng then with_escapes doc else doc in
+      let rec go d k = if k = 0 then d else go (mutate rng d) (k - 1) in
+      same_read (go doc edits))
+
+(* Every one-byte edit of a small document with escapes: the byte
+   deleted, doubled, or replaced by each of a few bytes that matter to
+   the grammar. *)
+let test_reader_one_byte_edits () =
+  let doc =
+    "(pps (agents 2)\n\
+    \  (node (parent -1) (prob 1/2) (acts) (env \"e\\\"0\") (locals \"a\\\\\" \"b\"))\n\
+    \  (node (parent -1) (prob 1/2) (acts) (env \"e1\") (locals \"a\" \"b\"))\n\
+    \  (node (parent 0) (prob 1) (acts \"x\" \"y\" \"z\") (env \"e\") (locals \"c\" \"d\")))\n"
+  in
+  (match read_new doc with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "seed document rejected: %s" (Pak_guard.Error.to_string e));
+  let n = String.length doc in
+  let check s =
+    let a = read_new s and b = read_old s in
+    if a <> b then
+      Alcotest.failf "input %S@.reader: %s@.oracle: %s" s (show_read a) (show_read b)
+  in
+  for i = 0 to n - 1 do
+    let before = String.sub doc 0 i and after = String.sub doc (i + 1) (n - i - 1) in
+    check (before ^ after);
+    check (before ^ String.make 2 doc.[i] ^ after);
+    String.iter
+      (fun c -> check (before ^ String.make 1 c ^ after))
+      "()\"\\ x0-/"
+  done
+
+(* Equal labels of one document are one string; labels built to share
+   one hash ("Aa" and "BB" collide under the multiply-by-31 hash) still
+   read back exactly, past the probe cap of the intern table. *)
+let test_reader_interning () =
+  let t = Tree_io.of_string (doc_of_seed 21) in
+  let seen = Hashtbl.create 64 in
+  for id = 0 to Tree.n_nodes t - 1 do
+    Array.iter
+      (fun l ->
+        match Hashtbl.find_opt seen l with
+        | Some l' -> if l != l' then Alcotest.failf "label %S read twice" l
+        | None -> Hashtbl.add seen l l)
+      (Tree.node_state t id).Gstate.locals
+  done;
+  let rec colliding k = if k = 0 then [ "" ] else
+      List.concat_map (fun s -> [ s ^ "Aa"; s ^ "BB" ]) (colliding (k - 1)) in
+  let labels = colliding 6 in
+  let quoted = String.concat " " (List.map (fun l -> "\"" ^ l ^ "\"") labels) in
+  let doc =
+    Printf.sprintf "(pps (agents %d) (node (parent -1) (prob 1) (acts) (env \"e\") (locals %s %s)))"
+      (2 * List.length labels) quoted quoted
+  in
+  ignore (same_read doc);
+  match Tree_io.of_string_result doc with
+  | Ok t ->
+    Alcotest.(check (list string)) "colliding labels" (labels @ labels)
+      (Array.to_list (Tree.node_state t 0).Gstate.locals)
+  | Error e -> Alcotest.failf "colliding labels rejected: %s" (Pak_guard.Error.to_string e)
+
+(* Under a node budget around the document's node count, the reader
+   and the oracle succeed or fail alike. *)
+let test_reader_budget_parity () =
+  List.iter
+    (fun seed ->
+      let doc = doc_of_seed seed in
+      let nodes = match Tree_io.of_string_result doc with
+        | Ok t -> Tree.n_nodes t | Error _ -> Alcotest.fail "seed document rejected" in
+      for max_nodes = nodes - 2 to nodes + 1 do
+        let under read =
+          Pak_guard.Budget.with_budget (Pak_guard.Budget.limits ~max_nodes ()) (fun () -> read doc)
+        in
+        if under read_new <> under read_old then
+          Alcotest.failf "seed %d, max_nodes %d: budget outcomes differ" seed max_nodes
+      done)
+    [ 3; 11; 29; 40; 45 ]
+
 let prop_tree_io_random =
   QCheck.Test.make ~count:60 ~name:"serialization round trip on random systems"
     QCheck.(int_range 0 1_000_000)
@@ -965,7 +1190,9 @@ let qcheck_cases =
       prop_tree_io_random;
       prop_axioms_random;
       prop_simplify_preserves_semantics;
-      prop_simplify_shrinks
+      prop_simplify_shrinks;
+      prop_reader_oracle_gen;
+      prop_reader_oracle_mutants
     ]
 
 let () =
@@ -1018,7 +1245,10 @@ let () =
       ( "tree_io",
         [ Alcotest.test_case "round trip" `Quick test_tree_io_roundtrip;
           Alcotest.test_case "errors" `Quick test_tree_io_errors;
-          Alcotest.test_case "reader errors" `Quick test_tree_io_reader_errors
+          Alcotest.test_case "reader errors" `Quick test_tree_io_reader_errors;
+          Alcotest.test_case "one-byte edits match the oracle" `Quick test_reader_one_byte_edits;
+          Alcotest.test_case "budget parity with the oracle" `Quick test_reader_budget_parity;
+          Alcotest.test_case "interned labels" `Quick test_reader_interning
         ] );
       ( "axioms", [ Alcotest.test_case "fs" `Quick test_axioms_fs ] );
       ( "simplify", [ Alcotest.test_case "cases" `Quick test_simplify_cases ] );

@@ -322,6 +322,26 @@ let oracle_trees () =
     @ gen "arbitrary" (fun ~params s -> Gen.tree_arbitrary ~params s),
     builtin )
 
+(* [initial_nodes] against the list the whole-array walk built: every
+   node without a parent, in id order, with its probability — the
+   measure of the runs through it. *)
+let test_tree_initial_nodes () =
+  let gen, builtin = oracle_trees () in
+  List.iter
+    (fun (name, t) ->
+      let expected =
+        List.filter_map
+          (fun id ->
+            if Tree.node_parent t id = None then
+              Some (Q.to_string (Tree.measure t (Tree.node_runs t id)), id)
+            else None)
+          (List.init (Tree.n_nodes t) Fun.id)
+      in
+      Alcotest.(check (list (pair string int)))
+        name expected
+        (List.map (fun (p, id) -> (Q.to_string p, id)) (Tree.initial_nodes t)))
+    (gen @ builtin)
+
 (* [node_runs] and the local-state index against sets recomputed point
    by point from [run_node] and the local states. *)
 let test_tree_finalize_index () =
@@ -1199,7 +1219,8 @@ let () =
           Alcotest.test_case "synchrony check" `Quick test_tree_synchrony_check;
           Alcotest.test_case "protocol consistency check" `Quick test_tree_protocol_consistency;
           Alcotest.test_case "dot export" `Quick test_tree_dot;
-          Alcotest.test_case "finalize index oracle" `Quick test_tree_finalize_index
+          Alcotest.test_case "finalize index oracle" `Quick test_tree_finalize_index;
+          Alcotest.test_case "initial nodes" `Quick test_tree_initial_nodes
         ] );
       ( "fact",
         [ Alcotest.test_case "basics" `Quick test_fact_basics;

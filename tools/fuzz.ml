@@ -6,7 +6,9 @@
    and Tree_io.of_string_result, asserting the crash-free contract:
    every input yields Ok or a typed Pak_guard.Error.t — never an
    escaped exception, never a stack overflow, and (under the built-in
-   budget) never a hang. Streams:
+   budget) never a hang. Tree_io must also read one input the same
+   way twice, and every document it accepts must print to one that
+   reads back to the same bytes. Streams:
 
    - random byte strings, length 0..400;
    - mutations of valid round-trip documents and formulas (byte flips,
@@ -115,7 +117,19 @@ let boundaries =
         match Parser.parse_result input with Ok _ -> Accepted | Error e -> Rejected e );
     ( "tree_io",
       fun input ->
-        match Tree_io.of_string_result input with Ok _ -> Accepted | Error e -> Rejected e )
+        (* Beyond crash-freedom: reading is deterministic, and every
+           accepted document prints to a document that reads back to
+           the same bytes. *)
+        let read s = Result.map Tree_io.to_string (Tree_io.of_string_result s) in
+        let first = read input in
+        if read input <> first then failwith "two reads of one input differ";
+        match first with
+        | Error e -> Rejected e
+        | Ok printed ->
+          (match read printed with
+          | Ok again when again = printed -> Accepted
+          | Ok _ -> failwith "printed document does not read back to the same bytes"
+          | Error e -> failwith ("printed document rejected: " ^ Error.to_string e)) )
   ]
 
 (* Each probe runs under a modest budget so a pathological input that
