@@ -278,16 +278,18 @@ let obs_t =
           Printf.eprintf "pak: cannot open trace file: %s\n" msg;
           exit 1);
        at_exit Obs.trace_stop);
-    (match metrics_json with
-     | None -> ()
-     | Some file ->
-       Obs.enable ();
-       at_exit (fun () ->
-           try Obs.Snapshot.write file (Obs.Snapshot.capture ())
-           with Sys_error msg -> Printf.eprintf "pak: cannot write metrics snapshot: %s\n" msg));
-    if metrics then begin
+    (* One capture at exit feeds both the stderr summary and the JSON
+       file, so the two describe the same moment. *)
+    if metrics || metrics_json <> None then begin
       Obs.enable ();
-      at_exit (fun () -> Obs.print_summary stderr)
+      at_exit (fun () ->
+          let snap = Obs.Snapshot.capture () in
+          if metrics then prerr_string (Format.asprintf "%a" Obs.pp_summary snap);
+          match metrics_json with
+          | None -> ()
+          | Some file ->
+            (try Obs.Snapshot.write file snap
+             with Sys_error msg -> Printf.eprintf "pak: cannot write metrics snapshot: %s\n" msg))
     end
   in
   Term.(const setup $ metrics_t $ trace_t $ metrics_json_t $ no_alloc_t $ gc_sample_t)
@@ -559,7 +561,7 @@ let profile_cmd =
                 Ok 0
               end
               else if flame then begin
-                print_string (Obs.flamegraph ~weight ());
+                print_string (Obs.flamegraph ~weight (Obs.Snapshot.capture ()));
                 Ok 0
               end
               else begin
@@ -573,15 +575,14 @@ let profile_cmd =
                 Printf.printf "formula : %s\n" (Formula.to_string f);
                 Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points inst.tree);
                 Printf.printf "eval    : %.3f ms\n\n" eval_ms;
-                Obs.print_summary stdout;
-                if show_tree then begin
-                  print_newline ();
-                  Obs.print_span_tree stdout
-                end;
-                if show_alloc then begin
-                  print_newline ();
-                  Obs.print_alloc_report stdout
-                end;
+                (* Every table below renders this one capture, taken
+                   after the point count so its counters include it. *)
+                let snap = Obs.Snapshot.capture () in
+                print_string (Format.asprintf "%a" Obs.pp_summary snap);
+                if show_tree then
+                  print_string (Format.asprintf "\n%a" Obs.pp_span_tree snap);
+                if show_alloc then
+                  print_string (Format.asprintf "\n%a" (fun fmt -> Obs.pp_alloc_report fmt) snap);
                 Ok 0
               end))
   in

@@ -132,9 +132,11 @@ let total_count counts = Array.fold_left ( + ) 0 counts
 (* Quantile estimate from bucket counts: find the bucket holding the
    q-th sample and interpolate linearly inside it. Exact sample values
    are gone, so the estimate is bucket-resolution (a factor of 2); the
-   counts themselves stay exact. *)
+   counts themselves stay exact. [q] is a fraction: a percent such as
+   [50.] is a caller's mistake, so it raises rather than clamping to
+   the maximum. *)
 let percentile counts q =
-  let q = Float.max 0. (Float.min 1. q) in
+  if not (q >= 0. && q <= 1.) then invalid_arg "Obs.percentile: q must be in [0, 1]";
   let total = total_count counts in
   if total = 0 then 0.
   else begin
@@ -155,47 +157,14 @@ let percentile counts q =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Spans: flat statistics                                              *)
-(* ------------------------------------------------------------------ *)
-
-type span_stat = {
-  mutable s_count : int;
-  mutable s_total : float;
-  mutable s_minor_aw : float;  (* inclusive minor-heap allocated words *)
-  mutable s_major_aw : float;  (* inclusive direct major-heap allocated words *)
-}
-
-let span_registry : (string, span_stat) Hashtbl.t = Hashtbl.create 32
-
-(* Callers hold [lock]. *)
-let span_stat_locked name =
-  match Hashtbl.find_opt span_registry name with
-  | Some s -> s
-  | None ->
-    let s = { s_count = 0; s_total = 0.; s_minor_aw = 0.; s_major_aw = 0. } in
-    Hashtbl.add span_registry name s;
-    s
-
-let spans () =
-  locked (fun () ->
-      Hashtbl.fold (fun name s acc -> (name, s.s_count, s.s_total) :: acc) span_registry [])
-  |> List.sort compare
-
-let span_allocs () =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun name s acc -> (name, s.s_minor_aw, s.s_major_aw) :: acc)
-        span_registry [])
-  |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Spans: hierarchical statistics                                      *)
+(* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Each domain tracks its stack of open spans in domain-local storage;
    at span exit the (path, duration) sample folds into one
    process-global table keyed by the full path, so nested engine calls
-   render as a tree with inclusive and self time. Paths are stored
+   render as a tree with inclusive and self time. It is the only span
+   registry: per-name statistics are folds over the tree. Paths are stored
    innermost-first (the natural push order); reporting reverses them.
    Domains merge by path: a worker running a checker at top level
    contributes to the same root node as the caller would. *)
@@ -232,13 +201,19 @@ type span_node = {
   sn_children : span_node list;
 }
 
-(* [path = prefix @ [leaf]]? Returns the leaf when so. *)
-let rec leaf_under prefix path =
+let rec is_prefix prefix path =
   match (prefix, path) with
-  | [], [ leaf ] -> Some leaf
-  | p :: ps, q :: qs when String.equal p q -> leaf_under ps qs
-  | _ -> None
+  | [], _ -> true
+  | p :: ps, q :: qs -> String.equal p q && is_prefix ps qs
+  | _ :: _, [] -> false
 
+(* One pass over the path keys in sorted order. Sorting puts every
+   path directly before its descendants, so [level prefix depth]
+   takes the nodes of length [depth + 1] under [prefix] from the front
+   of the list, each followed by its own subtree, and hands back the
+   rest. An entry longer than that has no recorded parent — the parent
+   span had not exited yet — and is skipped, as is everything under
+   it. *)
 let span_tree () =
   let entries =
     locked (fun () ->
@@ -246,37 +221,60 @@ let span_tree () =
           (fun path st acc ->
             (List.rev path, (st.t_count, st.t_total, st.t_minor_aw, st.t_major_aw)) :: acc)
           tree_registry [])
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let rec build prefix =
-    entries
-    |> List.filter_map (fun (path, stat) ->
-           match leaf_under prefix path with
-           | Some leaf -> Some (leaf, stat)
-           | None -> None)
-    |> List.sort compare
-    |> List.map (fun (leaf, (c, t, mnr, mjr)) ->
-           let path = prefix @ [ leaf ] in
-           let children = build path in
-           let child_sum f = List.fold_left (fun acc n -> acc +. f n) 0. children in
-           let child_total = child_sum (fun n -> n.sn_total) in
-           (* Clamped: float rounding can push the children's sum a
-              hair past the parent's inclusive total, and a child span
-              can allocate on a domain whose parent frame was opened
-              with allocation tracking off. *)
-           let self incl children_sum = Float.max 0. (incl -. children_sum) in
-           { sn_name = leaf;
-             sn_path = path;
-             sn_count = c;
-             sn_total = t;
-             sn_self = self t child_total;
-             sn_minor_aw = mnr;
-             sn_self_minor_aw = self mnr (child_sum (fun n -> n.sn_minor_aw));
-             sn_major_aw = mjr;
-             sn_self_major_aw = self mjr (child_sum (fun n -> n.sn_major_aw));
-             sn_children = children
-           })
+  let rec level prefix depth = function
+    | (path, (c, t, mnr, mjr)) :: rest when is_prefix prefix path ->
+      if List.compare_length_with path (depth + 1) <> 0 then level prefix depth rest
+      else begin
+        let children, rest = level path (depth + 1) rest in
+        let child_sum f = List.fold_left (fun acc n -> acc +. f n) 0. children in
+        (* Clamped: float rounding can push the children's sum a hair
+           past the parent's inclusive total, and a child span can
+           allocate on a domain whose parent frame was opened with
+           allocation tracking off. *)
+        let self incl children_sum = Float.max 0. (incl -. children_sum) in
+        let node =
+          { sn_name = List.nth path depth;
+            sn_path = path;
+            sn_count = c;
+            sn_total = t;
+            sn_self = self t (child_sum (fun n -> n.sn_total));
+            sn_minor_aw = mnr;
+            sn_self_minor_aw = self mnr (child_sum (fun n -> n.sn_minor_aw));
+            sn_major_aw = mjr;
+            sn_self_major_aw = self mjr (child_sum (fun n -> n.sn_major_aw));
+            sn_children = children
+          }
+        in
+        let siblings, rest = level prefix depth rest in
+        (node :: siblings, rest)
+      end
+    | rest -> ([], rest)
   in
-  build []
+  fst (level [] 0 entries)
+
+(* Per-name totals of a span forest — calls, inclusive seconds and
+   inclusive minor/major words summed over every path ending in the
+   name — sorted by name. This is the flat view of the one registry:
+   [spans], [span_allocs] and the summary's span rows all read it. *)
+let per_name forest =
+  let tbl = Hashtbl.create 16 in
+  let rec add n =
+    let c, t, mnr, mjr =
+      Option.value (Hashtbl.find_opt tbl n.sn_name) ~default:(0, 0., 0., 0.)
+    in
+    Hashtbl.replace tbl n.sn_name
+      (c + n.sn_count, t +. n.sn_total, mnr +. n.sn_minor_aw, mjr +. n.sn_major_aw);
+    List.iter add n.sn_children
+  in
+  List.iter add forest;
+  Hashtbl.fold (fun name row acc -> (name, row) :: acc) tbl [] |> List.sort compare
+
+let spans () = List.map (fun (name, (c, t, _, _)) -> (name, c, t)) (per_name (span_tree ()))
+
+let span_allocs () =
+  List.map (fun (name, (_, _, mnr, mjr)) -> (name, mnr, mjr)) (per_name (span_tree ()))
 
 (* Baseline for the gc.* gauges: the cumulative GC counters captured
    at the last [reset] (and at module load), so snapshots report
@@ -321,13 +319,6 @@ let reset () =
       Hashtbl.iter
         (fun _ h -> Array.iter (fun cell -> Atomic.set cell 0) h.h_buckets)
         histogram_registry;
-      Hashtbl.iter
-        (fun _ s ->
-          s.s_count <- 0;
-          s.s_total <- 0.;
-          s.s_minor_aw <- 0.;
-          s.s_major_aw <- 0.)
-        span_registry;
       Hashtbl.reset tree_registry);
   rebase_gc ()
 
@@ -494,13 +485,12 @@ let gauge_sample_interval () = Atomic.get gauge_sample_interval_cell
 let gc_tick_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let trace_stop () =
+  let final = counters () in
   locked (fun () ->
       match !trace_state with
       | None -> ()
       | Some tr ->
-        Hashtbl.fold (fun name c acc -> (name, Atomic.get c.c_value) :: acc) counter_registry []
-        |> List.sort compare
-        |> List.iter (fun (name, v) -> emit_counter_sample tr name v);
+        List.iter (fun (name, v) -> emit_counter_sample tr name v) final;
         emit_gc_samples_locked ();
         output_string tr.ch "\n]\n";
         close_out tr.ch;
@@ -564,11 +554,6 @@ let span name f =
       in
       let trace_ctx = Domain.DLS.get trace_ctx_key in
       locked (fun () ->
-          let stat = span_stat_locked name in
-          stat.s_count <- stat.s_count + 1;
-          stat.s_total <- stat.s_total +. dt;
-          stat.s_minor_aw <- stat.s_minor_aw +. minor_aw;
-          stat.s_major_aw <- stat.s_major_aw +. major_aw;
           let h = histogram_locked name in
           ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of ns) 1);
           let ts = tree_stat_locked path in
@@ -587,147 +572,6 @@ let span name f =
       finish ();
       raise e
   end
-
-(* ------------------------------------------------------------------ *)
-(* Summary sink                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let pp_summary fmt () =
-  Format.fprintf fmt "== pak metrics ==@\n";
-  Format.fprintf fmt "counters:@\n";
-  (match counters () with
-   | [] -> Format.fprintf fmt "  (none registered)@\n"
-   | cs ->
-     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12d@\n" name v) cs);
-  (match gauges () with
-   | [] -> ()
-   | gs ->
-     Format.fprintf fmt "gauges:@\n";
-     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12.4f@\n" name v) gs);
-  Format.fprintf fmt "spans:@\n";
-  match spans () with
-  | [] -> Format.fprintf fmt "  (none recorded)@\n"
-  | ss ->
-    let hists = histograms () in
-    let allocs = span_allocs () in
-    Format.fprintf fmt "  %-42s %10s %12s %12s %10s %10s %10s %12s@\n" "" "calls" "total ms"
-      "mean us" "p50 us" "p90 us" "p99 us" "alloc kw";
-    List.iter
-      (fun (name, count, total) ->
-        let mean_us = if count = 0 then 0. else total /. float_of_int count *. 1e6 in
-        let p q =
-          match List.assoc_opt name hists with
-          | Some counts -> percentile counts q /. 1e3
-          | None -> 0.
-        in
-        let alloc_kw =
-          match List.find_opt (fun (n, _, _) -> String.equal n name) allocs with
-          | Some (_, mnr, mjr) -> (mnr +. mjr) /. 1e3
-          | None -> 0.
-        in
-        Format.fprintf fmt "  %-42s %10d %12.3f %12.3f %10.1f %10.1f %10.1f %12.1f@\n" name
-          count (total *. 1e3) mean_us (p 0.5) (p 0.9) (p 0.99) alloc_kw)
-      ss
-
-let print_summary ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_summary fmt ();
-  Format.pp_print_flush fmt ()
-
-let pp_span_tree fmt () =
-  Format.fprintf fmt "span tree:@\n";
-  match span_tree () with
-  | [] -> Format.fprintf fmt "  (no spans recorded)@\n"
-  | roots ->
-    Format.fprintf fmt "  %-46s %10s %12s %12s %12s %12s@\n" "" "calls" "incl ms" "self ms"
-      "incl kw" "self kw";
-    let rec pp depth node =
-      let label = String.make (2 * depth) ' ' ^ node.sn_name in
-      Format.fprintf fmt "  %-46s %10d %12.3f %12.3f %12.1f %12.1f@\n" label node.sn_count
-        (node.sn_total *. 1e3) (node.sn_self *. 1e3)
-        ((node.sn_minor_aw +. node.sn_major_aw) /. 1e3)
-        ((node.sn_self_minor_aw +. node.sn_self_major_aw) /. 1e3);
-      List.iter (pp (depth + 1)) node.sn_children
-    in
-    List.iter (pp 0) roots
-
-let print_span_tree ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_span_tree fmt ();
-  Format.pp_print_flush fmt ()
-
-(* The allocation profile: every span path ranked by self-allocated
-   words — where the words actually come from, with double counting
-   removed by the self column (a parent's self excludes children). *)
-let pp_alloc_report ?(top = 20) fmt () =
-  let rec flatten acc n = List.fold_left flatten (n :: acc) n.sn_children in
-  let nodes = List.fold_left flatten [] (span_tree ()) in
-  let self n = n.sn_self_minor_aw +. n.sn_self_major_aw in
-  let ranked =
-    List.filter (fun n -> self n > 0.) nodes
-    |> List.sort (fun a b -> compare (self b, a.sn_path) (self a, b.sn_path))
-  in
-  let attributed = List.fold_left (fun acc n -> acc +. self n) 0. ranked in
-  let process_minor =
-    match List.assoc_opt "gc.minor_words" (gc_gauges ()) with Some v -> v | None -> 0.
-  in
-  Format.fprintf fmt "top allocating spans (self words; kw = 1000 words):@\n";
-  if ranked = [] then Format.fprintf fmt "  (no span allocation recorded)@\n"
-  else begin
-    Format.fprintf fmt "  %-52s %10s %12s %12s %12s@\n" "" "calls" "self kw" "incl kw"
-      "w/call";
-    List.iteri
-      (fun i n ->
-        if i < top then
-          Format.fprintf fmt "  %-52s %10d %12.1f %12.1f %12.0f@\n"
-            (String.concat ";" n.sn_path) n.sn_count (self n /. 1e3)
-            ((n.sn_minor_aw +. n.sn_major_aw) /. 1e3)
-            (if n.sn_count = 0 then 0. else self n /. float_of_int n.sn_count))
-      ranked;
-    if List.length ranked > top then
-      Format.fprintf fmt "  ... %d more span paths@\n" (List.length ranked - top)
-  end;
-  Format.fprintf fmt "  attributed: %.1f kw across %d span paths" (attributed /. 1e3)
-    (List.length ranked);
-  if process_minor > 0. then
-    Format.fprintf fmt " (%.1f%% of %.1f kw minor words since reset)"
-      (100. *. attributed /. process_minor)
-      (process_minor /. 1e3);
-  Format.fprintf fmt "@\n"
-
-let print_alloc_report ?top ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_alloc_report ?top fmt ();
-  Format.pp_print_flush fmt ()
-
-(* ------------------------------------------------------------------ *)
-(* Flamegraph export (collapsed-stack format)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* One line per span path, `a;b;c <weight>`, the input format of
-   flamegraph.pl and speedscope. Weights are *self* values — the
-   flamegraph tool re-derives inclusive totals by summing subtrees, so
-   exporting inclusive numbers would double-count. Self time in whole
-   nanoseconds, or self allocated words (minor + direct major). Lines
-   are sorted by path and zero-weight rows dropped, so the output is a
-   pure function of the span registry. *)
-type flame_weight = Flame_time | Flame_alloc
-
-let flamegraph ?(weight = Flame_time) () =
-  let rec flatten acc n = List.fold_left flatten (n :: acc) n.sn_children in
-  let nodes = List.fold_left flatten [] (span_tree ()) in
-  let weight_of n =
-    match weight with
-    | Flame_time -> int_of_float (n.sn_self *. 1e9)
-    | Flame_alloc -> int_of_float (n.sn_self_minor_aw +. n.sn_self_major_aw)
-  in
-  nodes
-  |> List.filter_map (fun n ->
-         let w = weight_of n in
-         if w <= 0 then None else Some (String.concat ";" n.sn_path, w))
-  |> List.sort compare
-  |> List.map (fun (path, w) -> Printf.sprintf "%s %d\n" path w)
-  |> String.concat ""
 
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON reader: enough to validate emitted traces and to
@@ -882,45 +726,25 @@ module Snapshot = struct
      (no alloc keys) still decode — the alloc fields default to 0. *)
   let schema_version = 2
 
-  type node = {
-    name : string;
-    count : int;
-    total_s : float;
-    self_s : float;
-    minor_aw : float;
-    self_minor_aw : float;
-    major_aw : float;
-    self_major_aw : float;
-    children : node list;
-  }
-
   type t = {
     version : int;
     counters : (string * int) list;
     gauges : (string * float) list;
     histograms : (string * int array) list;
-    spans : node list;
+    spans : span_node list;
   }
 
-  let rec node_of_span n =
-    { name = n.sn_name;
-      count = n.sn_count;
-      total_s = n.sn_total;
-      self_s = n.sn_self;
-      minor_aw = n.sn_minor_aw;
-      self_minor_aw = n.sn_self_minor_aw;
-      major_aw = n.sn_major_aw;
-      self_major_aw = n.sn_self_major_aw;
-      children = List.map node_of_span n.sn_children
-    }
-
-  let capture () =
+  (* Everything but the span tree: what a delta needs, without folding
+     the path registry. *)
+  let capture_flows () =
     { version = schema_version;
       counters = counters ();
       gauges = gauges ();
       histograms = histograms ();
-      spans = List.map node_of_span (span_tree ())
+      spans = []
     }
+
+  let capture () = { (capture_flows ()) with spans = span_tree () }
 
   (* Per-call attribution without resetting the global registries:
      capture, run, capture, subtract. Counters and histograms are
@@ -964,12 +788,15 @@ module Snapshot = struct
     }
 
   let diff_capture f =
-    let before = capture () in
+    let before = capture_flows () in
     let x = f () in
-    (x, diff_against ~before (capture ()))
+    (x, diff_against ~before (capture_flows ()))
 
   (* %.17g round-trips every finite double through float_of_string
-     exactly, so serialize/parse is lossless. *)
+     exactly, so serialize/parse is lossless. A non-finite value (only
+     a hand-edited file can carry one) prints as 0, so neither the
+     JSON nor the OpenMetrics text, which shares this format, ever
+     holds nan or inf. *)
   let json_float f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0"
 
   let to_json t =
@@ -1012,11 +839,11 @@ module Snapshot = struct
       add
         "\n%s{\"name\": \"%s\", \"count\": %d, \"total_s\": %s, \"self_s\": %s, \"minor_aw\": \
          %s, \"self_minor_aw\": %s, \"major_aw\": %s, \"self_major_aw\": %s, \"children\": ["
-        indent (json_escape n.name) n.count (json_float n.total_s) (json_float n.self_s)
-        (json_float n.minor_aw) (json_float n.self_minor_aw) (json_float n.major_aw)
-        (json_float n.self_major_aw);
-      List.iteri (fun i c -> add_node (indent ^ "  ") (i = 0) c) n.children;
-      if n.children <> [] then add "\n%s" indent;
+        indent (json_escape n.sn_name) n.sn_count (json_float n.sn_total) (json_float n.sn_self)
+        (json_float n.sn_minor_aw) (json_float n.sn_self_minor_aw) (json_float n.sn_major_aw)
+        (json_float n.sn_self_major_aw);
+      List.iteri (fun i c -> add_node (indent ^ "  ") (i = 0) c) n.sn_children;
+      if n.sn_children <> [] then add "\n%s" indent;
       add "]}"
     in
     List.iteri (fun i n -> add_node "    " (i = 0) n) t.spans;
@@ -1040,17 +867,22 @@ module Snapshot = struct
   (* Alloc columns are optional so v1 snapshots decode with 0s. *)
   let opt_num name o = match List.assoc_opt name o with Some v -> num v | None -> 0.
 
-  let rec decode_node v =
+  (* The JSON nests nodes without paths; each node's [sn_path] is its
+     parent's path extended by its name. *)
+  let rec decode_node parent v =
     let o = obj v in
-    { name = str (field "name" o);
-      count = int_ (field "count" o);
-      total_s = num (field "total_s" o);
-      self_s = num (field "self_s" o);
-      minor_aw = opt_num "minor_aw" o;
-      self_minor_aw = opt_num "self_minor_aw" o;
-      major_aw = opt_num "major_aw" o;
-      self_major_aw = opt_num "self_major_aw" o;
-      children = List.map decode_node (arr (field "children" o))
+    let name = str (field "name" o) in
+    let path = parent @ [ name ] in
+    { sn_name = name;
+      sn_path = path;
+      sn_count = int_ (field "count" o);
+      sn_total = num (field "total_s" o);
+      sn_self = num (field "self_s" o);
+      sn_minor_aw = opt_num "minor_aw" o;
+      sn_self_minor_aw = opt_num "self_minor_aw" o;
+      sn_major_aw = opt_num "major_aw" o;
+      sn_self_major_aw = opt_num "self_major_aw" o;
+      sn_children = List.map (decode_node path) (arr (field "children" o))
     }
 
   let decode_hist v =
@@ -1073,7 +905,7 @@ module Snapshot = struct
       counters = List.map (fun (k, v) -> (k, int_ v)) (obj (field "counters" o));
       gauges = List.map (fun (k, v) -> (k, num v)) (obj (field "gauges" o));
       histograms = List.map (fun (k, v) -> (k, decode_hist v)) (obj (field "histograms" o));
-      spans = List.map decode_node (arr (field "span_tree" o))
+      spans = List.map (decode_node []) (arr (field "span_tree" o))
     }
 
   let of_json_string src =
@@ -1095,15 +927,131 @@ module Snapshot = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Renderers: pure functions of one snapshot                           *)
+(* ------------------------------------------------------------------ *)
+
+let pp_summary fmt (s : Snapshot.t) =
+  Format.fprintf fmt "== pak metrics ==@\n";
+  Format.fprintf fmt "counters:@\n";
+  (match s.counters with
+   | [] -> Format.fprintf fmt "  (none registered)@\n"
+   | cs ->
+     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12d@\n" name v) cs);
+  (match s.gauges with
+   | [] -> ()
+   | gs ->
+     Format.fprintf fmt "gauges:@\n";
+     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12.4f@\n" name v) gs);
+  Format.fprintf fmt "spans:@\n";
+  match per_name s.spans with
+  | [] -> Format.fprintf fmt "  (none recorded)@\n"
+  | rows ->
+    Format.fprintf fmt "  %-42s %10s %12s %12s %10s %10s %10s %12s@\n" "" "calls" "total ms"
+      "mean us" "p50 us" "p90 us" "p99 us" "alloc kw";
+    List.iter
+      (fun (name, (count, total, mnr, mjr)) ->
+        let mean_us = if count = 0 then 0. else total /. float_of_int count *. 1e6 in
+        let p q =
+          match List.assoc_opt name s.histograms with
+          | Some counts -> percentile counts q /. 1e3
+          | None -> 0.
+        in
+        Format.fprintf fmt "  %-42s %10d %12.3f %12.3f %10.1f %10.1f %10.1f %12.1f@\n" name
+          count (total *. 1e3) mean_us (p 0.5) (p 0.9) (p 0.99)
+          ((mnr +. mjr) /. 1e3))
+      rows
+
+let pp_span_tree fmt (s : Snapshot.t) =
+  Format.fprintf fmt "span tree:@\n";
+  match s.spans with
+  | [] -> Format.fprintf fmt "  (no spans recorded)@\n"
+  | roots ->
+    Format.fprintf fmt "  %-46s %10s %12s %12s %12s %12s@\n" "" "calls" "incl ms" "self ms"
+      "incl kw" "self kw";
+    let rec pp depth node =
+      let label = String.make (2 * depth) ' ' ^ node.sn_name in
+      Format.fprintf fmt "  %-46s %10d %12.3f %12.3f %12.1f %12.1f@\n" label node.sn_count
+        (node.sn_total *. 1e3) (node.sn_self *. 1e3)
+        ((node.sn_minor_aw +. node.sn_major_aw) /. 1e3)
+        ((node.sn_self_minor_aw +. node.sn_self_major_aw) /. 1e3);
+      List.iter (pp (depth + 1)) node.sn_children
+    in
+    List.iter (pp 0) roots
+
+let rec flatten acc n = List.fold_left flatten (n :: acc) n.sn_children
+
+(* The allocation profile: every span path ranked by self-allocated
+   words — where the words actually come from, with double counting
+   removed by the self column (a parent's self excludes children). The
+   denominator is the snapshot's own [gc.minor_words] gauge, read at
+   the same moment as the tree. *)
+let pp_alloc_report ?(top = 20) fmt (s : Snapshot.t) =
+  let nodes = List.fold_left flatten [] s.spans in
+  let self n = n.sn_self_minor_aw +. n.sn_self_major_aw in
+  let ranked =
+    List.filter (fun n -> self n > 0.) nodes
+    |> List.sort (fun a b -> compare (self b, a.sn_path) (self a, b.sn_path))
+  in
+  let attributed = List.fold_left (fun acc n -> acc +. self n) 0. ranked in
+  let process_minor = Option.value (List.assoc_opt "gc.minor_words" s.gauges) ~default:0. in
+  Format.fprintf fmt "top allocating spans (self words; kw = 1000 words):@\n";
+  if ranked = [] then Format.fprintf fmt "  (no span allocation recorded)@\n"
+  else begin
+    Format.fprintf fmt "  %-52s %10s %12s %12s %12s@\n" "" "calls" "self kw" "incl kw"
+      "w/call";
+    List.iteri
+      (fun i n ->
+        if i < top then
+          Format.fprintf fmt "  %-52s %10d %12.1f %12.1f %12.0f@\n"
+            (String.concat ";" n.sn_path) n.sn_count (self n /. 1e3)
+            ((n.sn_minor_aw +. n.sn_major_aw) /. 1e3)
+            (if n.sn_count = 0 then 0. else self n /. float_of_int n.sn_count))
+      ranked;
+    if List.length ranked > top then
+      Format.fprintf fmt "  ... %d more span paths@\n" (List.length ranked - top)
+  end;
+  Format.fprintf fmt "  attributed: %.1f kw across %d span paths" (attributed /. 1e3)
+    (List.length ranked);
+  if process_minor > 0. then
+    Format.fprintf fmt " (%.1f%% of %.1f kw minor words since reset)"
+      (100. *. attributed /. process_minor)
+      (process_minor /. 1e3);
+  Format.fprintf fmt "@\n"
+
+(* Collapsed-stack export: one line per span path, `a;b;c <weight>`,
+   the input format of flamegraph.pl and speedscope. Weights are
+   *self* values — the flamegraph tool re-derives inclusive totals by
+   summing subtrees, so exporting inclusive numbers would double-count.
+   Self time in whole nanoseconds, or self allocated words (minor +
+   direct major). Lines are sorted by path and zero-weight rows
+   dropped. *)
+type flame_weight = Flame_time | Flame_alloc
+
+let flamegraph ?(weight = Flame_time) (s : Snapshot.t) =
+  let weight_of n =
+    match weight with
+    | Flame_time -> int_of_float (n.sn_self *. 1e9)
+    | Flame_alloc -> int_of_float (n.sn_self_minor_aw +. n.sn_self_major_aw)
+  in
+  List.fold_left flatten [] s.spans
+  |> List.filter_map (fun n ->
+         let w = weight_of n in
+         if w <= 0 then None else Some (String.concat ";" n.sn_path, w))
+  |> List.sort compare
+  |> List.map (fun (path, w) -> Printf.sprintf "%s %d\n" path w)
+  |> String.concat ""
+
+(* ------------------------------------------------------------------ *)
 (* Rolling time-series: a fixed-size ring of metric deltas             *)
 (* ------------------------------------------------------------------ *)
 
 module Series = struct
-  (* Each [record] captures the *delta* since the previous record (or
-     since [create] for the first): counter increments with zero rows
-     dropped, histogram sample-count increments, and gauge levels
-     (gauges are levels, not flows — a delta of a sampled level is
-     noise). The delta basis advances on every record independently of
+  (* Each [record] captures the counters, gauges and histograms and
+     stores their [Snapshot.diff_against] *delta* from the previous
+     record's capture (or [create]'s for the first): counter increments
+     with zero rows dropped, histogram sample-count increments, and
+     gauge levels (gauges are levels, not flows — a delta of a sampled
+     level is noise). The delta basis advances on every record independently of
      ring eviction, so the recorded deltas always telescope: summing a
      counter across *all* samples ever recorded equals its total growth
      since [create], even after old samples fell out of the ring. *)
@@ -1119,46 +1067,40 @@ module Series = struct
     cap : int;
     ring : sample option array;
     mutable next_seq : int;
-    mutable base_counters : (string * int) list;
-    mutable base_hists : (string * int) list;
+    mutable base : Snapshot.t;
     m : Mutex.t;
   }
-
-  let hist_totals () = List.map (fun (name, counts) -> (name, total_count counts)) (histograms ())
 
   let create ~capacity =
     if capacity < 1 then invalid_arg "Obs.Series.create: capacity must be >= 1";
     { cap = capacity;
       ring = Array.make capacity None;
       next_seq = 0;
-      base_counters = counters ();
-      base_hists = hist_totals ();
+      base = Snapshot.capture_flows ();
       m = Mutex.create ()
     }
 
-  let delta_int now base =
-    List.filter_map
-      (fun (name, v) ->
-        let b = match List.assoc_opt name base with Some x -> x | None -> 0 in
-        if v - b = 0 then None else Some (name, v - b))
-      now
-
   let record t =
-    let now_counters = counters () in
-    let now_hists = hist_totals () in
-    let now_gauges = gauges () in
+    let now = Snapshot.capture_flows () in
     Mutex.protect t.m (fun () ->
+        let d = Snapshot.diff_against ~before:t.base now in
         let s =
           { s_seq = t.next_seq;
-            s_counters = delta_int now_counters t.base_counters;
-            s_gauges = now_gauges;
-            s_hist_totals = delta_int now_hists t.base_hists
+            s_counters = d.counters;
+            s_gauges = d.gauges;
+            (* A reset between records can move samples between buckets
+               with no net change: such rows count as unchanged. *)
+            s_hist_totals =
+              List.filter_map
+                (fun (name, counts) ->
+                  let n = total_count counts in
+                  if n = 0 then None else Some (name, n))
+                d.histograms
           }
         in
         t.ring.(t.next_seq mod t.cap) <- Some s;
         t.next_seq <- t.next_seq + 1;
-        t.base_counters <- now_counters;
-        t.base_hists <- now_hists;
+        t.base <- now;
         s)
 
   let capacity t = t.cap
@@ -1199,11 +1141,6 @@ module Openmetrics = struct
       name;
     Buffer.contents buf
 
-  (* OpenMetrics floats: finite decimal, never "nan"/"inf" out of a
-     snapshot (snapshot floats are already finite by construction, but
-     a hand-edited file must not crash the renderer). *)
-  let num f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0"
-
   (* HELP text carries the *raw* pak metric name; escape the two
      characters OpenMetrics escapes in help strings plus anything that
      would break the line grammar (a fuzzed snapshot can smuggle a
@@ -1235,7 +1172,7 @@ module Openmetrics = struct
         let m = sanitize name in
         add "# TYPE %s gauge\n" m;
         add "# HELP %s pak gauge %s\n" m (help_escape name);
-        add "%s %s\n" m (num v))
+        add "%s %s\n" m (Snapshot.json_float v))
       s.Snapshot.gauges;
     List.iter
       (fun (name, counts) ->
@@ -1258,7 +1195,7 @@ module Openmetrics = struct
           Array.iteri (fun i c -> acc := !acc +. (float_of_int (bucket_lo i) *. float_of_int c)) counts;
           !acc
         in
-        add "%s_sum %s\n" m (num sum))
+        add "%s_sum %s\n" m (Snapshot.json_float sum))
       s.Snapshot.histograms;
     add "# EOF\n";
     Buffer.contents buf
@@ -1440,15 +1377,13 @@ module Diff = struct
         then fail "histogram %-38s new histogram (%d samples); refresh the baseline" k
                (total_count cf))
       fresh.Snapshot.histograms;
-    let rec flatten prefix nodes =
-      List.concat_map
-        (fun (n : Snapshot.node) ->
-          let path = if prefix = "" then n.Snapshot.name else prefix ^ "/" ^ n.Snapshot.name in
-          (path, (n.Snapshot.count, n.Snapshot.total_s, n.Snapshot.minor_aw +. n.Snapshot.major_aw))
-          :: flatten path n.Snapshot.children)
-        nodes
+    let rows forest =
+      List.fold_left flatten [] forest
+      |> List.rev_map (fun n ->
+             ( String.concat "/" n.sn_path,
+               (n.sn_count, n.sn_total, n.sn_minor_aw +. n.sn_major_aw) ))
     in
-    let fb = flatten "" baseline.Snapshot.spans and ff = flatten "" fresh.Snapshot.spans in
+    let fb = rows baseline.Snapshot.spans and ff = rows fresh.Snapshot.spans in
     List.iter
       (fun (path, (cb, tb, ab)) ->
         if not (allowed cfg path) then

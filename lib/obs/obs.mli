@@ -10,8 +10,8 @@
       load-and-branch on {!on}, so the uninstrumented fast path is
       preserved;
     - a {e summary sink}: accumulated counters, latency histograms and
-      span statistics, printable as human-readable tables
-      ({!print_summary}, {!print_span_tree});
+      span statistics, frozen by {!Snapshot.capture} and rendered as
+      human-readable tables ({!pp_summary}, {!pp_span_tree});
     - a {e trace sink}: Chrome [trace_event]-format JSON written
       incrementally to a file ({!trace_to}), loadable in
       [about:tracing] / Perfetto.
@@ -20,7 +20,10 @@
     versioned, machine-readable value (serialized as zero-dependency
     JSON), and {!Diff} compares two snapshots as a perf-regression
     oracle: deterministic work counts must match exactly, wall times
-    within a tolerance.
+    within a tolerance. Every metrics exporter — the summary, span
+    tree, allocation report, flamegraph, OpenMetrics and {!Series} —
+    is a pure function of a {!Snapshot.t}; only the Chrome trace is a
+    streaming event log.
 
     Counters, histograms and spans are process-global and
     {e domain-safe}: counter bumps and histogram records are single
@@ -129,10 +132,13 @@ val total_count : int array -> int
 (** Total samples across all buckets. *)
 
 val percentile : int array -> float -> float
-(** [percentile counts q] estimates the [q]-quantile ([0. <= q <= 1.])
-    by locating the bucket holding the [⌈q·total⌉]-th sample and
-    interpolating linearly inside it. Bucket-resolution accuracy (a
-    factor of 2); [0.] when the histogram is empty. *)
+(** [percentile counts q] estimates the [q]-quantile by locating the
+    bucket holding the [⌈q·total⌉]-th sample and interpolating
+    linearly inside it. [q] is a fraction: [0.5] is the median.
+    Bucket-resolution accuracy (a factor of 2); [0.] when the
+    histogram is empty.
+    @raise Invalid_argument when [q] is outside [\[0, 1\]] or is NaN
+    (a percent such as [50.] is rejected, not clamped). *)
 
 (** {1 Spans} *)
 
@@ -184,20 +190,17 @@ val with_trace_context : string -> (unit -> 'a) -> 'a
 val trace_context : unit -> string option
 (** The currently installed trace context of the calling domain. *)
 
-val spans : unit -> (string * int * float) list
-(** [(name, calls, total_seconds)] per span name, sorted by name. *)
 
-val span_allocs : unit -> (string * float * float) list
-(** [(name, minor_words, major_words)] allocated inside each span
-    (flat, inclusive of nested spans), sorted by name. *)
 
-(** {2 Hierarchical span tree}
+(** {2 Span statistics}
 
     Each domain tracks its stack of open spans in domain-local
     storage; samples fold into one process-global table keyed by the
     full path. Equal paths from different domains merge, so a parallel
     sweep's workers contribute to the same tree nodes the serial run
-    produces — call counts per path are jobs-invariant. *)
+    produces — call counts per path are jobs-invariant. That table is
+    the only span registry: {!spans} and {!span_allocs} are per-name
+    sums over {!span_tree}. *)
 
 type span_node = {
   sn_name : string;  (** leaf name *)
@@ -214,40 +217,17 @@ type span_node = {
 
 val span_tree : unit -> span_node list
 (** Current hierarchical statistics as a forest of root spans, sorted
-    by name at every level. *)
+    by name at every level. A span that exited under a parent still
+    open appears once that parent exits. *)
 
-val pp_span_tree : Format.formatter -> unit -> unit
-(** Indented tree of calls / inclusive ms / self ms / inclusive kw /
-    self kw per span path (kw = thousands of allocated words). *)
+val spans : unit -> (string * int * float) list
+(** [(name, calls, total_seconds)] per span name, sorted by name: the
+    sums over every {!span_tree} node with that name. *)
 
-val print_span_tree : out_channel -> unit
-
-val pp_alloc_report : ?top:int -> Format.formatter -> unit -> unit
-(** Span paths ranked by self-allocated words (minor + direct major),
-    top [top] (default 20) shown with calls, self/inclusive kw and
-    words per call, followed by the total attributed words and — when
-    the [gc.minor_words] gauge is nonzero — the fraction of the
-    process's minor words since {!reset} that the span tree accounts
-    for. Backs [pak profile --alloc]. *)
-
-val print_alloc_report : ?top:int -> out_channel -> unit
-
-(** {2 Flamegraph export} *)
-
-type flame_weight =
-  | Flame_time  (** self nanoseconds per span path *)
-  | Flame_alloc  (** self allocated words (minor + direct major) per span path *)
-
-val flamegraph : ?weight:flame_weight -> unit -> string
-(** The current span tree in collapsed-stack format — one
-    [a;b;c <weight>] line per span path, the input format of
-    [flamegraph.pl] and speedscope. Weights are {e self} values
-    (inclusive totals would double-count once the tool sums subtrees):
-    self time in whole nanoseconds ({!Flame_time}, the default) or
-    self allocated words ({!Flame_alloc}). Zero-weight paths are
-    dropped and lines sorted by path, so the output is a deterministic
-    function of the recorded statistics. Backs [pak profile --flame].
-    Empty string when no spans were recorded. *)
+val span_allocs : unit -> (string * float * float) list
+(** [(name, minor_words, major_words)] allocated inside each span
+    (inclusive of nested spans), summed over every {!span_tree} node
+    with that name, sorted by name. *)
 
 (** {1 Gauges}
 
@@ -303,14 +283,6 @@ val trace_stop : unit -> unit
 
 val tracing : unit -> bool
 
-(** {1 Reporting} *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable tables: counters, polled gauges, and span
-    statistics with p50/p90/p99 from the duration histograms. *)
-
-val print_summary : out_channel -> unit
-
 (** {1 Minimal JSON reader}
 
     The zero-dependency JSON parser used internally to validate traces
@@ -343,24 +315,12 @@ module Snapshot : sig
       Currently [2]: v2 added the four allocated-words fields to span
       nodes. v1 files still decode — the alloc fields read as [0.]. *)
 
-  type node = {
-    name : string;
-    count : int;
-    total_s : float;
-    self_s : float;
-    minor_aw : float;
-    self_minor_aw : float;
-    major_aw : float;
-    self_major_aw : float;
-    children : node list;
-  }
-
   type t = {
     version : int;
     counters : (string * int) list;
     gauges : (string * float) list;
     histograms : (string * int array) list;
-    spans : node list;
+    spans : span_node list;
   }
 
   val capture : unit -> t
@@ -369,9 +329,12 @@ module Snapshot : sig
 
   val to_json : t -> string
   (** Serialize as JSON. Floats print as [%.17g], so
-      {!of_json_string} round-trips every finite value exactly. *)
+      {!of_json_string} round-trips every finite value exactly. Span
+      nodes are written without their paths. *)
 
   val of_json_string : string -> (t, string) result
+  (** Parse {!to_json} output (v1 or v2). Each decoded span node's
+      [sn_path] is rebuilt from its ancestors' names. *)
 
   val of_file : string -> (t, string) result
 
@@ -385,10 +348,47 @@ module Snapshot : sig
       after−before (all-zero rows dropped); gauges keep the after
       values (they are levels, not flows); [spans] is empty, because
       span paths accumulate per domain and a single call's share
-      cannot be attributed by subtraction. Bumps made by {e other}
-      domains while [f] runs land in the delta; single-domain callers
-      get an exact attribution. *)
+      cannot be attributed by subtraction, so neither capture folds
+      the span tree. Bumps made by {e other} domains while [f] runs
+      land in the delta; single-domain callers get an exact
+      attribution. *)
 end
+
+(** {1 Reporting}
+
+    Each renderer is a pure function of one snapshot: capture once,
+    then render any number of views of that same moment. *)
+
+val pp_summary : Format.formatter -> Snapshot.t -> unit
+(** Human-readable tables: counters, gauges, and one row per span name
+    (the per-name sums of the span tree, as {!spans}) with
+    p50/p90/p99 from the duration histogram of that name. *)
+
+val pp_span_tree : Format.formatter -> Snapshot.t -> unit
+(** Indented tree of calls / inclusive ms / self ms / inclusive kw /
+    self kw per span path (kw = thousands of allocated words). *)
+
+val pp_alloc_report : ?top:int -> Format.formatter -> Snapshot.t -> unit
+(** Span paths ranked by self-allocated words (minor + direct major),
+    top [top] (default 20) shown with calls, self/inclusive kw and
+    words per call, followed by the total attributed words and — when
+    the snapshot's [gc.minor_words] gauge is nonzero — the fraction of
+    the process's minor words since {!reset} that the span tree
+    accounts for. Backs [pak profile --alloc]. *)
+
+type flame_weight =
+  | Flame_time  (** self nanoseconds per span path *)
+  | Flame_alloc  (** self allocated words (minor + direct major) per span path *)
+
+val flamegraph : ?weight:flame_weight -> Snapshot.t -> string
+(** The snapshot's span tree in collapsed-stack format — one
+    [a;b;c <weight>] line per span path, the input format of
+    [flamegraph.pl] and speedscope. Weights are {e self} values
+    (inclusive totals would double-count once the tool sums subtrees):
+    self time in whole nanoseconds ({!Flame_time}, the default) or
+    self allocated words ({!Flame_alloc}). Zero-weight paths are
+    dropped and lines sorted by path. Backs [pak profile --flame].
+    Empty string when the snapshot has no spans. *)
 
 (** {1 Rolling time-series}
 
@@ -420,12 +420,14 @@ module Series : sig
       @raise Invalid_argument when [capacity < 1]. *)
 
   val record : t -> sample
-  (** Sample the registries, store and return the delta since the
-      previous record (or since {!create} for the first). The basis
-      advances on {e every} record, independent of ring eviction, so
-      summing a counter across all samples ever recorded telescopes to
-      its total growth since {!create} — even after old samples fell
-      out of the ring. Thread-safe. *)
+  (** Capture the counters, gauges and histograms, store and return
+      their delta from the previous record's capture (or {!create}'s
+      for the first) — the same delta {!Snapshot.diff_capture}
+      computes, with each histogram reduced to its sample count. The
+      basis advances on {e every} record, independent of ring
+      eviction, so summing a counter across all samples ever recorded
+      telescopes to its total growth since {!create} — even after old
+      samples fell out of the ring. Thread-safe. *)
 
   val capacity : t -> int
 

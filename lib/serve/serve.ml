@@ -1087,6 +1087,20 @@ let process st ~grace req =
 (* (op status): live introspection (main-domain side)                  *)
 (* ------------------------------------------------------------------ *)
 
+let status_latencies (snap : Obs.Snapshot.t) =
+  let b = Buffer.create 128 in
+  Buffer.add_string b " (metrics (latencies";
+  List.iter
+    (fun (n, counts) ->
+      if String.starts_with ~prefix:"serve." n then
+        Printf.bprintf b
+          " (%s (count %d) (p50-ns %.0f) (p90-ns %.0f) (p99-ns %.0f))" n
+          (Obs.total_count counts) (Obs.percentile counts 0.5)
+          (Obs.percentile counts 0.9) (Obs.percentile counts 0.99))
+    snap.Obs.Snapshot.histograms;
+  Buffer.add_string b "))";
+  Buffer.contents b
+
 (* Answered synchronously at enqueue time: never queued, never shed,
    never cached. Everything in (result ...) is a pure function of the
    input stream so far — byte-identical at every --jobs. The trailing
@@ -1122,17 +1136,7 @@ let status_outcome st req =
       Printf.bprintf b " (journal (position %d) (rotations %d))"
         (s.Journal.position ()) (s.Journal.rotations ()));
   Buffer.add_string b ")";
-  let snap = Obs.Snapshot.capture () in
-  Buffer.add_string b " (metrics (latencies";
-  List.iter
-    (fun (n, counts) ->
-      if String.length n >= 6 && String.sub n 0 6 = "serve." then
-        Printf.bprintf b
-          " (%s (count %d) (p50-ns %.0f) (p90-ns %.0f) (p99-ns %.0f))" n
-          (Obs.total_count counts) (Obs.percentile counts 50.)
-          (Obs.percentile counts 90.) (Obs.percentile counts 99.))
-    snap.Obs.Snapshot.histograms;
-  Buffer.add_string b "))";
+  Buffer.add_string b (status_latencies (Obs.Snapshot.capture ()));
   {
     (ok_outcome ~disp:"status" req.req_id (Buffer.contents b) ~cacheable:false) with
     out_trace = req.req_trace;

@@ -189,6 +189,13 @@ val run : config -> source:Frame.source -> write:(string -> unit) -> int
     the server drains quietly and still returns 0. Request failures
     never escape: they become error responses. *)
 
+val status_latencies : Pak_obs.Obs.Snapshot.t -> string
+(** The [(metrics (latencies ...))] block that ends an [(op status)]
+    response, with a leading space: one
+    [(name (count n) (p50-ns a) (p90-ns b) (p99-ns c))] row per
+    [serve.*] histogram of the snapshot, in snapshot order, quantiles
+    as whole nanoseconds. *)
+
 val run_string : ?config:config -> string -> string * int
 (** In-process convenience (tests, soak, bench): feed a whole input
     stream, collect the response stream, return it with the exit

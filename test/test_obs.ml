@@ -247,6 +247,27 @@ let test_span_feeds_histogram () =
       | None -> Alcotest.fail "span did not create its duration histogram"
       | Some counts -> check_int "one sample per span call" 5 (Obs.total_count counts))
 
+(* [percentile] takes a fraction; a percent or NaN is a caller error. *)
+let test_percentile_domain () =
+  let counts = Array.make Obs.n_buckets 0 in
+  counts.(11) <- 8;
+  counts.(12) <- 2;
+  let rejects q =
+    match Obs.percentile counts q with exception Invalid_argument _ -> true | _ -> false
+  in
+  List.iter
+    (fun q -> check_bool (Printf.sprintf "q = %g rejected" q) true (rejects q))
+    [ 50.; 90.; 99.; 1.0000001; -0.1; Float.nan; Float.infinity; Float.neg_infinity ];
+  check_bool "q = 0 is the lower end of the first sample's bucket" true
+    (Obs.percentile counts 0. = 1024. +. (1023. /. 8.));
+  check_bool "q = 1 is the top of the last bucket" true (Obs.percentile counts 1. = 4095.);
+  check_bool "q = 0.5 interpolates inside its bucket" true
+    (Obs.percentile counts 0.5 = 1024. +. (1023. *. 5. /. 8.));
+  check_bool "an empty histogram still checks q" true
+    (match Obs.percentile (Array.make Obs.n_buckets 0) 50. with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Hierarchical span tree                                              *)
 (* ------------------------------------------------------------------ *)
@@ -468,7 +489,7 @@ let test_diff_fixtures () =
     { base with
       Obs.Snapshot.spans =
         List.map
-          (fun (n : Obs.Snapshot.node) -> { n with Obs.Snapshot.total_s = n.total_s +. 100. })
+          (fun (n : Obs.span_node) -> { n with Obs.sn_total = n.Obs.sn_total +. 100. })
           base.Obs.Snapshot.spans
     }
   in
@@ -503,10 +524,10 @@ let test_diff_alloc_regression () =
     { base with
       Obs.Snapshot.spans =
         List.map
-          (fun (n : Obs.Snapshot.node) ->
+          (fun (n : Obs.span_node) ->
             { n with
-              Obs.Snapshot.minor_aw = n.Obs.Snapshot.minor_aw *. 2.;
-              Obs.Snapshot.self_minor_aw = n.Obs.Snapshot.self_minor_aw *. 2.
+              Obs.sn_minor_aw = n.Obs.sn_minor_aw *. 2.;
+              Obs.sn_self_minor_aw = n.Obs.sn_self_minor_aw *. 2.
             })
           base.Obs.Snapshot.spans
     }
@@ -528,8 +549,7 @@ let test_diff_alloc_regression () =
     { base with
       Obs.Snapshot.spans =
         List.map
-          (fun (n : Obs.Snapshot.node) ->
-            { n with Obs.Snapshot.minor_aw = n.Obs.Snapshot.minor_aw *. 1.4 })
+          (fun (n : Obs.span_node) -> { n with Obs.sn_minor_aw = n.Obs.sn_minor_aw *. 1.4 })
           base.Obs.Snapshot.spans
     }
   in
@@ -552,12 +572,12 @@ let test_v1_fixture_parses () =
     check_int "fixture is schema v1" 1 s.Obs.Snapshot.version;
     check_bool "fixture has counters" true (s.Obs.Snapshot.counters <> []);
     check_bool "fixture has a span tree" true (s.Obs.Snapshot.spans <> []);
-    let rec zero_alloc (n : Obs.Snapshot.node) =
-      n.Obs.Snapshot.minor_aw = 0.
-      && n.Obs.Snapshot.self_minor_aw = 0.
-      && n.Obs.Snapshot.major_aw = 0.
-      && n.Obs.Snapshot.self_major_aw = 0.
-      && List.for_all zero_alloc n.Obs.Snapshot.children
+    let rec zero_alloc (n : Obs.span_node) =
+      n.Obs.sn_minor_aw = 0.
+      && n.Obs.sn_self_minor_aw = 0.
+      && n.Obs.sn_major_aw = 0.
+      && n.Obs.sn_self_major_aw = 0.
+      && List.for_all zero_alloc n.Obs.sn_children
     in
     check_bool "absent alloc fields decode as zero" true
       (List.for_all zero_alloc s.Obs.Snapshot.spans)
@@ -569,30 +589,31 @@ let prop_snapshot_v2_roundtrip =
   let gen =
     let open Gen in
     let fnum = map float_of_int (int_bound 1_000_000) in
-    let leaf name =
-      int_bound 1000 >>= fun count ->
-      fnum >>= fun total_s ->
-      fnum >>= fun self_s ->
-      fnum >>= fun minor_aw ->
-      fnum >>= fun self_minor_aw ->
-      fnum >>= fun major_aw ->
-      fnum >>= fun self_major_aw ->
+    let leaf path =
+      int_bound 1000 >>= fun sn_count ->
+      fnum >>= fun sn_total ->
+      fnum >>= fun sn_self ->
+      fnum >>= fun sn_minor_aw ->
+      fnum >>= fun sn_self_minor_aw ->
+      fnum >>= fun sn_major_aw ->
+      fnum >>= fun sn_self_major_aw ->
       return
-        { Obs.Snapshot.name;
-          count;
-          total_s;
-          self_s;
-          minor_aw;
-          self_minor_aw;
-          major_aw;
-          self_major_aw;
-          children = []
+        { Obs.sn_name = List.nth path (List.length path - 1);
+          sn_path = path;
+          sn_count;
+          sn_total;
+          sn_self;
+          sn_minor_aw;
+          sn_self_minor_aw;
+          sn_major_aw;
+          sn_self_major_aw;
+          sn_children = []
         }
     in
     let node name =
-      leaf name >>= fun n ->
-      list_size (int_bound 3) (leaf "child") >>= fun children ->
-      return { n with Obs.Snapshot.children } in
+      leaf [ name ] >>= fun n ->
+      list_size (int_bound 3) (leaf [ name; "child" ]) >>= fun sn_children ->
+      return { n with Obs.sn_children } in
     list_size (int_bound 3) (node "root") >>= fun spans ->
     small_nat >>= fun cv ->
     fnum >>= fun gv ->
@@ -701,7 +722,7 @@ let test_diff_capture_no_span_leakage () =
       let full = Obs.Snapshot.capture () in
       check_bool "spans still reach a full snapshot" true
         (List.exists
-           (fun (n : Obs.Snapshot.node) -> n.Obs.Snapshot.name = "diffcap.outer")
+           (fun (n : Obs.span_node) -> n.Obs.sn_name = "diffcap.outer")
            full.Obs.Snapshot.spans))
 
 (* ------------------------------------------------------------------ *)
@@ -812,7 +833,8 @@ let test_openmetrics_check_rejects () =
 
 let test_flamegraph_collapsed_stacks () =
   with_metrics (fun () ->
-      check_bool "no spans, empty output" true (Obs.flamegraph () = "");
+      check_bool "no spans, empty output" true
+        (Obs.flamegraph (Obs.Snapshot.capture ()) = "");
       for _ = 1 to 3 do
         Obs.span "flame.outer" (fun () ->
             Obs.span "flame.inner" (fun () -> ignore (Sys.opaque_identity (alloc_work ()))))
@@ -825,7 +847,8 @@ let test_flamegraph_collapsed_stacks () =
             int_of_string (String.sub line (i + 1) (String.length line - i - 1)) )
         | None -> Alcotest.fail ("malformed collapsed-stack line: " ^ line)
       in
-      let time_rows = List.map parse (lines (Obs.flamegraph ())) in
+      let snap = Obs.Snapshot.capture () in
+      let time_rows = List.map parse (lines (Obs.flamegraph snap)) in
       check_bool "semicolon-joined paths, outermost first" true
         (List.mem_assoc "flame.outer;flame.inner" time_rows);
       check_bool "weights are non-negative" true
@@ -833,7 +856,7 @@ let test_flamegraph_collapsed_stacks () =
       check_bool "paths are sorted" true
         (let ps = List.map fst time_rows in
          ps = List.sort compare ps);
-      let alloc_rows = List.map parse (lines (Obs.flamegraph ~weight:Obs.Flame_alloc ())) in
+      let alloc_rows = List.map parse (lines (Obs.flamegraph ~weight:Obs.Flame_alloc snap)) in
       check_bool "alloc weight: the allocating leaf dominates" true
         (match List.assoc_opt "flame.outer;flame.inner" alloc_rows with
          | Some w -> w > 100_000
@@ -888,11 +911,145 @@ let test_trace_context () =
       check_bool "trace event carries the ambient trace id" true
         (om_contains text "\"trace\":\"feedface00000001\""))
 
+(* ------------------------------------------------------------------ *)
+(* Golden renders of a committed snapshot                              *)
+(* ------------------------------------------------------------------ *)
+
+(* fixtures/snapshot_v2.json: four counters, gc.* and other gauges, two
+   histograms, and a three-level span tree in which "measure" runs both
+   at the root and under eval;sweep. *)
+let fixture_v2 () =
+  match Obs.Snapshot.of_file "fixtures/snapshot_v2.json" with
+  | Ok s -> s
+  | Error msg -> Alcotest.fail ("v2 fixture rejected: " ^ msg)
+
+(* Byte-for-byte against the committed file; on a mismatch the render
+   is left beside the test binary as [<name>.actual]. *)
+let check_golden name actual =
+  let expected =
+    try In_channel.with_open_bin ("fixtures/" ^ name) In_channel.input_all
+    with Sys_error _ -> ""
+  in
+  if not (String.equal expected actual) then begin
+    Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
+    Alcotest.failf "%s differs from the committed render (see %s.actual)" name name
+  end
+
+let test_golden_summary () =
+  check_golden "snapshot_v2.summary.txt" (Format.asprintf "%a" Obs.pp_summary (fixture_v2 ()))
+
+let test_golden_span_tree () =
+  check_golden "snapshot_v2.tree.txt" (Format.asprintf "%a" Obs.pp_span_tree (fixture_v2 ()))
+
+let test_golden_alloc_report () =
+  let s = fixture_v2 () in
+  check_golden "snapshot_v2.alloc.txt"
+    (Format.asprintf "%a%a"
+       (fun fmt -> Obs.pp_alloc_report fmt)
+       s
+       (fun fmt -> Obs.pp_alloc_report ~top:2 fmt)
+       s)
+
+let test_golden_flamegraph () =
+  let s = fixture_v2 () in
+  check_golden "snapshot_v2.flame_time.txt" (Obs.flamegraph s);
+  check_golden "snapshot_v2.flame_alloc.txt" (Obs.flamegraph ~weight:Obs.Flame_alloc s)
+
+let test_golden_openmetrics () =
+  check_golden "snapshot_v2.openmetrics.txt" (Obs.Openmetrics.render (fixture_v2 ()))
+
+(* ------------------------------------------------------------------ *)
+(* Random nested span programs                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A span program: a span name and the spans it runs, in order. Names
+   come from a three-letter alphabet, so the same name recurs under
+   different parents and inside itself. *)
+type span_prog = Run of string * span_prog list
+
+let gen_span_forest =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  let rec prog depth =
+    name >>= fun n ->
+    (if depth = 0 then return [] else list_size (int_bound 3) (prog (depth - 1)))
+    >>= fun kids -> return (Run (n, kids))
+  in
+  list_size (int_range 1 4) (int_bound 3 >>= prog)
+
+let rec print_prog (Run (n, kids)) =
+  if kids = [] then n else n ^ "(" ^ String.concat " " (List.map print_prog kids) ^ ")"
+
+let rec run_prog (Run (n, kids)) = Obs.span n (fun () -> List.iter run_prog kids)
+
+(* Per-name sums in the tree's own pre-order, so float totals add in
+   the same order as the library's fold and compare exactly. *)
+let tree_sums forest =
+  let tbl = Hashtbl.create 8 in
+  let rec add (n : Obs.span_node) =
+    let c, t, mnr, mjr =
+      Option.value (Hashtbl.find_opt tbl n.Obs.sn_name) ~default:(0, 0., 0., 0.)
+    in
+    Hashtbl.replace tbl n.Obs.sn_name
+      (c + n.Obs.sn_count, t +. n.Obs.sn_total, mnr +. n.Obs.sn_minor_aw,
+       mjr +. n.Obs.sn_major_aw);
+    List.iter add n.Obs.sn_children
+  in
+  List.iter add forest;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let rec paths_consistent parent (n : Obs.span_node) =
+  n.Obs.sn_path = parent @ [ n.Obs.sn_name ]
+  && List.for_all (paths_consistent n.Obs.sn_path) n.Obs.sn_children
+
+(* The rows of the summary's span table: name, calls, alloc kw. *)
+let summary_span_rows text =
+  let rec after_header = function
+    | [] -> []
+    | l :: rest when String.trim l = "spans:" -> (match rest with _ :: rows -> rows | [] -> [])
+    | _ :: rest -> after_header rest
+  in
+  String.split_on_char '\n' text |> after_header
+  |> List.filter_map (fun l ->
+         match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+         | [ name; calls; _; _; _; _; _; kw ] -> Some (name, int_of_string calls, kw)
+         | _ -> None)
+
+let prop_span_program_sums =
+  QCheck.Test.make ~count:200
+    ~name:"spans, span_allocs and summary rows are the per-name sums of the span tree"
+    (QCheck.make ~print:(fun f -> String.concat " " (List.map print_prog f)) gen_span_forest)
+    (fun forest ->
+      with_metrics (fun () ->
+          List.iter run_prog forest;
+          let tree = Obs.span_tree () in
+          let sums = tree_sums tree in
+          let snap = Obs.Snapshot.capture () in
+          let rec calls acc (Run (n, kids)) =
+            List.fold_left calls
+              ((n, 1 + Option.value (List.assoc_opt n acc) ~default:0) :: List.remove_assoc n acc)
+              kids
+          in
+          let program_calls = List.sort compare (List.fold_left calls [] forest) in
+          let summary = Format.asprintf "%a" Obs.pp_summary snap in
+          List.map (fun (n, (c, _, _, _)) -> (n, c)) sums = program_calls
+          && Obs.spans () = List.map (fun (n, (c, t, _, _)) -> (n, c, t)) sums
+          && Obs.span_allocs () = List.map (fun (n, (_, _, mnr, mjr)) -> (n, mnr, mjr)) sums
+          && summary_span_rows summary
+             = List.map
+                 (fun (n, (c, _, mnr, mjr)) -> (n, c, Printf.sprintf "%.1f" ((mnr +. mjr) /. 1e3)))
+                 sums
+          && List.for_all (paths_consistent []) tree
+          &&
+          match Obs.Snapshot.of_json_string (Obs.Snapshot.to_json snap) with
+          | Ok back -> back = snap && List.for_all (paths_consistent []) back.Obs.Snapshot.spans
+          | Error _ -> false))
+
 let qcheck_cases =
   List.map
     (QCheck_alcotest.to_alcotest ~verbose:false)
     [ prop_instrumentation_transparent; prop_bucket_partition; prop_histogram_merge;
-      prop_snapshot_v2_roundtrip ]
+      prop_snapshot_v2_roundtrip; prop_span_program_sums ]
 
 let () =
   Alcotest.run "pak_obs"
@@ -902,7 +1059,8 @@ let () =
         ] );
       ( "histograms",
         [ Alcotest.test_case "basics" `Quick test_histogram_basics;
-          Alcotest.test_case "span feeds histogram" `Quick test_span_feeds_histogram
+          Alcotest.test_case "span feeds histogram" `Quick test_span_feeds_histogram;
+          Alcotest.test_case "percentile domain" `Quick test_percentile_domain
         ] );
       ( "span tree",
         [ Alcotest.test_case "nesting and counts" `Quick test_span_tree;
@@ -948,5 +1106,12 @@ let () =
         ] );
       ( "flamegraph",
         [ Alcotest.test_case "collapsed stacks" `Quick test_flamegraph_collapsed_stacks ] );
-      ("properties", qcheck_cases)
+      ("properties", qcheck_cases);
+      ( "golden",
+        [ Alcotest.test_case "summary" `Quick test_golden_summary;
+          Alcotest.test_case "span tree" `Quick test_golden_span_tree;
+          Alcotest.test_case "alloc report" `Quick test_golden_alloc_report;
+          Alcotest.test_case "flamegraph" `Quick test_golden_flamegraph;
+          Alcotest.test_case "openmetrics" `Quick test_golden_openmetrics
+        ] )
     ]

@@ -638,6 +638,42 @@ let test_validate_config () =
        }
     = Ok ())
 
+(* The (op status) latency block, rendered from a snapshot with known
+   buckets: quantiles are the 0.5/0.9/0.99 fractions, interpolated
+   inside their buckets, so p50 < p90 < p99 where the samples spread. *)
+let test_status_latencies () =
+  let hist cells =
+    let counts = Array.make Obs.n_buckets 0 in
+    List.iter (fun (b, c) -> counts.(b) <- c) cells;
+    counts
+  in
+  let snap =
+    { Obs.Snapshot.version = Obs.Snapshot.schema_version;
+      counters = [ ("serve.requests", 11) ];
+      gauges = [];
+      histograms =
+        [ ("eval", hist [ (11, 4) ]);
+          ("serve.drain", hist [ (5, 1) ]);
+          ("serve.idle", hist []);
+          ("serve.request", hist [ (10, 3); (12, 5); (20, 3) ])
+        ];
+      spans = []
+    }
+  in
+  check_string "rows, counts and p50/p90/p99"
+    " (metrics (latencies (serve.drain (count 1) (p50-ns 31) (p90-ns 31) (p99-ns 31)) \
+     (serve.idle (count 0) (p50-ns 0) (p90-ns 0) (p99-ns 0)) \
+     (serve.request (count 11) (p50-ns 3276) (p90-ns 873813) (p99-ns 1048575))))"
+    (Serve.status_latencies snap)
+
+let test_status_latencies_golden () =
+  match Obs.Snapshot.of_file "fixtures/snapshot_v2.json" with
+  | Error msg -> Alcotest.fail ("v2 fixture rejected: " ^ msg)
+  | Ok snap ->
+    check_string "fixtures/snapshot_v2.status.txt"
+      (In_channel.with_open_bin "fixtures/snapshot_v2.status.txt" In_channel.input_all)
+      (Serve.status_latencies snap ^ "\n")
+
 let () =
   Alcotest.run "pak_serve"
     [ ( "frame",
@@ -667,6 +703,8 @@ let () =
           Alcotest.test_case "protocol error recovery" `Quick test_protocol_error_recovery;
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "bad requests" `Quick test_bad_requests;
-          Alcotest.test_case "validate config" `Quick test_validate_config
+          Alcotest.test_case "validate config" `Quick test_validate_config;
+          Alcotest.test_case "status latencies" `Quick test_status_latencies;
+          Alcotest.test_case "status latencies golden" `Quick test_status_latencies_golden
         ] )
     ]

@@ -52,8 +52,8 @@ let metrics_of (s : Obs.Snapshot.t) =
       rows := ("hist-total " ^ n, float_of_int (Obs.total_count counts)) :: !rows)
     s.Obs.Snapshot.histograms;
   List.iter
-    (fun (node : Obs.Snapshot.node) ->
-      rows := ("span-total-s " ^ node.Obs.Snapshot.name, node.Obs.Snapshot.total_s) :: !rows)
+    (fun (node : Obs.span_node) ->
+      rows := ("span-total-s " ^ node.Obs.sn_name, node.Obs.sn_total) :: !rows)
     s.Obs.Snapshot.spans;
   List.rev !rows
 
