@@ -863,8 +863,11 @@ let () =
   Printf.printf "Probably Approximately Knowing — reproduction harness\n";
   Printf.printf "(all probabilities exact rationals; OK = exact equality)\n";
   (* The snapshot runs first, in a fresh heap, so its heap levels do
-     not depend on the experiments or the parallelism export. *)
-  Option.iter export_snapshot (metrics_json_arg ());
+     not depend on the experiments or the parallelism export. A
+     snapshot run writes only the snapshot: the committed BENCH_*.json
+     files come from plain runs. *)
+  let metrics_json = metrics_json_arg () in
+  Option.iter export_snapshot metrics_json;
   exp_e1 ();
   exp_f1 ();
   exp_f2 ();
@@ -875,8 +878,10 @@ let () =
   exp_ms ();
   exp_aux_systems ();
   scaling_series ();
-  export_obs ();
-  export_par ();
+  if metrics_json = None then begin
+    export_obs ();
+    export_par ()
+  end;
   Printf.printf "\n== Reproduction summary: %s ==\n"
     (if !failures = 0 then "ALL CLAIMS REPRODUCED EXACTLY"
      else Printf.sprintf "%d MISMATCHES" !failures);

@@ -29,7 +29,7 @@
      2  command-line usage error
      3  invalid input (unknown system, unparsable formula or document,
         unreadable file)
-     4  a resource budget (--max-*, --timeout-ms) was exceeded *)
+     4  a resource budget was exceeded *)
 
 open Pak
 open Cmdliner
@@ -45,7 +45,6 @@ type instance = {
   act : string;
   threshold : Q.t;        (* the canonical constraint threshold *)
   description : string;
-  valuation : Semantics.valuation;
 }
 
 let q_conv =
@@ -70,7 +69,7 @@ type params = {
 (* Generic atoms: "a<i>_<label>" tests agent i's label. Shared with
    the library so [Cert.check] callers can re-verify CLI-produced
    certificates under the identical valuation. *)
-let default_valuation = Semantics.generic_valuation
+let valuation = Semantics.generic_valuation
 
 let systems : (string * (params -> instance)) list =
   [ ( "firing-squad",
@@ -81,8 +80,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Firing_squad.alice;
           act = Systems.Firing_squad.fire;
           threshold = Q.of_ints 19 20;
-          description = "Example 1: relaxed firing squad (original FS protocol)";
-          valuation = default_valuation
+          description = "Example 1: relaxed firing squad (original FS protocol)"
         } );
     ( "firing-squad-improved",
       fun prm ->
@@ -92,8 +90,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Firing_squad.alice;
           act = Systems.Firing_squad.fire;
           threshold = Q.of_ints 19 20;
-          description = "Section 8: FS where Alice refrains from firing on 'No'";
-          valuation = default_valuation
+          description = "Section 8: FS where Alice refrains from firing on 'No'"
         } );
     ( "figure-one",
       fun prm ->
@@ -103,8 +100,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Figure_one.agent;
           act = Systems.Figure_one.alpha;
           threshold = Q.half;
-          description = "Figure 1: one-agent mixed-action counterexample";
-          valuation = default_valuation
+          description = "Figure 1: one-agent mixed-action counterexample"
         } );
     ( "threshold-gap",
       fun prm ->
@@ -114,8 +110,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Threshold_gap.i;
           act = Systems.Threshold_gap.alpha;
           threshold = prm.p;
-          description = "Figure 2 / Theorem 5.2: the T-hat(p, eps) construction";
-          valuation = default_valuation
+          description = "Figure 2 / Theorem 5.2: the T-hat(p, eps) construction"
         } );
     ( "coordinated-attack",
       fun prm ->
@@ -125,8 +120,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Coordinated_attack.general_a;
           act = Systems.Coordinated_attack.attack;
           threshold = Q.of_ints 19 20;
-          description = "k-round coordinated attack over a lossy channel";
-          valuation = default_valuation
+          description = "k-round coordinated attack over a lossy channel"
         } );
     ( "mutex",
       fun prm ->
@@ -136,8 +130,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Mutex.enter;
           threshold = Q.of_ints 19 20;
-          description = "relaxed mutual exclusion with a noisy arbiter";
-          valuation = default_valuation
+          description = "relaxed mutual exclusion with a noisy arbiter"
         } );
     ( "judge",
       fun prm ->
@@ -147,8 +140,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Judge.judge;
           act = Systems.Judge.convict;
           threshold = Q.of_ints 99 100;
-          description = "conviction under noisy evidence (beyond reasonable doubt)";
-          valuation = default_valuation
+          description = "conviction under noisy evidence (beyond reasonable doubt)"
         } );
     ( "consensus",
       fun prm ->
@@ -158,8 +150,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Consensus.decide_act 1;
           threshold = Q.of_ints 19 20;
-          description = "bounded randomized agreement over a lossy channel";
-          valuation = default_valuation
+          description = "bounded randomized agreement over a lossy channel"
         } );
     ( "aloha",
       fun prm ->
@@ -169,8 +160,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Aloha.tx ~slot:0;
           threshold = Q.half;
-          description = "slotted ALOHA random access (2 agents)";
-          valuation = default_valuation
+          description = "slotted ALOHA random access (2 agents)"
         } );
     ( "interactive-proof",
       fun prm ->
@@ -180,8 +170,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Interactive_proof.verifier;
           act = Systems.Interactive_proof.accept;
           threshold = Q.of_ints 3 4;
-          description = "soundness amplification as a probabilistic constraint";
-          valuation = default_valuation
+          description = "soundness amplification as a probabilistic constraint"
         } )
   ]
 
@@ -299,37 +288,21 @@ let obs_t =
    process-global budget before the command body runs. Exhaustion
    anywhere surfaces as exit code 4. *)
 let guard_t =
-  let max_points_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-points" ] ~docv:"N"
-             ~doc:"Abort (exit 4) after visiting $(docv) tree points across sweeps and \
-                   measure queries.")
-  and max_nodes_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-nodes" ] ~docv:"N"
-             ~doc:"Abort (exit 4) after constructing $(docv) tree nodes (bounds system \
-                   compilation and document loading).")
-  and max_limbs_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-limbs" ] ~docv:"N"
-             ~doc:"Abort (exit 4) after $(docv) big-number limb operations (bounds exact \
-                   rational blowups).")
-  and max_iters_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-iters" ] ~docv:"N"
-             ~doc:"Abort (exit 4) after $(docv) fixpoint iterations (bounds the common \
-                   knowledge / common belief computations).")
-  and timeout_t =
-    Arg.(value & opt (some int) None
-         & info [ "timeout-ms" ] ~docv:"MS"
-             ~doc:"Abort (exit 4) after $(docv) milliseconds of wall-clock time \
-                   (jobs-invariant).")
+  let limits_t =
+    List.fold_left
+      (fun acc (c : Budget.cap) ->
+        Term.(const c.set $ acc
+              $ Arg.(value & opt (some int) None
+                     & info [ c.name ] ~docv:c.docv
+                         ~doc:("Abort (exit 4) after $(docv) " ^ c.doc ^ "."))))
+      (Term.const Budget.unlimited) Budget.caps
   in
-  let setup max_points max_nodes max_limbs max_iters timeout_ms =
-    let lim = { Budget.max_points; max_nodes; max_limbs; max_iters; timeout_ms } in
-    if not (Budget.is_unlimited lim) then Budget.install lim
-  in
-  Term.(const setup $ max_points_t $ max_nodes_t $ max_limbs_t $ max_iters_t $ timeout_t)
+  let setup lim = if not (Budget.is_unlimited lim) then Budget.install lim in
+  Term.(const setup $ limits_t)
+
+(* The budget flags, as help-text markup. *)
+let budget_flags =
+  String.concat ", " (List.map (fun (c : Budget.cap) -> "$(b,--" ^ c.name ^ ")") Budget.caps)
 
 (* Parallelism option, shared by every subcommand. Effectful like
    [obs_t]/[guard_t]: records the requested domain count in a ref that
@@ -475,19 +448,13 @@ let eval_cmd =
                  derived from the single resulting fact. *)
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval ?pool inst.tree ~valuation f)
               in
-              let sat_points =
-                Tree.fold_points inst.tree ~init:0 ~f:(fun acc ~run ~time ->
-                    if Fact.holds fact ~run ~time then acc + 1 else acc)
-              in
-              let ev =
-                Bitset.init (Tree.n_runs inst.tree) (fun run -> Fact.holds fact ~run ~time:0)
-              in
+              let s = Semantics.summarize inst.tree fact in
               Printf.printf "formula : %s\n" (Formula.to_string f);
-              Printf.printf "valid   : %b\n" (sat_points = Tree.n_points inst.tree);
-              Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points inst.tree);
-              Printf.printf "P(time-0): %s\n" (Q.to_string (Tree.measure inst.tree ev));
+              Printf.printf "valid   : %b\n" s.valid;
+              Printf.printf "points  : %d of %d satisfy\n" s.sat s.points;
+              Printf.printf "P(time-0): %s\n" (Q.to_string (Lazy.force s.prob));
               Ok 0))
   in
   Cmd.v
@@ -552,7 +519,7 @@ let profile_cmd =
               let t0 = Sys.time () in
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval ?pool inst.tree ~valuation f)
               in
               let eval_ms = (Sys.time () -. t0) *. 1000. in
               if openmetrics then begin
@@ -565,15 +532,12 @@ let profile_cmd =
                 Ok 0
               end
               else begin
-                let sat_points =
-                  Tree.fold_points inst.tree ~init:0 ~f:(fun acc ~run ~time ->
-                      if Fact.holds fact ~run ~time then acc + 1 else acc)
-                in
+                let s = Semantics.summarize inst.tree fact in
                 Printf.printf "%s — %s\n" name inst.description;
                 Printf.printf "pps     : %d nodes, %d runs, %d points\n"
-                  (Tree.n_nodes inst.tree) (Tree.n_runs inst.tree) (Tree.n_points inst.tree);
+                  (Tree.n_nodes inst.tree) (Tree.n_runs inst.tree) s.points;
                 Printf.printf "formula : %s\n" (Formula.to_string f);
-                Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points inst.tree);
+                Printf.printf "points  : %d of %d satisfy\n" s.sat s.points;
                 Printf.printf "eval    : %.3f ms\n\n" eval_ms;
                 (* Every table below renders this one capture, taken
                    after the point count so its counters include it. *)
@@ -727,13 +691,13 @@ let sweep_cmd =
        ~doc:"Check the paper's theorems over a family of random systems, in parallel"
        ~man:
          [ `S Manpage.s_description;
-           `P "Generates protocol-consistent random systems from contiguous seeds and \
+           `P ("Generates protocol-consistent random systems from contiguous seeds and \
                runs the selected theorem checker on each (with a past-based fact and a \
                proper action derived from the same seed). With $(b,--jobs) the seeds \
                are checked across several domains; the report is byte-identical for \
-               every job count, and any installed resource budget ($(b,--max-points), \
-               ...) is shared by all domains rather than multiplied by them. Exits 1 \
-               if any system violates a checked result."
+               every job count, and any installed resource budget (" ^ budget_flags
+               ^ ") is shared by all domains rather than multiplied by them. Exits 1 \
+                  if any system violates a checked result.")
          ])
     Term.(const run $ common_t $ check_t $ count_t $ first_seed_t $ depth_t $ eps_t
           $ certify_t)
@@ -749,7 +713,7 @@ let axioms_cmd =
                 Printf.printf "agent %d:\n" agent;
                 List.iter
                   (fun r -> Format.printf "  %a@." Axioms.pp_report r)
-                  (Axioms.all inst.tree ~valuation:inst.valuation ~agent ~base))
+                  (Axioms.all inst.tree ~valuation ~agent ~base))
               (List.init (Tree.n_agents inst.tree) Fun.id);
             0)
           (find_system name prm))
@@ -840,15 +804,12 @@ let load_cmd =
       let* f = Parser.parse_result text in
       let fact =
         with_jobs_pool (fun pool ->
-            Semantics.eval ?pool tree ~valuation:default_valuation f)
+            Semantics.eval ?pool tree ~valuation f)
       in
-      let sat_points =
-        Tree.fold_points tree ~init:0 ~f:(fun acc ~run ~time ->
-            if Fact.holds fact ~run ~time then acc + 1 else acc)
-      in
+      let s = Semantics.summarize tree fact in
       Printf.printf "formula : %s\n" (Formula.to_string f);
-      Printf.printf "valid   : %b\n" (sat_points = Tree.n_points tree);
-      Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points tree);
+      Printf.printf "valid   : %b\n" s.valid;
+      Printf.printf "points  : %d of %d satisfy\n" s.sat s.points;
       0
   in
   Cmd.v
@@ -922,11 +883,11 @@ let explain_cmd =
           (Error.makef Error.Invalid_system "point (%d,%d) is outside the system" r t)
       | _ -> Ok ()
     in
-    let* cert = Cert.certify_result tree ~valuation:default_valuation f in
+    let* cert = Cert.certify_result tree ~valuation f in
     (* Self-check: every certificate the CLI emits has already survived
        the independent checker. A failure here is a pak bug, not bad
        input, so it maps to the internal-error exit code. *)
-    match Cert.check ~valuation:default_valuation tree cert with
+    match Cert.check ~valuation tree cert with
     | Result.Error v ->
       Format.eprintf "pak: internal error: fresh certificate rejected: %s@."
         (Cert.violation_to_string v);
@@ -948,16 +909,16 @@ let explain_cmd =
              certificate"
        ~man:
          [ `S Manpage.s_description;
-           `P "Evaluates FORMULA on the pps document FILE with full provenance: every \
+           `P ("Evaluates FORMULA on the pps document FILE with full provenance: every \
                subformula's satisfying point set, the indistinguishability cell behind \
                each knowledge verdict, the conditioning cell with exact rational \
                measures behind each graded-belief verdict, and the iteration-by- \
                iteration approximants behind each common-knowledge/common-belief \
                fixpoint. The certificate is re-verified by the independent checker \
                before printing; $(b,--json) emits it as machine-readable JSON for \
-               external re-verification ($(b,tools/check_cert.exe)). Budgets \
-               ($(b,--max-iters), $(b,--timeout-ms), ...) bound certification like \
-               every other subcommand (exit 4 on exhaustion)."
+               external re-verification ($(b,tools/check_cert.exe)). Budgets (" ^ budget_flags
+               ^ ") bound certification like every other subcommand (exit 4 on \
+                  exhaustion).")
          ])
     Term.(const run $ common_t $ file_arg $ formula_t $ json_t $ depth_t $ at_t)
 
@@ -987,72 +948,23 @@ let serve_cmd =
      process-global budget (no [guard_t]): its --max-* flags are
      server-level per-request caps, installed as a fresh scope around
      each request so one exhausted query cannot starve the next. *)
-  let max_pending_t =
-    Arg.(value & opt int Serve.default_config.max_pending
-         & info [ "max-pending" ] ~docv:"N"
-             ~doc:"Bound on queued-not-yet-executed requests; beyond it new requests \
-                   are shed immediately with an $(i,overloaded) response carrying a \
-                   retry-after-ms hint.")
-  and batch_t =
-    Arg.(value & opt int Serve.default_config.batch
-         & info [ "batch" ] ~docv:"N"
-             ~doc:"Drain the queue once it holds $(docv) requests; 0 means the job \
-                   count (keep the pool busy). Responses are always written in \
-                   arrival order regardless.")
-  and max_frame_t =
-    Arg.(value & opt int Serve.default_config.max_frame
-         & info [ "max-frame" ] ~docv:"BYTES"
-             ~doc:"Frame payload byte cap; oversized frames are skipped and answered \
-                   with a typed protocol error.")
-  and cache_max_t =
-    Arg.(value & opt int Serve.default_config.cache_max
-         & info [ "cache-max" ] ~docv:"N"
-             ~doc:"Cross-request result-cache entries, keyed by (system digest, \
-                   operation, formula, limits); 0 disables the cache.")
-  and tree_cache_max_t =
-    Arg.(value & opt int Serve.default_config.tree_cache_max
-         & info [ "tree-cache-max" ] ~docv:"N"
-             ~doc:"Parsed-system cache entries (documents are content-addressed by \
-                   digest).")
-  and drain_ms_t =
-    Arg.(value & opt (some int) Serve.default_config.drain_ms
-         & info [ "drain-ms" ] ~docv:"MS"
-             ~doc:"Grace deadline for draining in-flight requests on shutdown or EOF; \
-                   requests still pending past it are answered with budget errors.")
-  and retry_after_t =
-    Arg.(value & opt int Serve.default_config.retry_after_ms
-         & info [ "retry-after-ms" ] ~docv:"MS"
-             ~doc:"Back-off hint attached to $(i,overloaded) responses.")
-  and max_points_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-points" ] ~docv:"N"
-             ~doc:"Per-request cap on visited tree points; requests may lower it but \
-                   never raise it.")
-  and max_nodes_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-nodes" ] ~docv:"N" ~doc:"Per-request cap on constructed tree nodes.")
-  and max_limbs_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-limbs" ] ~docv:"N" ~doc:"Per-request cap on big-number limb operations.")
-  and max_iters_t =
-    Arg.(value & opt (some int) None
-         & info [ "max-iters" ] ~docv:"N" ~doc:"Per-request cap on fixpoint iterations.")
-  and timeout_t =
-    Arg.(value & opt (some int) None
-         & info [ "timeout-ms" ] ~docv:"MS"
-             ~doc:"Per-request wall-clock deadline in milliseconds.")
-  and telemetry_every_t =
-    Arg.(value & opt int 0
-         & info [ "telemetry-every" ] ~docv:"N"
-             ~doc:"Emit a streaming-telemetry frame (one JSON line of counter and \
-                   histogram-total deltas) to $(b,--telemetry-file) every $(docv) \
-                   accepted requests, plus a final frame at shutdown. 0 disables. \
-                   Frames are byte-identical at every $(b,--jobs).")
-  and telemetry_file_t =
+  let settings_t =
+    List.fold_left
+      (fun acc (st : Serve.setting) ->
+        let st_info = Arg.info [ st.name ] ~docv:st.docv ~doc:st.doc in
+        let default = st.get Serve.default_config in
+        let v =
+          if st.optional then Arg.(value & opt (some int) default st_info)
+          else Term.(const Option.some $ Arg.(value & opt int (Option.get default) st_info))
+        in
+        Term.(const (fun f v cfg -> st.set (f cfg) v) $ acc $ v))
+      (Term.const Fun.id) Serve.settings
+  in
+  let telemetry_file_t =
     Arg.(value & opt (some string) None
          & info [ "telemetry-file" ] ~docv:"FILE"
-             ~doc:"Side-channel file for $(b,--telemetry-every) frames, line-delimited \
-                   JSON, flushed per frame so it can be tailed live.")
+             ~doc:"Side-channel file for telemetry frames, line-delimited JSON, \
+                   flushed per frame so it can be tailed live.")
   and journal_file_t =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
@@ -1067,9 +979,7 @@ let serve_cmd =
                    bytes: it is renamed $(i,FILE.1), $(i,FILE.2), ... (oldest first) \
                    and a fresh segment is opened. Unset = never rotate.")
   in
-  let run () () max_pending batch max_frame cache_max tree_cache_max drain_ms
-      retry_after_ms max_points max_nodes max_limbs max_iters timeout_ms
-      telemetry_every telemetry_file journal_file journal_max =
+  let run () () settings telemetry_file journal_file journal_max =
     handle (fun () ->
         let tele_chan =
           match telemetry_file with
@@ -1095,21 +1005,12 @@ let serve_cmd =
           match tele_chan with Some oc -> close_out_noerr oc | None -> ()
         in
         let cfg =
-          {
-            Serve.jobs = !jobs_ref;
-            max_pending;
-            batch;
-            max_frame;
-            cache_max;
-            tree_cache_max;
-            drain_ms;
-            retry_after_ms;
-            limits = { Budget.max_points; max_nodes; max_limbs; max_iters; timeout_ms };
-            clock = Some Unix.gettimeofday;
-            telemetry_every;
-            telemetry;
-            journal = None;
-          }
+          settings
+            { Serve.default_config with
+              jobs = !jobs_ref;
+              clock = Some Unix.gettimeofday;
+              telemetry
+            }
         in
         match Serve.validate_config cfg with
         | Result.Error msg ->
@@ -1170,18 +1071,17 @@ let serve_cmd =
                document, a runaway fixpoint or an exhausted budget degrades exactly \
                one response and never the server.";
            `P "Budget-exhausted belief queries fall back to a budget-exempt \
-               Monte-Carlo estimate marked $(i,estimated). When more than \
-               $(b,--max-pending) requests are queued, new ones are shed with an \
-               $(i,overloaded) response and a retry-after-ms hint. EOF or a \
-               $(b,(shutdown)) frame drains in-flight work under $(b,--drain-ms) and \
-               exits 0. Per-response codes reuse the exit-code contract: 0 ok, 2 \
-               malformed request, 3 invalid input, 4 budget exceeded or shed, 125 \
-               internal."
+               Monte-Carlo estimate marked $(i,estimated). When the pending queue is \
+               full, new requests are shed with an $(i,overloaded) response and a \
+               back-off hint. EOF or a $(b,(shutdown)) frame drains in-flight work \
+               under the drain grace deadline and exits 0. Per-response codes reuse \
+               the exit-code contract: 0 ok, 2 malformed request, 3 invalid input, 4 \
+               budget exceeded or shed, 125 internal.";
+           `P "The five budget caps are also request fields of the same names; a \
+               request can only lower them."
          ])
-    Term.(const run $ obs_t $ jobs_t $ max_pending_t $ batch_t $ max_frame_t
-          $ cache_max_t $ tree_cache_max_t $ drain_ms_t $ retry_after_t
-          $ max_points_t $ max_nodes_t $ max_limbs_t $ max_iters_t $ timeout_t
-          $ telemetry_every_t $ telemetry_file_t $ journal_file_t $ journal_max_t)
+    Term.(const run $ obs_t $ jobs_t $ settings_t $ telemetry_file_t $ journal_file_t
+          $ journal_max_t)
 
 let replay_cmd =
   let journal_arg =
@@ -1277,17 +1177,16 @@ let replay_cmd =
 let () =
   Printexc.record_backtrace false;
   (* The CLI links Unix anyway, so deadlines get the wall clock the
-     zero-dependency guard layer cannot provide itself: --timeout-ms
+     zero-dependency guard layer cannot provide itself: the deadline cap
      measures wall time and is jobs-invariant. *)
   Budget.set_wall_clock (Some Unix.gettimeofday);
   let doc = "Probably Approximately Knowing: probabilistic beliefs at action time" in
   let man =
     [ `S Manpage.s_exit_status;
-      `P "0 on success; 1 when the analyzed constraint is violated or a sweep found a \
+      `P ("0 on success; 1 when the analyzed constraint is violated or a sweep found a \
           violating system; 2 on command-line usage errors; 3 on invalid input (unknown \
           system, unparsable formula or document, unreadable file); 4 when a resource \
-          budget ($(b,--max-points), $(b,--max-nodes), $(b,--max-limbs), \
-          $(b,--max-iters), $(b,--timeout-ms)) is exceeded."
+          budget (" ^ budget_flags ^ ") is exceeded.")
     ]
   in
   let info = Cmd.info "pak" ~version:"1.0.0" ~doc ~man in

@@ -522,9 +522,10 @@ let check ?valuation tree cert =
         | Some v ->
           Some
             (fun () ->
+              let holds = v a in
               Bitset.build n_points (fun add ->
                   for id = 0 to Tree.n_nodes tree - 1 do
-                    if v a (Tree.node_state tree id) then begin
+                    if holds (Tree.node_state tree id) then begin
                       let time = Tree.node_depth tree id in
                       Bitset.iter_members (fun r -> add (off.(r) + time)) (Tree.node_runs tree id)
                     end

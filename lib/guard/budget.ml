@@ -14,6 +14,48 @@ let limits ?max_points ?max_nodes ?max_limbs ?max_iters ?timeout_ms () =
 
 let is_unlimited l = l = unlimited
 
+type cap = {
+  name : string;
+  docv : string;
+  doc : string;
+  get : limits -> int option;
+  set : limits -> int option -> limits;
+}
+
+let caps =
+  [ { name = "max-points";
+      docv = "N";
+      doc = "tree points visited across sweeps and measure queries";
+      get = (fun l -> l.max_points);
+      set = (fun l v -> { l with max_points = v })
+    };
+    { name = "max-nodes";
+      docv = "N";
+      doc = "constructed tree nodes (bounds system compilation and document loading)";
+      get = (fun l -> l.max_nodes);
+      set = (fun l v -> { l with max_nodes = v })
+    };
+    { name = "max-limbs";
+      docv = "N";
+      doc = "big-number limb operations (bounds exact rational blowups)";
+      get = (fun l -> l.max_limbs);
+      set = (fun l v -> { l with max_limbs = v })
+    };
+    { name = "max-iters";
+      docv = "N";
+      doc =
+        "fixpoint iterations (bounds the common knowledge / common belief computations)";
+      get = (fun l -> l.max_iters);
+      set = (fun l v -> { l with max_iters = v })
+    };
+    { name = "timeout-ms";
+      docv = "MS";
+      doc = "milliseconds of wall-clock time (jobs-invariant)";
+      get = (fun l -> l.timeout_ms);
+      set = (fun l v -> { l with timeout_ms = v })
+    }
+  ]
+
 (* Fuel lives in atomics so every domain of a parallel computation can
    charge the same budget: a sweep across N domains is bounded by ONE
    shared pool of fuel, not N private ones. Two scopes exist:
@@ -34,7 +76,7 @@ let is_unlimited l = l = unlimited
    time under the pool. Executables that may link [Unix] (the CLI, the
    bench) inject [Unix.gettimeofday] here once at startup; deadlines
    created while a wall clock is installed are then measured in wall
-   time, making [--timeout-ms] jobs-invariant. Without injection the
+   time, making the deadline cap jobs-invariant. Without injection the
    documented CPU-time behavior is unchanged. *)
 let wall_clock : (unit -> float) option ref = ref None
 

@@ -66,6 +66,25 @@ val limits :
 
 val is_unlimited : limits -> bool
 
+(** One fuel kind (or the deadline) as a named setting: the table the
+    CLI's budget flags, [pak serve]'s per-request caps, its request
+    fields and its journal meta are all derived from. *)
+type cap = {
+  name : string;
+      (** the CLI flag without its dashes, also the [pak serve] request
+          field and journal-meta key *)
+  docv : string;  (** the flag's value placeholder *)
+  doc : string;
+      (** what the limit counts, as a noun phrase taking [$(docv)] as its
+          quantity (Cmdliner markup) *)
+  get : limits -> int option;
+  set : limits -> int option -> limits;
+}
+
+val caps : cap list
+(** The five limits in record order: points, nodes, limbs, iterations,
+    deadline. *)
+
 val set_wall_clock : (unit -> float) option -> unit
 (** Install (or remove, with [None]) the clock used for deadlines
     created from now on: a function returning absolute seconds, e.g.

@@ -47,17 +47,20 @@ let op_tag : Formula.t -> string = function
 
 type valuation = string -> Gstate.t -> bool
 
-let generic_valuation atom g =
+let generic_valuation atom =
   (* generic atoms: "a<i>_<label>" tests agent i's label. The agent
      index is every digit up to the first underscore, so the valuation
-     works for systems with any number of agents. *)
+     works for systems with any number of agents. The atom is parsed
+     once per partial application; the returned test allocates
+     nothing. *)
   match String.index_opt atom '_' with
   | Some sep when sep > 1 && atom.[0] = 'a' ->
     (match int_of_string_opt (String.sub atom 1 (sep - 1)) with
-     | Some i when i >= 0 && i < Gstate.n_agents g ->
-       Gstate.local g i = String.sub atom (sep + 1) (String.length atom - sep - 1)
-     | _ -> false)
-  | _ -> false
+     | Some i when i >= 0 ->
+       let label = String.sub atom (sep + 1) (String.length atom - sep - 1) in
+       fun g -> i < Gstate.n_agents g && String.equal (Gstate.local g i) label
+     | _ -> fun _ -> false)
+  | _ -> fun _ -> false
 
 let satisfies_cmp (c : Formula.cmp) degree threshold =
   match c with
@@ -260,6 +263,16 @@ let valid tree ~valuation formula =
 let initially tree fact =
   let bits = Fact.points fact in
   Bitset.init (Tree.n_runs tree) (fun run -> Bitset.mem bits (Tree.run_offset tree run))
+
+type summary = { points : int; sat : int; valid : bool; prob : Pak_rational.Q.t Lazy.t }
+
+let summarize tree fact =
+  let points = Tree.n_points tree in
+  let sat =
+    Tree.fold_points tree ~init:0 ~f:(fun acc ~run ~time ->
+        if Fact.holds fact ~run ~time then acc + 1 else acc)
+  in
+  { points; sat; valid = sat = points; prob = lazy (Tree.measure tree (initially tree fact)) }
 
 let valid_initially tree ~valuation formula =
   let ev = initially tree (eval tree ~valuation formula) in

@@ -97,6 +97,20 @@ val valid : Tree.t -> valuation:valuation -> Formula.t -> bool
 val valid_initially : Tree.t -> valuation:valuation -> Formula.t -> bool
 (** True at time 0 of every run. *)
 
+(** What a model-checking report prints about an evaluated fact. *)
+type summary = {
+  points : int;  (** [Tree.n_points] *)
+  sat : int;  (** points where the fact holds *)
+  valid : bool;  (** [sat = points] *)
+  prob : Pak_rational.Q.t Lazy.t;
+      (** [µ_T] of the runs whose time-0 point satisfies the fact: one
+          [Tree.measure], paid only when forced *)
+}
+
+val summarize : Tree.t -> Fact.t -> summary
+(** Count the satisfying points in one [Tree.fold_points] pass (so one
+    [tree.points_visited] bump and one points charge of [n_points]). *)
+
 val probability : Tree.t -> valuation:valuation -> Formula.t -> Pak_rational.Q.t
 (** [µ_T] of the runs whose time-0 point satisfies the formula. For
     formulas whose fact is a fact about runs this is the probability of

@@ -1047,14 +1047,13 @@ let flamegraph ?(weight = Flame_time) (s : Snapshot.t) =
 
 module Series = struct
   (* Each [record] captures the counters, gauges and histograms and
-     stores their [Snapshot.diff_against] *delta* from the previous
+     returns their [Snapshot.diff_against] *delta* from the previous
      record's capture (or [create]'s for the first): counter increments
      with zero rows dropped, histogram sample-count increments, and
      gauge levels (gauges are levels, not flows — a delta of a sampled
-     level is noise). The delta basis advances on every record independently of
-     ring eviction, so the recorded deltas always telescope: summing a
-     counter across *all* samples ever recorded equals its total growth
-     since [create], even after old samples fell out of the ring. *)
+     level is noise). The basis advances on every record, so the
+     deltas telescope: summing a counter across all samples equals its
+     total growth since [create]. *)
 
   type sample = {
     s_seq : int;
@@ -1063,22 +1062,10 @@ module Series = struct
     s_hist_totals : (string * int) list;
   }
 
-  type t = {
-    cap : int;
-    ring : sample option array;
-    mutable next_seq : int;
-    mutable base : Snapshot.t;
-    m : Mutex.t;
-  }
+  type t = { mutable next_seq : int; mutable base : Snapshot.t; m : Mutex.t }
 
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Obs.Series.create: capacity must be >= 1";
-    { cap = capacity;
-      ring = Array.make capacity None;
-      next_seq = 0;
-      base = Snapshot.capture_flows ();
-      m = Mutex.create ()
-    }
+  let create () =
+    { next_seq = 0; base = Snapshot.capture_flows (); m = Mutex.create () }
 
   let record t =
     let now = Snapshot.capture_flows () in
@@ -1098,21 +1085,9 @@ module Series = struct
                 d.histograms
           }
         in
-        t.ring.(t.next_seq mod t.cap) <- Some s;
         t.next_seq <- t.next_seq + 1;
         t.base <- now;
         s)
-
-  let capacity t = t.cap
-  let length t = Mutex.protect t.m (fun () -> Stdlib.min t.next_seq t.cap)
-
-  let samples t =
-    Mutex.protect t.m (fun () ->
-        let n = Stdlib.min t.next_seq t.cap in
-        List.init n (fun i ->
-            match t.ring.((t.next_seq - n + i) mod t.cap) with
-            | Some s -> s
-            | None -> assert false))
 end
 
 (* ------------------------------------------------------------------ *)

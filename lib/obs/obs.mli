@@ -392,9 +392,9 @@ val flamegraph : ?weight:flame_weight -> Snapshot.t -> string
 
 (** {1 Rolling time-series}
 
-    A fixed-capacity ring of metric {e deltas}: each {!Series.record}
-    samples the registries and stores what changed since the previous
-    record, so a long-lived process (a [pak serve] session under
+    A metric {e delta} recorder: each {!Series.record} samples the
+    registries and returns what changed since the previous record, so a
+    long-lived process (a [pak serve] session under
     [--telemetry-every]) exposes rates-over-time, not just
     totals-at-exit. *)
 
@@ -402,7 +402,7 @@ module Series : sig
   type t
 
   type sample = {
-    s_seq : int;  (** 0-based record index, monotone across evictions *)
+    s_seq : int;  (** 0-based record index *)
     s_counters : (string * int) list;
         (** counter increments since the previous record, zero rows
             dropped, sorted by name *)
@@ -414,30 +414,17 @@ module Series : sig
             record, zero rows dropped *)
   }
 
-  val create : capacity:int -> t
-  (** A new recorder holding at most [capacity] samples, with its
-      delta basis set to the registries' current values.
-      @raise Invalid_argument when [capacity < 1]. *)
+  val create : unit -> t
+  (** A new recorder with its delta basis set to the registries'
+      current values. *)
 
   val record : t -> sample
-  (** Capture the counters, gauges and histograms, store and return
-      their delta from the previous record's capture (or {!create}'s
-      for the first) — the same delta {!Snapshot.diff_capture}
-      computes, with each histogram reduced to its sample count. The
-      basis advances on {e every} record, independent of ring
-      eviction, so summing a counter across all samples ever recorded
-      telescopes to its total growth since {!create} — even after old
-      samples fell out of the ring. Thread-safe. *)
-
-  val capacity : t -> int
-
-  val length : t -> int
-  (** Samples currently held: [min (records so far) capacity]. *)
-
-  val samples : t -> sample list
-  (** Held samples, oldest first. When more than [capacity] records
-      were made, these are the latest [capacity] of them — consecutive
-      [s_seq] values ending at the newest record. *)
+  (** Capture the counters, gauges and histograms and return their
+      delta from the previous record's capture (or {!create}'s for the
+      first) — the same delta {!Snapshot.diff_capture} computes, with
+      each histogram reduced to its sample count. The basis advances on
+      every record, so summing a counter across all samples telescopes
+      to its total growth since {!create}. Thread-safe. *)
 end
 
 (** {1 OpenMetrics exposition} *)

@@ -2,14 +2,14 @@
 
    The whole scheme rests on serve's responses being a pure function
    of the input byte stream: trace ids are digests of (frame seq, item
-   index, payload), shed boundaries are batch-exact at every --jobs,
+   index, payload), which requests are shed does not depend on --jobs,
    and Monte-Carlo degradation is seeded. The only impurities are the
    observability fields — (trace ...) / (metrics ...) groups and the
    (result ...) of introspection ops — which [normalize] strips before
    the byte comparison. *)
 
 module Journal = Pak_journal.Journal
-module Budget = Pak_guard.Budget
+module Sexp = Serve.Sexp
 
 type divergence = {
   d_seq : int;
@@ -33,142 +33,58 @@ type report = {
 (* Meta: the recorded serve configuration                              *)
 (* ------------------------------------------------------------------ *)
 
+(* [(jobs N)] first, then every journaled setting in table order. *)
 let meta_of_config (cfg : Serve.config) =
-  let lim = function None -> "none" | Some v -> string_of_int v in
-  let l = cfg.Serve.limits in
-  Printf.sprintf
-    "(serve-config (version 1) (jobs %d) (max-pending %d) \
-     (batch %d) (max-frame %d) (cache-max %d) (tree-cache-max %d) \
-     (drain-ms %s) (retry-after-ms %d) (max-points %s) (max-nodes %s) \
-     (max-limbs %s) (max-iters %s) (timeout-ms %s))"
-    cfg.Serve.jobs cfg.Serve.max_pending cfg.Serve.batch cfg.Serve.max_frame
-    cfg.Serve.cache_max cfg.Serve.tree_cache_max
-    (lim cfg.Serve.drain_ms)
-    cfg.Serve.retry_after_ms
-    (lim l.Budget.max_points)
-    (lim l.Budget.max_nodes)
-    (lim l.Budget.max_limbs)
-    (lim l.Budget.max_iters)
-    (lim l.Budget.timeout_ms)
+  let b = Buffer.create 256 in
+  Printf.bprintf b "(serve-config (version 1) (jobs %d)" cfg.Serve.jobs;
+  List.iter
+    (fun (s : Serve.setting) ->
+      if s.journaled then
+        Printf.bprintf b " (%s %s)" s.name
+          (match s.get cfg with None -> "none" | Some v -> string_of_int v))
+    Serve.settings;
+  Buffer.add_char b ')';
+  Buffer.contents b
 
-let config_of_meta s =
-  let cfg = ref Serve.default_config in
-  let set f = cfg := f !cfg in
-  let set_limits f = set (fun c -> { c with Serve.limits = f c.Serve.limits }) in
-  (match Serve.Sexp.parse s with
-  | Ok (Serve.Sexp.List (Serve.Sexp.Atom "serve-config" :: fields)) ->
-      List.iter
-        (fun field ->
-          match field with
-          | Serve.Sexp.List [ Serve.Sexp.Atom key; Serve.Sexp.Atom v ] -> (
-              let int_v f =
-                match int_of_string_opt v with Some n -> f n | None -> ()
-              in
-              let opt_v f =
-                if v = "none" then f None
-                else
-                  match int_of_string_opt v with
-                  | Some n -> f (Some n)
-                  | None -> ()
-              in
-              match key with
-              | "jobs" -> int_v (fun n -> set (fun c -> { c with Serve.jobs = n }))
-              | "max-pending" ->
-                  int_v (fun n -> set (fun c -> { c with Serve.max_pending = n }))
-              | "batch" ->
-                  int_v (fun n -> set (fun c -> { c with Serve.batch = n }))
-              | "max-frame" ->
-                  int_v (fun n -> set (fun c -> { c with Serve.max_frame = n }))
-              | "cache-max" ->
-                  int_v (fun n -> set (fun c -> { c with Serve.cache_max = n }))
-              | "tree-cache-max" ->
-                  int_v (fun n ->
-                      set (fun c -> { c with Serve.tree_cache_max = n }))
-              | "drain-ms" ->
-                  opt_v (fun n -> set (fun c -> { c with Serve.drain_ms = n }))
-              | "retry-after-ms" ->
-                  int_v (fun n ->
-                      set (fun c -> { c with Serve.retry_after_ms = n }))
-              | "max-points" ->
-                  opt_v (fun n ->
-                      set_limits (fun l -> { l with Budget.max_points = n }))
-              | "max-nodes" ->
-                  opt_v (fun n ->
-                      set_limits (fun l -> { l with Budget.max_nodes = n }))
-              | "max-limbs" ->
-                  opt_v (fun n ->
-                      set_limits (fun l -> { l with Budget.max_limbs = n }))
-              | "max-iters" ->
-                  opt_v (fun n ->
-                      set_limits (fun l -> { l with Budget.max_iters = n }))
-              | "timeout-ms" ->
-                  opt_v (fun n ->
-                      set_limits (fun l -> { l with Budget.timeout_ms = n }))
-              | _ ->
-                  (* a newer recorder's field, or an older one's
-                     (engine …) selector: ignore *)
-                  ())
-          | _ -> ())
-        fields
-  | _ -> ());
-  !cfg
+(* Fields this binary does not know (a newer recorder's, or an older
+   one's (engine ...) selector) and malformed values are ignored. *)
+let config_of_meta meta =
+  let field (cfg : Serve.config) = function
+    | Sexp.List [ Sexp.Atom "jobs"; Sexp.Atom v ] -> (
+        match int_of_string_opt v with Some n -> { cfg with jobs = n } | None -> cfg)
+    | Sexp.List [ Sexp.Atom key; Sexp.Atom v ] -> (
+        match
+          List.find_opt (fun (s : Serve.setting) -> s.journaled && s.name = key) Serve.settings
+        with
+        | Some s when s.optional && v = "none" -> s.set cfg None
+        | Some s -> (
+            match int_of_string_opt v with Some n -> s.set cfg (Some n) | None -> cfg)
+        | None -> cfg)
+    | _ -> cfg
+  in
+  match Sexp.parse meta with
+  | Ok (Sexp.List (Sexp.Atom "serve-config" :: fields)) ->
+      List.fold_left field Serve.default_config fields
+  | _ -> Serve.default_config
 
 (* ------------------------------------------------------------------ *)
 (* Normalization                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let strip_groups names s =
-  let n = String.length s in
-  let b = Buffer.create n in
-  (* Is [( name] (followed by a space, ')' or the end) at [i]? *)
-  let matches_at i name =
-    let l = String.length name in
-    i + 1 + l <= n
-    && String.sub s (i + 1) l = name
-    && (i + 1 + l = n || s.[i + 1 + l] = ' ' || s.[i + 1 + l] = ')')
+  let rec strip = function
+    | Sexp.List xs ->
+        Sexp.List
+          (List.filter_map
+             (function
+               | Sexp.List (Sexp.Atom n :: _) when List.mem n names -> None
+               | x -> Some (strip x))
+             xs)
+    | x -> x
   in
-  (* [s.[i0] = '(']: index just past the matching ')'. Quote-aware —
-     parens inside "..." (with backslash escapes) do not count. *)
-  let skip_group i0 =
-    let depth = ref 0 in
-    let j = ref i0 in
-    let in_str = ref false in
-    let continue = ref true in
-    while !continue && !j < n do
-      (match s.[!j] with
-      | '"' -> in_str := not !in_str
-      | '\\' when !in_str -> incr j
-      | '(' when not !in_str -> incr depth
-      | ')' when not !in_str ->
-          decr depth;
-          if !depth = 0 then continue := false
-      | _ -> ());
-      incr j
-    done;
-    !j
-  in
-  let i = ref 0 in
-  let in_str = ref false in
-  while !i < n do
-    let c = s.[!i] in
-    if (not !in_str) && c = '(' && List.exists (matches_at !i) names then begin
-      (* Drop one already-emitted separating space with the group. *)
-      let bl = Buffer.length b in
-      if bl > 0 && Buffer.nth b (bl - 1) = ' ' then Buffer.truncate b (bl - 1);
-      i := skip_group !i
-    end
-    else begin
-      (match c with
-      | '"' -> in_str := not !in_str
-      | '\\' when !in_str && !i + 1 < n ->
-          Buffer.add_char b c;
-          incr i
-      | _ -> ());
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
+  match Sexp.parse s with
+  | Ok x -> Sexp.to_string (strip x)
+  | Result.Error _ -> s
 
 let normalize ~disp s =
   let s = strip_groups [ "trace"; "metrics" ] s in

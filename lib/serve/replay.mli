@@ -50,8 +50,10 @@ type report = {
 
 val meta_of_config : Serve.config -> string
 (** Render the replay-relevant configuration as the journal meta
-    string: a [(serve-config (version 1) (jobs N) ... )] s-expression.
-    Sinks and clocks are process-local and are not recorded. *)
+    string: a [(serve-config (version 1) (jobs N) ... )] s-expression
+    with one [(name value)] field per journaled {!Serve.setting}, in
+    table order, [none] for an absent optional value. Sinks and clocks
+    are process-local and are not recorded. *)
 
 val config_of_meta : string -> Serve.config
 (** Parse a journal meta string back into a configuration, tolerantly:
@@ -61,10 +63,11 @@ val config_of_meta : string -> Serve.config
     [(engine …)] field naming the evaluator; it is ignored. *)
 
 val strip_groups : string list -> string -> string
-(** [strip_groups names s] removes every balanced [(name ...)] group
-    whose head atom is in [names] (plus one preceding space), tracking
-    quoted strings so parentheses inside ["..."] do not miscount.
-    Exposed for tests. *)
+(** [strip_groups names s] parses [s] with {!Serve.Sexp.parse}, removes
+    every [(name ...)] group whose head atom is in [names], and prints
+    the rest with {!Serve.Sexp.to_string}; quoted strings are values, so
+    parentheses inside ["..."] never match. A payload that does not
+    parse is returned unchanged. Exposed for tests. *)
 
 val normalize : disp:string -> string -> string
 (** The per-response normalization described above, keyed by the

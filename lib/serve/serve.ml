@@ -434,11 +434,7 @@ let parse_request fields =
   let time = ref None in
   let samples = ref None in
   let seed = ref None in
-  let mp = ref None in
-  let mn = ref None in
-  let ml = ref None in
-  let mi = ref None in
-  let tm = ref None in
+  let limits = ref Budget.unlimited in
   let metrics = ref false in
   try
     List.iter
@@ -462,11 +458,6 @@ let parse_request fields =
               | Sexp.Atom s | Sexp.Str s -> s
               | _ -> raise (Bad_request (key ^ ": expected text"))
             in
-            let cap r =
-              let v = int_v () in
-              if v < 0 then raise (Bad_request (key ^ ": negative"));
-              r := Some v
-            in
             match key with
             | "id" -> id := Some (int_v ())
             | "op" -> (
@@ -486,17 +477,18 @@ let parse_request fields =
                 if v < 1 then raise (Bad_request "samples: must be >= 1");
                 samples := Some v
             | "seed" -> seed := Some (int_v ())
-            | "max-points" -> cap mp
-            | "max-nodes" -> cap mn
-            | "max-limbs" -> cap ml
-            | "max-iters" -> cap mi
-            | "timeout-ms" -> cap tm
             | "metrics" -> (
                 match text_v () with
                 | "true" -> metrics := true
                 | "false" -> metrics := false
                 | _ -> raise (Bad_request "metrics: expected true or false"))
-            | other -> raise (Bad_request ("unknown field " ^ other)))
+            | other -> (
+                match List.find_opt (fun (c : Budget.cap) -> c.name = other) Budget.caps with
+                | Some c ->
+                    let v = int_v () in
+                    if v < 0 then raise (Bad_request (key ^ ": negative"));
+                    limits := c.set !limits (Some v)
+                | None -> raise (Bad_request ("unknown field " ^ other))))
         | _ -> raise (Bad_request "request fields must be (key value) lists"))
       fields;
     let need key r =
@@ -532,14 +524,7 @@ let parse_request fields =
         op;
         system = text "system" system;
         formula = text "formula" formula;
-        req_limits =
-          {
-            Budget.max_points = !mp;
-            max_nodes = !mn;
-            max_limbs = !ml;
-            max_iters = !mi;
-            timeout_ms = !tm;
-          };
+        req_limits = !limits;
         want_metrics = !metrics;
         req_trace = "";
         req_seq = 0;
@@ -615,59 +600,140 @@ let default_config =
     journal = None;
   }
 
+(* The settings table: every tunable of [config] but [jobs] (the CLI's
+   shared --jobs flag) and the process-local sinks and clock. One row
+   is the CLI flag (help text included), the journal-meta key and the
+   [validate_config] bound; the five budget caps come from
+   [Budget.caps], so their names are also request fields. An [int]
+   field is read and set as [Some v]; only an [optional] one takes
+   [None] (an absent flag, [none] in the journal meta). *)
+type setting = {
+  name : string;
+  docv : string;
+  doc : string;
+  min : int;
+  optional : bool;
+  journaled : bool;
+  get : config -> int option;
+  set : config -> int option -> config;
+}
+
+let int_setting ?(journaled = true) name ~docv ~min ~doc get set =
+  {
+    name;
+    docv;
+    doc;
+    min;
+    optional = false;
+    journaled;
+    get = (fun c -> Some (get c));
+    set = (fun c -> function Some v -> set c v | None -> c);
+  }
+
+let s_max_pending =
+  int_setting "max-pending" ~docv:"N" ~min:1
+    ~doc:
+      "Bound on queued-not-yet-executed requests; beyond it new requests are shed \
+       immediately with an $(i,overloaded) response carrying a back-off hint."
+    (fun c -> c.max_pending)
+    (fun c v -> { c with max_pending = v })
+
+let s_batch =
+  int_setting "batch" ~docv:"N" ~min:0
+    ~doc:
+      "Drain the queue once it holds $(docv) requests; 0 means the job count (keep \
+       the pool busy). Responses are always written in arrival order regardless."
+    (fun c -> c.batch)
+    (fun c v -> { c with batch = v })
+
+let s_telemetry_every =
+  int_setting ~journaled:false "telemetry-every" ~docv:"N" ~min:0
+    ~doc:
+      "Emit a streaming-telemetry frame (one JSON line of counter and histogram-total \
+       deltas) to $(b,--telemetry-file) every $(docv) accepted requests, plus a final \
+       frame at shutdown. 0 disables. Frames are byte-identical at every $(b,--jobs)."
+    (fun c -> c.telemetry_every)
+    (fun c v -> { c with telemetry_every = v })
+
+let settings =
+  [
+    s_max_pending;
+    s_batch;
+    int_setting "max-frame" ~docv:"BYTES" ~min:64
+      ~doc:
+        "Frame payload byte cap; oversized frames are skipped and answered with a \
+         typed protocol error."
+      (fun c -> c.max_frame)
+      (fun c v -> { c with max_frame = v });
+    int_setting "cache-max" ~docv:"N" ~min:0
+      ~doc:
+        "Cross-request result-cache entries, keyed by (system digest, operation, \
+         formula, limits); 0 disables the cache."
+      (fun c -> c.cache_max)
+      (fun c v -> { c with cache_max = v });
+    int_setting "tree-cache-max" ~docv:"N" ~min:1
+      ~doc:"Parsed-system cache entries (documents are content-addressed by digest)."
+      (fun c -> c.tree_cache_max)
+      (fun c v -> { c with tree_cache_max = v });
+    {
+      name = "drain-ms";
+      docv = "MS";
+      doc =
+        "Grace deadline for draining in-flight requests on shutdown or EOF; requests \
+         still pending past it are answered with budget errors.";
+      min = 0;
+      optional = true;
+      journaled = true;
+      get = (fun c -> c.drain_ms);
+      set = (fun c v -> { c with drain_ms = v });
+    };
+    int_setting "retry-after-ms" ~docv:"MS" ~min:1
+      ~doc:"Back-off hint attached to $(i,overloaded) responses."
+      (fun c -> c.retry_after_ms)
+      (fun c v -> { c with retry_after_ms = v });
+  ]
+  @ List.map
+      (fun (cap : Budget.cap) ->
+        {
+          name = cap.name;
+          docv = cap.docv;
+          doc =
+            "Per-request cap: at most $(docv) " ^ cap.doc
+            ^ "; requests may lower it but never raise it.";
+          (* A server-level cap of 0 would fail every request. *)
+          min = 1;
+          optional = true;
+          journaled = true;
+          get = (fun c -> cap.get c.limits);
+          set = (fun c v -> { c with limits = cap.set c.limits v });
+        })
+      Budget.caps
+  @ [ s_telemetry_every ]
+
 let validate_config cfg =
   let err fmt = Printf.ksprintf (fun m -> Result.Error m) fmt in
+  let below s = match s.get cfg with Some v when v < s.min -> Some (s, v) | _ -> None in
   if cfg.jobs < 1 then err "--jobs must be >= 1 (got %d)" cfg.jobs
-  else if cfg.max_pending < 1 then
-    err "--max-pending must be >= 1 (got %d)" cfg.max_pending
-  else if cfg.batch < 0 then err "--batch must be >= 0 (got %d)" cfg.batch
-  else if cfg.batch > cfg.max_pending then
-    err "--batch %d exceeds --max-pending %d" cfg.batch cfg.max_pending
-  else if cfg.max_frame < 64 then
-    err "--max-frame must be >= 64 bytes (got %d)" cfg.max_frame
-  else if cfg.cache_max < 0 then
-    err "--cache-max must be >= 0 (got %d)" cfg.cache_max
-  else if cfg.tree_cache_max < 1 then
-    err "--tree-cache-max must be >= 1 (got %d)" cfg.tree_cache_max
-  else if cfg.retry_after_ms < 1 then
-    err "--retry-after-ms must be >= 1 (got %d)" cfg.retry_after_ms
-  else if (match cfg.drain_ms with Some d -> d < 0 | None -> false) then
-    err "--drain-ms must be >= 0"
-  else if cfg.telemetry_every < 0 then
-    err "--telemetry-every must be >= 0 (got %d)" cfg.telemetry_every
-  else if cfg.telemetry_every > 0 && Option.is_none cfg.telemetry then
-    err "--telemetry-every requires a telemetry sink (--telemetry-file)"
   else
-    let bad_cap =
-      List.find_opt
-        (fun (_, v) -> match v with Some v -> v <= 0 | None -> false)
-        [
-          ("--max-points", cfg.limits.Budget.max_points);
-          ("--max-nodes", cfg.limits.Budget.max_nodes);
-          ("--max-limbs", cfg.limits.Budget.max_limbs);
-          ("--max-iters", cfg.limits.Budget.max_iters);
-          ("--timeout-ms", cfg.limits.Budget.timeout_ms);
-        ]
-    in
-    match bad_cap with
-    | Some (name, _) ->
-        err "server-level %s of 0 or less would fail every request" name
-    | None -> Ok ()
+    match List.find_map below settings with
+    | Some (s, v) -> err "--%s must be >= %d (got %d)" s.name s.min v
+    | None ->
+        if cfg.batch > cfg.max_pending then
+          err "--%s %d exceeds --%s %d" s_batch.name cfg.batch s_max_pending.name
+            cfg.max_pending
+        else if cfg.telemetry_every > 0 && Option.is_none cfg.telemetry then
+          err "--%s requires a telemetry sink (--telemetry-file)" s_telemetry_every.name
+        else Ok ()
 
 (* A request may only lower the server-level caps. *)
 let merge_limits server req =
-  let field s r =
-    match (s, r) with
-    | None, v | v, None -> v
-    | Some s, Some r -> Some (min s r)
-  in
-  {
-    Budget.max_points = field server.Budget.max_points req.Budget.max_points;
-    max_nodes = field server.Budget.max_nodes req.Budget.max_nodes;
-    max_limbs = field server.Budget.max_limbs req.Budget.max_limbs;
-    max_iters = field server.Budget.max_iters req.Budget.max_iters;
-    timeout_ms = field server.Budget.timeout_ms req.Budget.timeout_ms;
-  }
+  List.fold_left
+    (fun acc (c : Budget.cap) ->
+      c.set acc
+        (match (c.get server, c.get req) with
+        | None, v | v, None -> v
+        | Some s, Some r -> Some (min s r)))
+    Budget.unlimited Budget.caps
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes and rendering                                              *)
@@ -901,11 +967,13 @@ let cache_key cfg req =
     | Ok f -> Buffer.add_string b (Closure.digest (Closure.of_formula f))
     | Result.Error _ -> Buffer.add_string b req.formula);
     Buffer.add_char b '|';
-    let lim = function None -> "-" | Some v -> string_of_int v in
-    let l = req.req_limits in
-    Printf.bprintf b "%s,%s,%s,%s,%s" (lim l.Budget.max_points)
-      (lim l.Budget.max_nodes) (lim l.Budget.max_limbs) (lim l.Budget.max_iters)
-      (lim l.Budget.timeout_ms);
+    List.iteri
+      (fun i (c : Budget.cap) ->
+        if i > 0 then Buffer.add_char b ',';
+        match c.get req.req_limits with
+        | None -> Buffer.add_char b '-'
+        | Some v -> Buffer.add_string b (string_of_int v))
+      Budget.caps;
     Some (Buffer.contents b)
   end
 
@@ -983,19 +1051,12 @@ and perform_query st req =
   let fact = Semantics.eval tree ~valuation:Semantics.generic_valuation formula in
   match req.op with
   | Op_eval ->
-      let sat = ref 0 in
-      Tree.iter_points tree (fun ~run ~time ->
-          if Fact.holds fact ~run ~time then incr sat);
-      let initially =
-        Bitset.init (Tree.n_runs tree) (fun r -> Fact.holds fact ~run:r ~time:0)
-      in
-      let prob = Tree.measure tree initially in
+      let s = Semantics.summarize tree fact in
       ok_outcome req.req_id
         (Printf.sprintf
            "(code 0) (status ok) (result (points %d) (sat %d) (valid %b) (prob %s))"
-           (Tree.n_points tree) !sat
-           (!sat = Tree.n_points tree)
-           (Q.to_string prob))
+           s.points s.sat s.valid
+           (Q.to_string (Lazy.force s.prob)))
         ~cacheable:true
   | Op_belief { agent; run; time; samples; seed } ->
       let bound name v hi =
@@ -1317,7 +1378,7 @@ let run cfg ~source ~write =
          byte-identical at every job count. *)
       let telemetry_on = cfg.telemetry_every > 0 in
       let series =
-        if telemetry_on then Some (Obs.Series.create ~capacity:64) else None
+        if telemetry_on then Some (Obs.Series.create ()) else None
       in
       let tele_reqs = ref 0 in
       let tele_mark = ref 0 in

@@ -179,7 +179,36 @@ type config = {
 
 val default_config : config
 
+(** One tunable of {!config}: the table every view of the server's
+    configuration is derived from — the [pak serve] flags and their help,
+    {!validate_config}'s bounds, and the journal meta written by
+    [Replay.meta_of_config]. The five budget caps are {!Pak_guard.Budget.caps}
+    lifted onto [config.limits], so their names are also request fields.
+    [jobs] (the CLI's shared [--jobs] flag), the sinks and the clock are
+    not settings. *)
+type setting = {
+  name : string;  (** CLI flag without its dashes; journal-meta key *)
+  docv : string;  (** the flag's value placeholder *)
+  doc : string;  (** the flag's help text (Cmdliner markup) *)
+  min : int;  (** least valid value *)
+  optional : bool;
+      (** [None] is a value: the flag may be absent and the journal meta
+          spells it [none]; otherwise [get] is always [Some _] and
+          [set _ None] changes nothing *)
+  journaled : bool;  (** recorded in the journal meta *)
+  get : config -> int option;
+  set : config -> int option -> config;
+}
+
+val settings : setting list
+(** In journal-meta order: [max-pending], [batch], [max-frame],
+    [cache-max], [tree-cache-max], [drain-ms], [retry-after-ms], the
+    five budget caps, then the unjournaled [telemetry-every]. *)
+
 val validate_config : config -> (unit, string) result
+(** [jobs >= 1], every setting at or above its [min], [batch] at most
+    [max_pending], and a telemetry sink whenever [telemetry_every > 0].
+    The error names the offending flag. *)
 
 val run : config -> source:Frame.source -> write:(string -> unit) -> int
 (** Serve until EOF or a [shutdown] frame; returns the process exit

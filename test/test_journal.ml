@@ -302,6 +302,11 @@ let test_strip_groups () =
     (Replay.strip_groups [ "trace" ] {|(a (trace 1) (result "(trace 2)"))|});
   check_string "name must match whole atom" "(r (tracex 1))"
     (Replay.strip_groups [ "trace" ] "(r (tracex 1) (trace 2))");
+  check_string "a payload that does not parse is kept raw"
+    "<unframed bytes in replay output>"
+    (Replay.strip_groups [ "trace" ] "<unframed bytes in replay output>");
+  check_string "so is an unbalanced one" "(a (trace 1)"
+    (Replay.strip_groups [ "trace" ] "(a (trace 1)");
   check_string "status disposition also strips the result"
     "(response (id 1) (code 0) (status ok))"
     (Replay.normalize ~disp:"status"
@@ -336,6 +341,68 @@ let test_meta_roundtrip () =
   let dflt = Replay.config_of_meta "not a serve-config" in
   check_int "garbage meta falls back to default jobs"
     Serve.default_config.Serve.jobs dflt.Serve.jobs
+
+(* The journal meta is a compatibility surface: journals recorded by
+   earlier builds must keep replaying, so its bytes are pinned. *)
+let all_non_default =
+  { Serve.default_config with
+    Serve.jobs = 3;
+    max_pending = 7;
+    batch = 2;
+    max_frame = 4096;
+    cache_max = 11;
+    tree_cache_max = 5;
+    drain_ms = None;
+    retry_after_ms = 9;
+    limits =
+      Budget.limits ~max_points:1234 ~max_nodes:77 ~max_limbs:88 ~max_iters:6
+        ~timeout_ms:500 ();
+    telemetry_every = 4;
+    telemetry = Some ignore
+  }
+
+let test_meta_golden () =
+  check_string "default config"
+    "(serve-config (version 1) (jobs 1) (max-pending 64) (batch 0) (max-frame 1048576) \
+     (cache-max 256) (tree-cache-max 32) (drain-ms 2000) (retry-after-ms 50) \
+     (max-points none) (max-nodes none) (max-limbs none) (max-iters none) \
+     (timeout-ms none))"
+    (Replay.meta_of_config Serve.default_config);
+  let meta = Replay.meta_of_config all_non_default in
+  check_string "every setting non-default"
+    "(serve-config (version 1) (jobs 3) (max-pending 7) (batch 2) (max-frame 4096) \
+     (cache-max 11) (tree-cache-max 5) (drain-ms none) (retry-after-ms 9) \
+     (max-points 1234) (max-nodes 77) (max-limbs 88) (max-iters 6) (timeout-ms 500))"
+    meta;
+  (* Everything journaled reads back; telemetry is process-local. *)
+  let back = Replay.config_of_meta meta in
+  check_bool "config_of_meta inverts meta_of_config" true
+    (back
+    = { all_non_default with Serve.telemetry_every = 0; telemetry = None })
+
+(* A journal recorded by an earlier build with every journaled setting
+   away from its default (and soak traffic with junk, shed, degraded
+   and error responses) replays with no divergence at any --jobs. *)
+let test_fixture_replays () =
+  match Journal.read "fixtures/serve_nondefault.journal" with
+  | Error e -> Alcotest.fail e
+  | Ok rr ->
+    check_string "the meta reads back byte-identically" rr.Journal.r_meta
+      (Replay.meta_of_config (Replay.config_of_meta rr.Journal.r_meta));
+    List.iter
+      (fun jobs ->
+        match Replay.run ~jobs rr with
+        | Error e -> Alcotest.fail e
+        | Ok rep ->
+          check_int (Printf.sprintf "jobs %d: no divergence" jobs) 0
+            (List.length rep.Replay.rp_divergences);
+          check_int (Printf.sprintf "jobs %d: all matched" jobs) rep.Replay.rp_compared
+            rep.Replay.rp_matched;
+          check_bool (Printf.sprintf "jobs %d: responses compared" jobs) true
+            (rep.Replay.rp_compared > 0);
+          check_int (Printf.sprintf "jobs %d: nothing missing or extra" jobs) 0
+            (rep.Replay.rp_missing + rep.Replay.rp_extra))
+      [ 1; 4 ]
 
 (* Recorders that still had an evaluator selector wrote an
    (engine recursive|vectorized) field right after the version. Such
@@ -505,6 +572,8 @@ let () =
           Alcotest.test_case "tampered journal diverges" `Quick
             test_tampered_journal_diverges;
           Alcotest.test_case "older meta with an engine field" `Quick
-            test_meta_engine_field_ignored
+            test_meta_engine_field_ignored;
+          Alcotest.test_case "meta golden strings" `Quick test_meta_golden;
+          Alcotest.test_case "earlier recording replays" `Quick test_fixture_replays
         ] )
     ]

@@ -733,9 +733,7 @@ let test_series_deltas_telescope () =
   with_metrics (fun () ->
       let c = Obs.counter "series.c" in
       let h = Obs.histogram "series.h" in
-      let s = Obs.Series.create ~capacity:8 in
-      check_int "capacity" 8 (Obs.Series.capacity s);
-      check_int "empty" 0 (Obs.Series.length s);
+      let s = Obs.Series.create () in
       Obs.add c 3;
       Obs.record h 10;
       let a = Obs.Series.record s in
@@ -753,31 +751,7 @@ let test_series_deltas_telescope () =
       let idle = Obs.Series.record s in
       check_bool "zero rows dropped" true
         (List.assoc_opt "series.c" idle.Obs.Series.s_counters = None);
-      check_int "three samples held" 3 (Obs.Series.length s))
-
-let test_series_ring_eviction () =
-  with_metrics (fun () ->
-      let c = Obs.counter "series.ring" in
-      let s = Obs.Series.create ~capacity:3 in
-      for i = 1 to 7 do
-        Obs.add c i;
-        ignore (Obs.Series.record s)
-      done;
-      check_int "length is capped" 3 (Obs.Series.length s);
-      let held = Obs.Series.samples s in
-      check_bool "latest window, oldest first" true
-        (List.map (fun x -> x.Obs.Series.s_seq) held = [ 4; 5; 6 ]);
-      (* The basis advanced on every record, evicted or not: the held
-         deltas are the original per-record increments. *)
-      check_bool "deltas unaffected by eviction" true
-        (List.map (fun x -> List.assoc "series.ring" x.Obs.Series.s_counters) held
-        = [ 5; 6; 7 ]))
-
-let test_series_capacity_validation () =
-  check_bool "capacity 0 rejected" true
-    (match Obs.Series.create ~capacity:0 with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+      check_int "seq counts every record" 2 idle.Obs.Series.s_seq)
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                              *)
@@ -1095,9 +1069,7 @@ let () =
           Alcotest.test_case "trace context" `Quick test_trace_context
         ] );
       ( "series",
-        [ Alcotest.test_case "deltas telescope" `Quick test_series_deltas_telescope;
-          Alcotest.test_case "ring eviction" `Quick test_series_ring_eviction;
-          Alcotest.test_case "capacity validation" `Quick test_series_capacity_validation
+        [ Alcotest.test_case "deltas telescope" `Quick test_series_deltas_telescope
         ] );
       ( "openmetrics",
         [ Alcotest.test_case "render passes check" `Quick test_openmetrics_render_checks;

@@ -638,6 +638,21 @@ let test_validate_config () =
        }
     = Ok ())
 
+(* Every setting's bound, from the table: at [min] the config is
+   accepted; one below it is rejected by an error naming the flag. *)
+let test_validate_each_setting () =
+  check_int "thirteen settings" 13 (List.length Serve.settings);
+  List.iter
+    (fun (s : Serve.setting) ->
+      let at v = Serve.validate_config (s.set Serve.default_config (Some v)) in
+      check_bool (s.name ^ " at its bound") true (at s.min = Ok ());
+      match at (s.min - 1) with
+      | Ok () -> Alcotest.fail (s.name ^ " below its bound accepted")
+      | Error m ->
+        check_bool (s.name ^ " error names --" ^ s.name ^ ": " ^ m) true
+          (contains m ("--" ^ s.name ^ " ")))
+    Serve.settings
+
 (* The (op status) latency block, rendered from a snapshot with known
    buckets: quantiles are the 0.5/0.9/0.99 fractions, interpolated
    inside their buckets, so p50 < p90 < p99 where the samples spread. *)
@@ -704,6 +719,8 @@ let () =
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "bad requests" `Quick test_bad_requests;
           Alcotest.test_case "validate config" `Quick test_validate_config;
+          Alcotest.test_case "validate each setting at its bound" `Quick
+            test_validate_each_setting;
           Alcotest.test_case "status latencies" `Quick test_status_latencies;
           Alcotest.test_case "status latencies golden" `Quick test_status_latencies_golden
         ] )
