@@ -788,7 +788,14 @@ let load_cmd =
          & info [ "formula" ] ~docv:"FORMULA"
              ~doc:"Also model-check $(docv) on the loaded system.")
   in
-  let run () file formula_text =
+  let dump_t =
+    Arg.(value & flag
+         & info [ "dump" ]
+             ~doc:"Print the loaded system back as a document, in the format of \
+                   $(b,pak dump), instead of the summary line. A document written by \
+                   $(b,pak dump) comes back byte for byte.")
+  in
+  let run () file formula_text dump =
     let ( let* ) r f =
       match r with
       | Result.Error e -> fail_error (Error.with_context "pak load" e)
@@ -796,8 +803,10 @@ let load_cmd =
     in
     let* doc = read_file file in
     let* tree = Tree_io.of_string_result doc in
-    Printf.printf "%s: %d agents, %d nodes, %d runs, %d points\n" file (Tree.n_agents tree)
-      (Tree.n_nodes tree) (Tree.n_runs tree) (Tree.n_points tree);
+    if dump then print_string (Tree_io.to_string tree)
+    else
+      Printf.printf "%s: %d agents, %d nodes, %d runs, %d points\n" file (Tree.n_agents tree)
+        (Tree.n_nodes tree) (Tree.n_runs tree) (Tree.n_points tree);
     match formula_text with
     | None -> 0
     | Some text ->
@@ -821,7 +830,7 @@ let load_cmd =
                diagnostic, and a document exceeding the installed resource budgets \
                exits 4 — never a raw exception."
          ])
-    Term.(const run $ common_t $ file_arg $ formula_t)
+    Term.(const run $ common_t $ file_arg $ formula_t $ dump_t)
 
 let explain_cmd =
   let file_arg =

@@ -527,7 +527,9 @@ let check ?valuation tree cert =
                   for id = 0 to Tree.n_nodes tree - 1 do
                     if holds (Tree.node_state tree id) then begin
                       let time = Tree.node_depth tree id in
-                      Bitset.iter_members (fun r -> add (off.(r) + time)) (Tree.node_runs tree id)
+                      for r = Tree.node_first_run tree id to Tree.node_last_run tree id do
+                        add (off.(r) + time)
+                      done
                     end
                   done)))
     | Not _ -> direct (Some (fun () -> Bitset.complement (child 0)))
@@ -544,7 +546,9 @@ let check ?valuation tree cert =
                  List.iter
                    (fun id ->
                      let time = Tree.node_depth tree id - 1 in
-                     Bitset.iter_members (fun r -> add (off.(r) + time)) (Tree.node_runs tree id))
+                     for r = Tree.node_first_run tree id to Tree.node_last_run tree id do
+                       add (off.(r) + time)
+                     done)
                    (Tree.action_nodes tree ~agent:i ~act))))
     | Eventually _ ->
       direct

@@ -108,7 +108,6 @@ let walk ?pool ?sink tree ~valuation formula =
   Obs.span "semantics.eval_vec" @@ fun () ->
   Obs.incr c_vec_evals;
   let clo = Closure.of_formula formula in
-  let n_runs = Tree.n_runs tree in
   let n = Tree.n_points tree in
   let check_agent i =
     if i < 0 || i >= Tree.n_agents tree then
@@ -153,11 +152,10 @@ let walk ?pool ?sink tree ~valuation formula =
       (fun key ->
         let time = Tree.lkey_time key in
         let cell = Tree.lstate_runs tree key in
-        (* [inner@ℓ] as an event, then the conditional measure
-           µ(inner@ℓ | ℓ) of Belief.degree_at_lstate. *)
-        let sat =
-          Bitset.init n_runs (fun run -> Bitset.mem cell run && Bitset.mem bits (point run time))
-        in
+        (* [inner@ℓ] as an event, read off the cell's members, then
+           the conditional measure µ(inner@ℓ | ℓ) of
+           Belief.degree_at_lstate. *)
+        let sat = Bitset.filter (fun run -> Bitset.mem bits (point run time)) cell in
         let degree = Tree.cond tree sat ~given:cell in
         { sat; degree; holds = satisfies_cmp cmp degree threshold })
       (fun b -> b.holds)

@@ -12,8 +12,13 @@ let nodes tree ~agent ~act =
 let time_of tree id = Tree.node_depth tree id - 1
 
 let runs_through tree ids =
-  Bitset.build (Tree.n_runs tree) (fun add ->
-      List.iter (fun id -> Bitset.iter_members add (Tree.node_runs tree id)) ids)
+  Bitset.build_ranges (Tree.n_runs tree) (fun add ->
+      List.iter (fun id -> add (Tree.node_first_run tree id) (Tree.node_last_run tree id)) ids)
+
+(* The runs through node [id] are [node_first_run .. node_last_run]. *)
+let through tree id run = Tree.node_first_run tree id <= run && run <= Tree.node_last_run tree id
+
+let n_through tree id = Tree.node_last_run tree id - Tree.node_first_run tree id + 1
 
 (* [by_time.(t)]: the runs performing the action at time [t]. *)
 let performing_by_time tree ids =
@@ -25,13 +30,15 @@ let performing_by_time tree ids =
    above its parent's. *)
 let nodes_on_run tree ~agent ~act ~run =
   ignore (Tree.run_length tree run : int) (* an unknown run is reported first *);
-  List.filter (fun id -> Bitset.mem (Tree.node_runs tree id) run) (nodes tree ~agent ~act)
+  List.filter (fun id -> through tree id run) (nodes tree ~agent ~act)
 
 let iter_occurrences tree ~agent ~act f =
   List.iter
     (fun id ->
       let time = time_of tree id in
-      Bitset.iter_members (fun run -> f ~run ~time) (Tree.node_runs tree id))
+      for run = Tree.node_first_run tree id to Tree.node_last_run tree id do
+        f ~run ~time
+      done)
     (nodes tree ~agent ~act)
 
 let compare_points (r1, t1) (r2, t2) = if r1 <> r2 then Int.compare r1 r2 else Int.compare t1 t2
@@ -59,7 +66,7 @@ let is_proper tree ~agent ~act =
   match nodes tree ~agent ~act with
   | [] -> false
   | ids ->
-    List.fold_left (fun n id -> n + Bitset.cardinal (Tree.node_runs tree id)) 0 ids
+    List.fold_left (fun n id -> n + n_through tree id) 0 ids
     = Bitset.cardinal (runs_through tree ids)
 
 let check_proper tree ~agent ~act =

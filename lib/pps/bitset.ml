@@ -63,19 +63,26 @@ let of_list cap is =
 
 (* Each inclusive range [lo, hi] is set a word at a time: one mask per
    word it touches, however many members it has. *)
-let of_ranges cap ranges =
-  let t = create cap in
-  List.iter
-    (fun (lo, hi) ->
-      if lo < 0 || hi >= cap || lo > hi then invalid_arg "Bitset.of_ranges: bad range";
-      let wlo = lo / word_bits and whi = hi / word_bits in
-      for k = wlo to whi do
-        let a = if k = wlo then lo mod word_bits else 0 in
-        let b = if k = whi then hi mod word_bits else word_bits - 1 in
-        t.words.(k) <- t.words.(k) lor (((1 lsl (b - a + 1)) - 1) lsl a)
-      done)
-    ranges;
-  t
+let set_range name cap words lo hi =
+  if lo < 0 || hi >= cap || lo > hi then invalid_arg (name ^ ": bad range");
+  let wlo = lo / word_bits and whi = hi / word_bits in
+  for k = wlo to whi do
+    let a = if k = wlo then lo mod word_bits else 0 in
+    let b = if k = whi then hi mod word_bits else word_bits - 1 in
+    words.(k) <- words.(k) lor (((1 lsl (b - a + 1)) - 1) lsl a)
+  done
+
+let build_ranges cap fill =
+  if cap < 0 then invalid_arg "Bitset.build_ranges: negative capacity";
+  let words = Array.make (n_words cap) 0 in
+  fill (set_range "Bitset.build_ranges" cap words);
+  { cap; words }
+
+let build_ranges_n cap k fill =
+  if cap < 0 then invalid_arg "Bitset.build_ranges_n: negative capacity";
+  let sets = Array.init k (fun _ -> Array.make (n_words cap) 0) in
+  fill (fun i lo hi -> set_range "Bitset.build_ranges_n" cap sets.(i) lo hi);
+  Array.map (fun words -> { cap; words }) sets
 
 (* Bulk constructor: one fresh words array, no per-bit copying. The
    loop only ever sets bits below [cap], so the unused high bits of the

@@ -19,11 +19,20 @@ val of_list : int -> int list -> t
     fine). Builds one word array in place.
     @raise Invalid_argument if a member is outside [0 .. n-1]. *)
 
-val of_ranges : int -> (int * int) list -> t
-(** [of_ranges n rs] has capacity [n] and every member of each
-    inclusive range [(lo, hi)] in [rs] (overlaps are fine). Builds one
-    word array, a word at a time.
-    @raise Invalid_argument unless [0 <= lo <= hi < n] for each range. *)
+val build_ranges : int -> ((int -> int -> unit) -> unit) -> t
+(** [build_ranges n fill] has capacity [n] and every member of each
+    inclusive range [lo .. hi] that [fill] passes to the adder it is
+    given (overlaps are fine). Builds one word array, a word at a time;
+    the adder must not be used after [fill] returns.
+    @raise Invalid_argument if [n < 0] or unless [0 <= lo <= hi < n]
+    for each range. *)
+
+val build_ranges_n : int -> int -> ((int -> int -> int -> unit) -> unit) -> t array
+(** [build_ranges_n n k fill] is [k] sets of capacity [n], built as by
+    {!build_ranges} in one pass: [add i lo hi] puts the range
+    [lo .. hi] into set [i].
+    @raise Invalid_argument as {!build_ranges} does, or if [i] is not
+    below [k]. *)
 
 val to_list : t -> int list
 (** Members in increasing order. *)

@@ -146,17 +146,20 @@ let is_about_runs t =
 
 let is_past_based t =
   (* Two runs agree up to time [time] iff they pass through the same
-     node; so past-based = constant on the runs through each node. Each
-     node is checked once, so the scans visit each point at most twice. *)
+     node; so past-based = constant on the runs through each node, an
+     interval of run indices. Each node's runs are read once, against
+     the first of them, so every point is visited at most once. *)
   let tr = t.tree in
   Pak_guard.Budget.charge_points (Tree.n_points tr);
   let rec from node =
     node >= Tree.n_nodes tr
     ||
     let time = Tree.node_depth tr node in
-    let runs = Tree.node_runs tr node in
+    let lo = Tree.node_first_run tr node and hi = Tree.node_last_run tr node in
     let holds run = Bitset.mem t.bits (Tree.run_offset tr run + time) in
-    (Bitset.for_all holds runs || not (Bitset.exists holds runs)) && from (node + 1)
+    let first = holds lo in
+    let rec same run = run > hi || (holds run = first && same (run + 1)) in
+    same (lo + 1) && from (node + 1)
   in
   from 0
 

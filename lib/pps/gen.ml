@@ -84,10 +84,21 @@ let labels p =
   }
 
 (* The state of a node at [depth]: first the agents' labels, then the
-   environment's, drawn in that order. *)
-let draw_state p rng lb depth =
-  let locals = Array.init p.n_agents (fun _ -> lb.local depth (Prng.int rng p.label_alphabet)) in
-  { Gstate.env = lb.env depth (Prng.int rng p.label_alphabet); locals }
+   environment's, drawn in that order. [draw_indices] draws the agents'
+   label indices, [state_of] the rest. *)
+let draw_indices p rng = Array.init p.n_agents (fun _ -> Prng.int rng p.label_alphabet)
+
+let state_of p rng lb depth idx =
+  let env = lb.env depth (Prng.int rng p.label_alphabet) in
+  { Gstate.env; locals = Array.map (lb.local depth) idx }
+
+let draw_state p rng lb depth = state_of p rng lb depth (draw_indices p rng)
+
+module Itbl = Hashtbl.Make (Int)
+
+(* [base^k · m], or -1 once that passes [max_int]. *)
+let rec scaled_power base k m =
+  if k = 0 then m else if m > max_int / base then -1 else scaled_power base (k - 1) (m * base)
 
 (* Protocol-consistent generation: agent i's action distribution is a
    memoized function of i's local state (time, label), exactly as a
@@ -97,24 +108,30 @@ let draw_state p rng lb depth =
    trees with per-node action probabilities the lemma genuinely fails.
    The environment's choice distribution is free per node, and runs
    have uniform length, so generated action labels (which embed their
-   depth) are always proper. *)
+   depth) are always proper.
+
+   A label is [lb.local depth i] for an index [i] below [width], so the
+   memos are keyed by label indices: P_i(ℓ) by (agent, depth, index),
+   the agents' joint choices by the depth and every agent's index read
+   as one number in base [width]. When that number could pass
+   [max_int], the joint choices are recomputed per node instead: they
+   draw nothing, so the tree is the same. *)
 let tree ?(params = default_params) seed =
   Obs.span "gen.tree" @@ fun () ->
   let p = params in
   let rng = Prng.create seed in
   let lb = labels p in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
-  (* P_i(ℓ): memoized per (agent, depth, label). *)
-  let protocol_memo : (int * int * string, (string * Q.t) list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let agent_dist agent depth label =
-    match Hashtbl.find_opt protocol_memo (agent, depth, label) with
+  let width = max 1 p.label_alphabet and depths = max 1 p.depth in
+  let protocol_memo : (string * Q.t) list Itbl.t = Itbl.create 32 in
+  let agent_dist agent depth (state : Gstate.t) i =
+    let key = (((agent * depths) + depth) * width) + i in
+    match Itbl.find_opt protocol_memo key with
     | Some d -> d
     | None ->
       let d =
         if p.deterministic_acts then
-          [ (lb.act depth (Hashtbl.hash (agent, label) mod p.act_alphabet), Q.one) ]
+          [ (lb.act depth (Hashtbl.hash (agent, state.locals.(agent)) mod p.act_alphabet), Q.one) ]
         else begin
           let support = 1 + Prng.int rng (min 2 p.act_alphabet) in
           let first = Prng.int rng p.act_alphabet in
@@ -122,41 +139,47 @@ let tree ?(params = default_params) seed =
           List.combine labels (normalized_weights rng ~max_weight:p.max_weight support)
         end
       in
-      Hashtbl.add protocol_memo (agent, depth, label) d;
+      Itbl.add protocol_memo key d;
       d
   in
-  let combos_memo = Hashtbl.create 16 in
-  let rec expand node depth (state : Gstate.t) =
+  let memo_combos = scaled_power width p.n_agents depths >= 0 in
+  let combos_memo = Itbl.create 16 in
+  let rec expand node depth (state : Gstate.t) idx =
     if depth < p.depth then begin
       let env_choices = 1 + Prng.int rng p.max_branching in
       let env_probs = normalized_weights rng ~max_weight:p.max_weight env_choices in
-      let dists = Array.init p.n_agents (fun i -> agent_dist i depth state.locals.(i)) in
+      let dists = Array.init p.n_agents (fun i -> agent_dist i depth state idx.(i)) in
       (* Cartesian product of the agents' action choices, a function
          of their labels. *)
+      let product () =
+        Array.fold_right
+          (fun d acc ->
+            List.concat_map (fun (a, q) -> List.map (fun (rest, qr) -> (a :: rest, Q.mul q qr)) acc) d)
+          dists
+          [ ([], Q.one) ]
+      in
       let combos =
-        match Hashtbl.find_opt combos_memo (depth, state.locals) with
-        | Some c -> c
-        | None ->
-          let c =
-            Array.fold_right
-              (fun d acc ->
-                List.concat_map (fun (a, q) -> List.map (fun (rest, qr) -> (a :: rest, Q.mul q qr)) acc) d)
-              dists
-              [ ([], Q.one) ]
-          in
-          Hashtbl.add combos_memo (depth, state.locals) c;
-          c
+        if not memo_combos then product ()
+        else
+          let key = Array.fold_left (fun k i -> (k * width) + i) depth idx in
+          match Itbl.find_opt combos_memo key with
+          | Some c -> c
+          | None ->
+            let c = product () in
+            Itbl.add combos_memo key c;
+            c
       in
       List.iteri
         (fun j env_p ->
           List.iter
             (fun (agent_acts, acts_p) ->
               let acts = Array.of_list (lb.env_act depth j :: agent_acts) in
-              let child_state = draw_state p rng lb (depth + 1) in
+              let child_idx = draw_indices p rng in
+              let child_state = state_of p rng lb (depth + 1) child_idx in
               let child =
                 Tree.Builder.add_child b ~parent:node ~prob:(Q.mul env_p acts_p) ~acts child_state
               in
-              expand child (depth + 1) child_state)
+              expand child (depth + 1) child_state child_idx)
             combos)
         env_probs
     end
@@ -165,9 +188,10 @@ let tree ?(params = default_params) seed =
   let ws0 = normalized_weights rng ~max_weight:p.max_weight k0 in
   List.iter
     (fun w ->
-      let state = draw_state p rng lb 0 in
+      let idx = draw_indices p rng in
+      let state = state_of p rng lb 0 idx in
       let node = Tree.Builder.add_initial b ~prob:w state in
-      expand node 0 state)
+      expand node 0 state idx)
     ws0;
   Tree.Builder.finalize b
 

@@ -52,23 +52,50 @@ let threshold acc =
       (* 0 < acc < 1, so 0 <= q < 2^30 *)
       Option.get (Bigint.to_int_opt q) + if Bigint.is_zero r then 0 else 1
 
+(* [threshold (s/l)] for [0 <= s/l], on ints: with [l < 2^31] the
+   product [s·2^30] stays below 2^61. *)
+let int_threshold s l = if s >= l then scale else ((s * scale) + l - 1) / l
+
+let sum_bound = 1 lsl 31
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* One slot's edges: the children from [c] on, entered at [!k], with
+   the cumulative probability before them. That sum is [s/l] over [l],
+   the lcm of the denominators so far, while [l] stays below 2^31 and
+   every probability's parts are below 2^30; after that it is the [Q]
+   [acc] and [l] is 0. *)
+let rec edges tree child thr k c s l acc =
+  if c >= 0 then begin
+    let p = Tree.node_prob tree c in
+    let pn = Bigint.small (Q.num p) and pd = Bignat.small (Q.den p) in
+    child.(!k) <- c;
+    let g = if l > 0 && pn > 0 && pd > 0 then gcd l pd else 0 in
+    if g > 0 && l * (pd / g) < sum_bound then begin
+      let l' = l * (pd / g) in
+      let s' = (s * (pd / g)) + (pn * (l / g)) in
+      thr.(!k) <- int_threshold s' l';
+      incr k;
+      edges tree child thr k (Tree.next_sibling tree c) s' l' acc
+    end
+    else begin
+      let acc = Q.add (if l > 0 then Q.of_ints s l else acc) p in
+      thr.(!k) <- threshold acc;
+      incr k;
+      edges tree child thr k (Tree.next_sibling tree c) 0 0 acc
+    end
+  end
+
 let table tree =
   let n = Tree.n_nodes tree in
   let first = Array.make (n + 2) 0 and child = Array.make n 0 and thr = Array.make n 0 in
   let k = ref 0 in
-  let edge acc p id =
-    let acc = Q.add acc p in
-    child.(!k) <- id;
-    thr.(!k) <- threshold acc;
-    incr k;
-    acc
-  in
   for id = 0 to n - 1 do
     first.(id) <- !k;
-    ignore (List.fold_left (fun acc (p, _, c) -> edge acc p c) Q.zero (Tree.node_children tree id))
+    edges tree child thr k (Tree.first_child tree id) 0 1 Q.zero
   done;
   first.(n) <- !k;
-  ignore (List.fold_left (fun acc (p, id) -> edge acc p id) Q.zero (Tree.initial_nodes tree));
+  edges tree child thr k (Tree.first_initial tree) 0 1 Q.zero;
   first.(n + 1) <- !k;
   let leaf_run = Array.make n (-1) in
   for run = 0 to Tree.n_runs tree - 1 do

@@ -57,7 +57,26 @@ module Builder : sig
   (** Check global invariants (at least one initial state; edge
       probabilities sum to exactly one at the root and at every internal
       node) and freeze the tree, enumerating runs and indexing local
-      states. @raise Invalid_argument if an invariant fails. *)
+      states. @raise Invalid_argument if an invariant fails; the
+      message names the first failing node and prints its exact sum.
+
+      The work runs on native ints where the data allows it, and the
+      data alone picks the path:
+      - An edge check sums the children's probabilities as an int
+        fraction over the lcm of their denominators. A probability
+        with a part of [2^30] or more, or an lcm of [2^31] or more,
+        sends that node's check to a [Q] sum instead.
+      - A run's measure is carried down the tree as an int fraction in
+        lowest terms, one cross-cancelled multiply per edge. When every
+        run measure fits and their lcm [D] is below [2^61], the run
+        weights are those fractions scaled to [D] and no run measure is
+        stored: {!run_measure} builds it on demand. Otherwise the run
+        measures are the [Q] products along the runs, and [D] and the
+        weights are read off them (see {!weight_denominator}).
+      - Runs are enumerated depth-first, so the runs through a node are
+        the interval [node_first_run .. node_last_run]; the nodes of
+        every run's points sit in one flat array indexed by the dense
+        point numbering of {!run_offset}. *)
 end
 
 (** {1 Structure} *)
@@ -88,6 +107,24 @@ val node_acts : t -> int -> string array
 val initial_nodes : t -> (Q.t * int) list
 (** The root's children with their probabilities. *)
 
+val node_prob : t -> int -> Q.t
+(** The probability on the node's incoming edge (for an initial state,
+    the root's probability of it). *)
+
+val first_initial : t -> int
+(** The first initial state; the others follow it through
+    {!next_sibling}. *)
+
+val first_child : t -> int -> int
+(** The node's first child, [-1] at a leaf. *)
+
+val next_sibling : t -> int -> int
+(** The child of the same parent added after this node (for an initial
+    state, the next initial state), [-1] after the last. Walking
+    {!first_child} and [next_sibling] visits a node's children in
+    insertion order, the order of {!node_children}, and allocates
+    nothing. *)
+
 (** {1 Runs and points} *)
 
 val run_length : t -> int -> int
@@ -109,10 +146,17 @@ val run_node : t -> run:int -> time:int -> int
 val runs_agree_upto : t -> int -> int -> time:int -> bool
 (** Whether two runs share the same prefix up to and including [time]
     (equivalently: pass through the same node at [time]). Runs shorter
-    than [time+1] agree with nothing. *)
+    than [time+1] agree with nothing, and no runs agree at a negative
+    time. *)
+
+val node_first_run : t -> int -> int
+val node_last_run : t -> int -> int
+(** The runs passing through a node are the interval
+    [node_first_run .. node_last_run] of run indices. *)
 
 val node_runs : t -> int -> Bitset.t
-(** Event of all runs passing through the given node. *)
+(** Event of all runs passing through the given node, packed from its
+    interval on each call. *)
 
 val iter_points : t -> (run:int -> time:int -> unit) -> unit
 val fold_points : t -> init:'a -> f:('a -> run:int -> time:int -> 'a) -> 'a

@@ -22,23 +22,11 @@ let quote buf s =
 let to_string tree =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "(pps (agents %d)\n" (Tree.n_agents tree));
-  (* Emit nodes in id order. Initial nodes carry parent -1; every other
-     node's incoming edge is found through its parent's children. *)
-  let incoming = Hashtbl.create 64 in
-  List.iter
-    (fun (prob, id) -> Hashtbl.replace incoming id (prob, [||], -1))
-    (Tree.initial_nodes tree);
+  (* Emit nodes in id order, each with its incoming edge; initial
+     nodes carry parent -1 and no actions. *)
   for id = 0 to Tree.n_nodes tree - 1 do
-    List.iter
-      (fun (prob, acts, child) -> Hashtbl.replace incoming child (prob, acts, id))
-      (Tree.node_children tree id)
-  done;
-  for id = 0 to Tree.n_nodes tree - 1 do
-    let prob, acts, parent =
-      match Hashtbl.find_opt incoming id with
-      | Some v -> v
-      | None -> invalid_arg "Tree_io.to_string: orphan node"
-    in
+    let prob = Tree.node_prob tree id and acts = Tree.node_acts tree id in
+    let parent = match Tree.node_parent tree id with Some p -> p | None -> -1 in
     let state = Tree.node_state tree id in
     Buffer.add_string buf
       (Printf.sprintf "  (node (parent %d) (prob %s) (acts" parent (Q.to_string prob));

@@ -946,6 +946,82 @@ let prop_reader_oracle_mutants =
       let rec go d k = if k = 0 then d else go (mutate rng d) (k - 1) in
       same_read (go doc edits))
 
+(* [Tree.Builder.finalize] against [Finalize_oracle] on loaded
+   documents: a Gen document whose builder calls were edited (a
+   probability replaced or two swapped, actions copied from another
+   node, a parent moved, a node replaced by the last) is loaded
+   through [Tree_io] and must give what the oracle builder gives on
+   the same calls — the same tree, or the same [Invalid_system]
+   message. *)
+(* One edit of a nonempty spec. *)
+let mutate_spec rng (spec : Finalize_oracle.spec) =
+  let open Finalize_oracle in
+  let ops = Array.of_list spec.ops in
+  let n = Array.length ops in
+  let i = Random.State.int rng n and j = Random.State.int rng n in
+  let prob_of = function Initial (p, _) | Child (_, p, _, _) -> p in
+  let with_prob p = function
+    | Initial (_, s) -> Initial (p, s)
+    | Child (parent, _, a, s) -> Child (parent, p, a, s)
+  in
+  let kept =
+    match (Random.State.int rng 5, ops.(i), ops.(j)) with
+    | 0, op, _ ->
+      let p = Q.of_ints (1 + Random.State.int rng 12) (1 + Random.State.int rng 12) in
+      ops.(i) <- with_prob p op;
+      n
+    | 1, op, op' ->
+      ops.(i) <- with_prob (prob_of op') op;
+      ops.(j) <- with_prob (prob_of op) op';
+      n
+    | 2, Child (p, q, _, s), Child (_, _, a, _) ->
+      ops.(i) <- Child (p, q, a, s);
+      n
+    | 3, Child (_, q, a, s), _ ->
+      ops.(i) <- Child (Random.State.int rng (n + 1), q, a, s);
+      n
+    | 4, _, _ ->
+      (* node i dropped, the last node in its place *)
+      ops.(i) <- ops.(n - 1);
+      n - 1
+    | _ -> n
+  in
+  { spec with ops = Array.to_list (Array.sub ops 0 kept) }
+
+let prop_finalize_oracle_documents =
+  QCheck.Test.make ~count:400 ~name:"finalize matches the Q-walk oracle on edited documents"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
+    (fun (seed, edits) ->
+      let rng = Random.State.make [| seed |] in
+      let depth = seed mod 6 and n_agents = 1 + (seed / 6 mod 3) in
+      let params = gen_params depth n_agents in
+      let t = if seed / 18 mod 2 = 0 then Gen.tree ~params seed else Gen.tree_arbitrary ~params seed in
+      let spec = Finalize_oracle.spec_of_tree t in
+      if Finalize_oracle.document spec <> Tree_io.to_string t then
+        QCheck.Test.fail_reportf "the spec does not render as the tree's document";
+      let rec go (s : Finalize_oracle.spec) k =
+        if k = 0 || s.ops = [] then s else go (mutate_spec rng s) (k - 1)
+      in
+      let spec = go spec edits in
+      let doc = Finalize_oracle.document spec in
+      (match Finalize_oracle.compare_spec spec with
+       | None -> ()
+       | Some d -> QCheck.Test.fail_reportf "builder on %S: %s" doc d);
+      match (Tree_io.of_string_result doc, Finalize_oracle.build_oracle spec) with
+      | Ok tree, Ok o -> (
+        match Finalize_oracle.difference tree o with
+        | None -> true
+        | Some d -> QCheck.Test.fail_reportf "loaded %S: %s" doc d)
+      | Error e, Error (Invalid_argument msg) ->
+        let expected =
+          Pak_guard.Error.(with_context "Tree_io.of_string" (make Invalid_system msg))
+        in
+        Pak_guard.Error.(to_string e = to_string expected)
+        || QCheck.Test.fail_reportf "loaded %S: %s, oracle: %s" doc (Pak_guard.Error.to_string e) msg
+      | _, Error e ->
+        QCheck.Test.fail_reportf "%S: the oracle raised %s" doc (Printexc.to_string e)
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "%S rejected: %s" doc (Pak_guard.Error.to_string e))
+
 (* Every one-byte edit of a small document with escapes: the byte
    deleted, doubled, or replaced by each of a few bytes that matter to
    the grammar. *)
@@ -1192,7 +1268,8 @@ let qcheck_cases =
       prop_simplify_preserves_semantics;
       prop_simplify_shrinks;
       prop_reader_oracle_gen;
-      prop_reader_oracle_mutants
+      prop_reader_oracle_mutants;
+      prop_finalize_oracle_documents
     ]
 
 let () =

@@ -342,6 +342,160 @@ let test_tree_initial_nodes () =
         (List.map (fun (p, id) -> (Q.to_string p, id)) (Tree.initial_nodes t)))
     (gen @ builtin)
 
+(* The builder against [Finalize_oracle], the [Q]-walk builder it
+   replaced: the same builder calls must give the same runs, points,
+   node intervals, local states, measures, weights and denominator, or
+   the same exception and message. *)
+let check_finalize name spec =
+  match Finalize_oracle.compare_spec spec with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" name d
+
+let test_tree_finalize_oracle () =
+  let gen, builtin = oracle_trees () in
+  let more =
+    List.concat_map
+      (fun (depth, n_agents) ->
+        let params = { Gen.default_params with Gen.depth; n_agents } in
+        List.concat_map
+          (fun seed ->
+            [ (Printf.sprintf "Gen depth %d agents %d seed %d" depth n_agents seed,
+               Gen.tree ~params seed);
+              (Printf.sprintf "arbitrary depth %d agents %d seed %d" depth n_agents seed,
+               Gen.tree_arbitrary ~params seed) ])
+          [ 4; 5 ])
+      [ (0, 2); (0, 1); (2, 1); (3, 3); (4, 1) ]
+  in
+  (* Run-measure denominators past 2^30. *)
+  let ladders =
+    let open Pak_systems in
+    [ ("judge 7", Judge.tree ~rounds:7 ~convict_at:2 ());
+      ("coordinated-attack 5", Coordinated_attack.tree ~rounds:5 ()) ]
+  in
+  List.iter (fun (name, t) -> check_finalize name (Finalize_oracle.spec_of_tree t))
+    (gen @ builtin @ more @ ladders)
+
+(* Hand-built trees for the int/[Q] switches of [finalize]. A shape is
+   an edge probability and the subtrees below it; nodes get ids in
+   preorder, the label of their child index and one action per child. *)
+type shape = N of Q.t * shape list
+
+let spec_of_shapes roots =
+  let ops = ref [] and next = ref 0 in
+  let rec add parent k (N (prob, kids)) =
+    let id = !next in
+    incr next;
+    let state = Gstate.make ~env:"e" ~locals:[ string_of_int k ] in
+    ops :=
+      (if parent < 0 then Finalize_oracle.Initial (prob, state)
+       else Finalize_oracle.Child (parent, prob, [| "e"; "a" ^ string_of_int k |], state))
+      :: !ops;
+    List.iteri (add id) kids
+  in
+  List.iteri (add (-1)) roots;
+  { Finalize_oracle.n_agents = 1; ops = List.rev !ops }
+
+(* [1/n] and [(n-1)/n] below a node, each leading to [below]. *)
+let split n below = [ N (q 1 n, below); N (q (n - 1) n, below) ]
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let test_tree_finalize_boundaries () =
+  let built name shapes =
+    let spec = spec_of_shapes shapes in
+    check_finalize name spec;
+    Finalize_oracle.build_tree spec
+  in
+  let denominator name shapes expected =
+    match built name shapes with
+    | Ok t ->
+      Alcotest.(check (option int)) (name ^ ": weight_denominator") expected
+        (Tree.weight_denominator t)
+    | Error e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+  in
+  let rejected name shapes msg =
+    match built name shapes with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e ->
+      Alcotest.(check string) name
+        (Printexc.to_string (Invalid_argument msg))
+        (Printexc.to_string e)
+  in
+  (* Edge products on both sides of the overflow check: a run
+     denominator [5m·c] just below and just above max_int (both are
+     past 2^61, so D falls back either way), and [m²] below 2^61. *)
+  let m = 1073741789 (* the largest prime below 2^30 *) in
+  let rec coprime step c = if gcd c (5 * m) = 1 then c else coprime step (c + step) in
+  let c_fits = coprime (-1) (max_int / (5 * m)) and c_over = coprime 1 ((max_int / (5 * m)) + 1) in
+  check_bool "5m·c straddles max_int" true
+    (c_fits <= max_int / (5 * m) && c_over > max_int / (5 * m));
+  List.iter
+    (fun c ->
+      denominator (Printf.sprintf "product 5m·%d" c)
+        [ N (Q.one, split m (split 5 (split c []))) ]
+        None)
+    [ c_fits; c_over ];
+  (* 9m·c passes 2^63 by less than 2^36, and no numerator shares a
+     factor with m, 9 or c, so every run denominator is 9m·c: a product
+     that wrapped would pass for a small positive one. *)
+  let c_wrap = 954437213 in
+  check_bool "9m·c wraps to a small positive int" true
+    (c_wrap > max_int / (9 * m) && 9 * m * c_wrap > 0 && 9 * m * c_wrap < 1 lsl 36
+     && gcd (c_wrap - 1) (9 * m) = 1 && gcd (m - 1) (9 * c_wrap) = 1);
+  denominator "product 9m·c past 2^63" [ N (Q.one, split m (split 9 (split c_wrap []))) ] None;
+  denominator "product m²" [ N (Q.one, split m (split m [])) ] (Some (m * m));
+  denominator "product m³" [ N (Q.one, split m (split m (split m []))) ] None;
+  (* The lcm of the run denominators just below and just above 2^61:
+     runs of denominators 4m and 4n, lcm 4mn. *)
+  let lcm_case n =
+    [ N (Q.one, [ N (q 1 4, split m []); N (q 3 4, split n []) ]) ]
+  in
+  let n_below = 536870929 and n_above = 536870933 in
+  check_bool "4mn straddles 2^61" true
+    (4 * m * n_below < 1 lsl 61 && 4 * m * n_above > 1 lsl 61);
+  denominator "lcm just below 2^61" (lcm_case n_below) (Some (4 * m * n_below));
+  denominator "lcm just above 2^61" (lcm_case n_above) None;
+  (* Edge sums whose lcm is on both sides of the int check's 2^31:
+     (p-1)/2p + 1/2p + (q-1)/2q + 1/2q = 1 over 2pq. *)
+  let p = 32749 in
+  let q_fits = (((1 lsl 31) - 1) / (2 * p)) lor 1 in
+  let q_fits = if 2 * p * q_fits < 1 lsl 31 then q_fits else q_fits - 2 in
+  List.iter
+    (fun qq ->
+      let kids =
+        List.map
+          (fun (a, b) -> N (q a b, []))
+          [ (p - 1, 2 * p); (1, 2 * p); (qq - 1, 2 * qq); (1, 2 * qq) ]
+      in
+      denominator (Printf.sprintf "edge lcm 2p·%d" qq) [ N (Q.one, kids) ] (Some (2 * p * qq)))
+    [ q_fits; q_fits + 2 ];
+  (* Sums that miss 1 by 1/D, on ints and past the int check, at a node
+     and at the root; and sums above 1. *)
+  rejected "node misses by 1/77" [ N (Q.one, [ N (q 5 7, []); N (q 3 11, []) ]) ]
+    "Tree.finalize: node 0 edge probabilities sum to 76/77, not 1";
+  rejected "root misses by 1/77" [ N (q 5 7, []); N (q 3 11, []) ]
+    "Tree.finalize: initial probabilities sum to 76/77, not 1";
+  rejected "node above 1" [ N (Q.one, [ N (q 5 7, []); N (q 4 11, []) ]) ]
+    "Tree.finalize: node 0 edge probabilities sum to 83/77, not 1";
+  let p, qq = (65537, 65539) in
+  (* x/p + y/q = 1 - 1/pq *)
+  let rec solve x = if ((p * qq) - 1 - (x * qq)) mod p = 0 then x else solve (x + 1) in
+  let x = solve 1 in
+  let y = ((p * qq) - 1 - (x * qq)) / p in
+  rejected "node misses by 1/pq past the int check"
+    [ N (Q.one, [ N (q x p, []); N (q y qq, []) ]) ]
+    (Printf.sprintf "Tree.finalize: node 0 edge probabilities sum to %d/%d, not 1"
+       ((p * qq) - 1) (p * qq));
+  rejected "root misses by 1/pq past the int check" [ N (q x p, []); N (q y qq, []) ]
+    (Printf.sprintf "Tree.finalize: initial probabilities sum to %d/%d, not 1"
+       ((p * qq) - 1) (p * qq));
+  (* Probabilities with a part of 2^30 or more take the [Q] path. *)
+  let big = 1 lsl 31 in
+  denominator "large edge parts" [ N (Q.one, split big (split 3 [])) ] (Some (3 * big));
+  rejected "large edge parts missing 1"
+    [ N (Q.one, [ N (q 1 big, []); N (q (big - 2) big, []) ]) ]
+    (Printf.sprintf "Tree.finalize: node 0 edge probabilities sum to %d/%d, not 1" (big - 1) big)
+
 (* [node_runs] and the local-state index against sets recomputed point
    by point from [run_node] and the local states. *)
 let test_tree_finalize_index () =
@@ -1220,7 +1374,9 @@ let () =
           Alcotest.test_case "protocol consistency check" `Quick test_tree_protocol_consistency;
           Alcotest.test_case "dot export" `Quick test_tree_dot;
           Alcotest.test_case "finalize index oracle" `Quick test_tree_finalize_index;
-          Alcotest.test_case "initial nodes" `Quick test_tree_initial_nodes
+          Alcotest.test_case "initial nodes" `Quick test_tree_initial_nodes;
+          Alcotest.test_case "finalize oracle" `Quick test_tree_finalize_oracle;
+          Alcotest.test_case "finalize int boundaries" `Quick test_tree_finalize_boundaries
         ] );
       ( "fact",
         [ Alcotest.test_case "basics" `Quick test_fact_basics;
