@@ -443,13 +443,9 @@ let eval_cmd =
             match Parser.parse_result text with
             | Result.Error e -> Error (Error.to_string e)
             | Ok f ->
-              (* One evaluation; validity,
-                 the point count and the time-0 probability are all
-                 derived from the single resulting fact. *)
-              let fact =
-                with_jobs_pool (fun pool ->
-                    Semantics.eval ?pool inst.tree ~valuation f)
-              in
+              (* One evaluation; validity, the point count and the
+                 time-0 probability are all derived from its fact. *)
+              let fact = Semantics.eval inst.tree ~valuation f in
               let s = Semantics.summarize inst.tree fact in
               Printf.printf "formula : %s\n" (Formula.to_string f);
               Printf.printf "valid   : %b\n" s.valid;
@@ -517,10 +513,7 @@ let profile_cmd =
               Obs.enable ();
               Obs.reset ();
               let t0 = Sys.time () in
-              let fact =
-                with_jobs_pool (fun pool ->
-                    Semantics.eval ?pool inst.tree ~valuation f)
-              in
+              let fact = Semantics.eval inst.tree ~valuation f in
               let eval_ms = (Sys.time () -. t0) *. 1000. in
               if openmetrics then begin
                 (* Machine-readable mode: exposition text only, pipeable. *)
@@ -811,10 +804,7 @@ let load_cmd =
     | None -> 0
     | Some text ->
       let* f = Parser.parse_result text in
-      let fact =
-        with_jobs_pool (fun pool ->
-            Semantics.eval ?pool tree ~valuation f)
-      in
+      let fact = Semantics.eval tree ~valuation f in
       let s = Semantics.summarize tree fact in
       Printf.printf "formula : %s\n" (Formula.to_string f);
       Printf.printf "valid   : %b\n" s.valid;

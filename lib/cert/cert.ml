@@ -5,7 +5,6 @@ open Pak_logic
 module Obs = Pak_obs.Obs
 module Budget = Pak_guard.Budget
 module Error = Pak_guard.Error
-module Pool = Pak_par.Pool
 
 let schema_version = 1
 
@@ -68,30 +67,6 @@ let pp_violation fmt v =
   Format.fprintf fmt "certificate violation at %s (%s): %s" v.path v.formula v.reason
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
-
-(* Span label per connective, mirroring the semantics' op tags so the
-   JSON "kind" field and the trace labels agree. *)
-let kind_of : Formula.t -> string = function
-  | True -> "true"
-  | False -> "false"
-  | Atom _ -> "atom"
-  | Not _ -> "not"
-  | And _ -> "and"
-  | Or _ -> "or"
-  | Implies _ -> "implies"
-  | Iff _ -> "iff"
-  | Does _ -> "does"
-  | Eventually _ -> "eventually"
-  | Globally _ -> "globally"
-  | Next _ -> "next"
-  | Once _ -> "once"
-  | Historically _ -> "historically"
-  | Knows _ -> "K"
-  | Believes _ -> "B"
-  | EveryoneKnows _ -> "E"
-  | CommonKnows _ -> "C"
-  | EveryoneBelieves _ -> "Ep"
-  | CommonBelief _ -> "CB"
 
 let group_agents grp = List.sort_uniq Stdlib.compare grp
 
@@ -495,7 +470,7 @@ let check ?valuation tree cert =
     let direct derive =
       (match n.evidence with
       | Direct -> ()
-      | _ -> failf path f "unexpected evidence kind for a %s node" (kind_of f));
+      | _ -> failf path f "unexpected evidence kind for a %s node" (Formula.op_tag f));
       match derive with
       | Some derive ->
         charge_pass ();
@@ -601,7 +576,7 @@ let check ?valuation tree cert =
         let holding = check_kcells path f agents (child 0) cells in
         charge_pass ();
         assert_equal path f set (from_cells agents holding)
-      | _ -> failf path f "expected knowledge-cell evidence for a %s node" (kind_of f))
+      | _ -> failf path f "expected knowledge-cell evidence for a %s node" (Formula.op_tag f))
     | Believes (_, _, _, _) | EveryoneBelieves (_, _, _) -> (
       let agents, cmp, threshold =
         match f with
@@ -616,7 +591,7 @@ let check ?valuation tree cert =
         let holding = check_bcells path f agents ~cmp ~threshold (child 0) cells in
         charge_pass ();
         assert_equal path f set (from_cells agents holding)
-      | _ -> failf path f "expected belief-cell evidence for a %s node" (kind_of f))
+      | _ -> failf path f "expected belief-cell evidence for a %s node" (Formula.op_tag f))
     | CommonKnows (grp, _) -> (
       let agents = check_group path f grp in
       match n.evidence with
@@ -728,7 +703,7 @@ let to_json cert =
     Buffer.add_string buf "{\"formula\":";
     add_jstring buf (Formula.to_string n.formula);
     Buffer.add_string buf ",\"kind\":";
-    add_jstring buf (kind_of n.formula);
+    add_jstring buf (Formula.op_tag n.formula);
     Buffer.add_string buf ",\"points\":";
     add_points buf n.points;
     (match n.evidence with
@@ -855,9 +830,9 @@ let rec node_of v =
     | Result.Error e -> raise (Decode (Printf.sprintf "unparseable formula %S: %s" text (Error.to_string e)))
   in
   let kind = jstr (jfield o "kind") in
-  if kind <> kind_of formula then
-    raise
-      (Decode (Printf.sprintf "node kind %S does not match formula %S (%s)" kind text (kind_of formula)));
+  let tag = Formula.op_tag formula in
+  if kind <> tag then
+    raise (Decode (Printf.sprintf "node kind %S does not match formula %S (%s)" kind text tag));
   let points = jpoints (jfield o "points") in
   let evidence =
     match List.assoc_opt "evidence" o with
@@ -1313,8 +1288,7 @@ let certify_sweep ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) c
     ~first_seed ~count =
   if count < 0 then invalid_arg "Cert.certify_sweep: negative count";
   Obs.span "cert.sweep" @@ fun () ->
-  let seeds = Array.init count (fun i -> first_seed + i) in
-  let eval seed =
+  let certify seed =
     match Sweep.seed_instance ~params seed with
     | None -> Skip
     | Some (tree, (agent, act), fact) -> (
@@ -1323,25 +1297,21 @@ let certify_sweep ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) c
       | Ok () -> Certified
       | Result.Error v -> Failed v)
   in
-  let outcomes =
-    match pool with Some pool -> Pool.map pool eval seeds | None -> Array.map eval seeds
+  let certified, skipped, failures =
+    Sweep.fold_seeds ?pool ~first_seed ~count certify ~init:(0, 0, [])
+      (fun (certified, skipped, failures) seed -> function
+        | Skip -> (certified, skipped + 1, failures)
+        | Certified -> (certified + 1, skipped, failures)
+        | Failed v -> (certified, skipped, (seed, v) :: failures))
   in
-  let certified = ref 0 and skipped = ref 0 and failures = ref [] in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Skip -> incr skipped
-      | Certified -> incr certified
-      | Failed v -> failures := (seeds.(i), v) :: !failures)
-    outcomes;
   {
     sw_check = check;
     sw_eps = eps;
     sw_first_seed = first_seed;
     sw_count = count;
-    sw_certified = !certified;
-    sw_skipped = !skipped;
-    sw_failures = List.rev !failures;
+    sw_certified = certified;
+    sw_skipped = skipped;
+    sw_failures = List.rev failures;
   }
 
 let sweep_passed r = r.sw_failures = [] && r.sw_certified > 0

@@ -74,6 +74,30 @@ let rec collect_atoms acc = function
 
 let atoms f = List.sort_uniq String.compare (collect_atoms [] f)
 
+(* The operator's name, one per constructor: trace span labels
+   ("semantics.eval_vec.<tag>") and the certificate's "kind" field. *)
+let op_tag = function
+  | True -> "true"
+  | False -> "false"
+  | Atom _ -> "atom"
+  | Not _ -> "not"
+  | And _ -> "and"
+  | Or _ -> "or"
+  | Implies _ -> "implies"
+  | Iff _ -> "iff"
+  | Does _ -> "does"
+  | Eventually _ -> "eventually"
+  | Globally _ -> "globally"
+  | Next _ -> "next"
+  | Once _ -> "once"
+  | Historically _ -> "historically"
+  | Knows _ -> "K"
+  | Believes _ -> "B"
+  | EveryoneKnows _ -> "E"
+  | CommonKnows _ -> "C"
+  | EveryoneBelieves _ -> "Ep"
+  | CommonBelief _ -> "CB"
+
 let equal = ( = )
 let compare = Stdlib.compare
 

@@ -71,6 +71,12 @@ val agents : t -> int list
 val atoms : t -> string list
 (** Atom names mentioned, sorted, without duplicates. *)
 
+val op_tag : t -> string
+(** The outermost operator's name: ["true"], ["atom"], ["and"], …,
+    ["K"], ["B"], ["E"], ["C"], ["Ep"], ["CB"]. Evaluation spans are
+    labelled [semantics.eval_vec.<tag>], and a certificate node's
+    ["kind"] field is the tag of its formula. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

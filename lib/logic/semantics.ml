@@ -21,30 +21,6 @@ let () =
       if total = 0 then []
       else [ ("semantics.memo_hit_rate", float_of_int hits /. float_of_int total) ])
 
-(* Span label per syntactic operator, so traces show where evaluation
-   time goes by connective rather than by (unbounded) formula text. *)
-let op_tag : Formula.t -> string = function
-  | True -> "true"
-  | False -> "false"
-  | Atom _ -> "atom"
-  | Not _ -> "not"
-  | And _ -> "and"
-  | Or _ -> "or"
-  | Implies _ -> "implies"
-  | Iff _ -> "iff"
-  | Does _ -> "does"
-  | Eventually _ -> "eventually"
-  | Globally _ -> "globally"
-  | Next _ -> "next"
-  | Once _ -> "once"
-  | Historically _ -> "historically"
-  | Knows _ -> "K"
-  | Believes _ -> "B"
-  | EveryoneKnows _ -> "E"
-  | CommonKnows _ -> "C"
-  | EveryoneBelieves _ -> "Ep"
-  | CommonBelief _ -> "CB"
-
 type valuation = string -> Gstate.t -> bool
 
 let generic_valuation atom =
@@ -78,8 +54,6 @@ let check_group = function
 (* The closure walk                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Pool = Pak_par.Pool
-
 let c_vec_evals = Obs.counter "eval_vec.evals"
 let c_vec_entries = Obs.counter "eval_vec.entries"
 let c_vec_cells = Obs.counter "eval_vec.cells"
@@ -104,7 +78,7 @@ type bcell = { sat : Bitset.t; degree : Q.t; holds : bool }
    K/B cell of a K/B/E/EB entry (the cells swept inside a C/CB
    fixpoint are not reported), every C/CB approximant, and every
    entry's fact once it is final. *)
-let walk ?pool ?sink tree ~valuation formula =
+let walk ?sink tree ~valuation formula =
   Obs.span "semantics.eval_vec" @@ fun () ->
   Obs.incr c_vec_evals;
   let clo = Closure.of_formula formula in
@@ -114,21 +88,12 @@ let walk ?pool ?sink tree ~valuation formula =
       invalid_arg (Printf.sprintf "Semantics.eval: agent %d out of range" i)
   in
   (* Per-indistinguishability-cell sweeps (K/B and their group forms):
-     each of the agent's local states is one independent cell, so the
-     cell array shards on the pool when one is given. The pool
-     re-installs the caller's budget scope in its workers, so charges
-     made inside a cell count against the same budget at any job
-     count; outcomes are reported and assembled in cell order on the
-     calling domain, so the result is jobs-invariant. *)
-  let shard cells f =
-    match pool with
-    | Some p when Array.length cells > 1 -> Pool.map p f cells
-    | _ -> Array.map f cells
-  in
+     one outcome per local state of the agent, reported and assembled
+     in Tree.lstates order. *)
   let cellwise ~agent sweep holds report =
     let cells = Array.of_list (Tree.lstates tree ~agent) in
     Obs.add c_vec_cells (Array.length cells);
-    let outcomes = shard cells sweep in
+    let outcomes = Array.map sweep cells in
     Option.iter (fun report -> Array.iteri (fun c key -> report key outcomes.(c)) cells) report;
     let holding = ref [] in
     for c = Array.length cells - 1 downto 0 do
@@ -193,7 +158,7 @@ let walk ?pool ?sink tree ~valuation formula =
       (* One whole-vector pass per entry. *)
       Budget.charge_points n;
       let v =
-        Obs.span ("semantics.eval_vec." ^ op_tag e.formula) @@ fun () ->
+        Obs.span ("semantics.eval_vec." ^ Formula.op_tag e.formula) @@ fun () ->
         let child k = facts.(e.children.(k)) in
         match e.formula with
         | True -> Fact.tt tree
@@ -247,7 +212,7 @@ let walk ?pool ?sink tree ~valuation formula =
   Obs.add c_memo_hits (Closure.duplicates clo);
   facts.(Closure.root_bit clo)
 
-let eval ?pool tree ~valuation formula = walk ?pool tree ~valuation formula
+let eval tree ~valuation formula = walk tree ~valuation formula
 let eval_vec = eval
 let eval_auto = eval
 

@@ -21,14 +21,13 @@ val generic_valuation : valuation
     local-state label is [label] (any agent count); every other atom is
     false. *)
 
-val eval : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+val eval : Tree.t -> valuation:valuation -> Formula.t -> Fact.t
 (** Evaluate a formula to the fact (set of points) where it holds.
     Builds the {!Closure} of the formula once, then evaluates its
     entries bottom-up, one {!Pak_pps.Fact.t} (a packed bitset over
     dense point indices) per entry: connectives are bulk bitset
     operations, [K_i]/[E_G] and [B_i^{⋈q}]/[EB_G^q] are
-    per-indistinguishability-cell sweeps (sharded on [pool] when
-    given; the result does not depend on it), and the [C_G]/[CB_G^q]
+    per-indistinguishability-cell sweeps, and the [C_G]/[CB_G^q]
     fixpoints iterate whole facts from the top element.
 
     Bumps [semantics.memo_misses] once per closure entry,
@@ -42,12 +41,12 @@ val eval : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t ->
     @raise Invalid_argument on an out-of-range agent or an empty
     group. *)
 
-val eval_vec : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+val eval_vec : Tree.t -> valuation:valuation -> Formula.t -> Fact.t
 (** {!eval}, under the name it had when a second evaluator existed;
     kept because external callers (the perfbench helper) still use
     it. *)
 
-val eval_auto : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+val eval_auto : Tree.t -> valuation:valuation -> Formula.t -> Fact.t
 (** {!eval}, under the name it had when a second evaluator existed;
     kept because external callers (the perfbench helper) still use
     it. *)
@@ -81,7 +80,7 @@ type sink = {
 }
 
 val walk :
-  ?pool:Pak_par.Pool.t -> ?sink:sink -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
+  ?sink:sink -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
 (** {!eval}, reporting to [sink]. Same fact, counters, charges and
     errors. *)
 

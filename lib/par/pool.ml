@@ -150,21 +150,3 @@ let map pool f arr =
         slots.(c) <- Array.init (hi - lo) (fun i -> f arr.(lo + i)));
     Array.concat (Array.to_list slots)
   end
-
-let map_reduce pool ~map:fm ~reduce ~init arr =
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let nchunks = min pool.n_jobs n in
-    let slots = Array.make nchunks None in
-    dispatch pool nchunks (fun c ->
-        let lo, hi = bounds ~n ~nchunks c in
-        let acc = ref init in
-        for i = lo to hi - 1 do
-          acc := reduce !acc (fm arr.(i))
-        done;
-        slots.(c) <- Some !acc);
-    Array.fold_left
-      (fun acc slot -> match slot with Some v -> reduce acc v | None -> acc)
-      init slots
-  end

@@ -8,9 +8,6 @@
 
     - {!map} assembles per-element results in input order, so its
       output never depends on the number of jobs or on scheduling;
-    - {!map_reduce} folds chunks in index order; when [reduce] is
-      associative with [init] as a neutral element, the result equals
-      the sequential fold for every job count;
     - work is split into {e deterministic chunks} — chunk [c] of [n]
       items under [k] chunks is the index interval
       [\[c·n/k, (c+1)·n/k)], a pure function of [(n, k)]. Scheduling
@@ -36,9 +33,9 @@
 
 type t
 (** A worker pool. Values of this type are safe to share: any domain
-    may submit work, but a single {!map} / {!map_reduce} call must not
-    be re-entered from inside its own mapped function (workers do not
-    nest participation). *)
+    may submit work, but a single {!map} call must not be re-entered
+    from inside its own mapped function (workers do not nest
+    participation). *)
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains that wait for
@@ -66,15 +63,3 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     output is identical for every job count, provided [f] itself is a
     function of its argument alone (the engines parallelized by pak —
     theorem checking, simulation blocks, fuzz probes — are). *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [map_reduce pool ~map ~reduce ~init arr] maps every element and
-    folds the results, chunk by chunk, combining chunk accumulators in
-    chunk-index order. Each chunk folds
-    [reduce (... (reduce init (map x_lo)) ...) (map x_hi)], and chunk
-    results are folded left starting from [init] again — so the result
-    equals [Array.fold_left (fun acc x -> reduce acc (map x)) init arr]
-    for {e every} job count exactly when [reduce] is associative and
-    [init] is a neutral element of it (integer/rational sums and
-    maxima, report merges, list concatenation all qualify). *)

@@ -4,9 +4,12 @@ exception Not_proper of string
    through one of them at depth d performs the action at time d - 1,
    and those are all its occurrences. An agent out of range is
    reported as the per-point reader Tree.action_at reports it. *)
-let nodes tree ~agent ~act =
+let check_agent tree agent =
   if agent < 0 || agent >= Tree.n_agents tree then
-    invalid_arg "Tree.action_at: agent out of range";
+    invalid_arg "Tree.action_at: agent out of range"
+
+let nodes tree ~agent ~act =
+  check_agent tree agent;
   Tree.action_nodes tree ~agent ~act
 
 let time_of tree id = Tree.node_depth tree id - 1
@@ -68,6 +71,36 @@ let is_proper tree ~agent ~act =
   | ids ->
     List.fold_left (fun n id -> n + n_through tree id) 0 ids
     = Bitset.cardinal (runs_through tree ids)
+
+(* Every action at once, in one depth-first scan. The scan meets the
+   nodes in run order, and run intervals are laminar, so a node whose
+   first run is inside an earlier interval of the same action lies
+   below that node: a run performs the action twice. Each action's
+   bucket keeps the last run its intervals reach so far. *)
+type bucket = { mutable reach : int; mutable proper : bool }
+
+let proper_actions tree ~agent =
+  check_agent tree agent;
+  let buckets = Hashtbl.create 16 in
+  let rec visit id =
+    if id >= 0 then begin
+      let acts = Tree.node_acts tree id in
+      if Array.length acts > 0 then begin
+        let act = acts.(agent + 1) and first = Tree.node_first_run tree id in
+        match Hashtbl.find buckets act with
+        | b ->
+          if first <= b.reach then b.proper <- false
+          else b.reach <- Tree.node_last_run tree id
+        | exception Not_found ->
+          Hashtbl.add buckets act { reach = Tree.node_last_run tree id; proper = true }
+      end;
+      visit (Tree.first_child tree id);
+      visit (Tree.next_sibling tree id)
+    end
+  in
+  visit (Tree.first_initial tree);
+  Hashtbl.fold (fun act b acc -> if b.proper then act :: acc else acc) buckets []
+  |> List.sort String.compare
 
 let check_proper tree ~agent ~act =
   if not (is_proper tree ~agent ~act) then

@@ -37,6 +37,10 @@ val time_performed : Tree.t -> agent:int -> act:string -> run:int -> int option
 val is_performed : Tree.t -> agent:int -> act:string -> bool
 val is_proper : Tree.t -> agent:int -> act:string -> bool
 
+val proper_actions : Tree.t -> agent:int -> string list
+(** The agent's proper actions, sorted: those {!is_proper} accepts,
+    decided for every action in one scan of the nodes. *)
+
 val check_proper : Tree.t -> agent:int -> act:string -> unit
 (** @raise Not_proper if the action is not proper for the agent. *)
 

@@ -248,36 +248,11 @@ let run_fact tree ~seed =
   let per_run = Array.init (Tree.n_runs tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_run_pred tree (fun run -> per_run.(run))
 
-let rec mem_string s = function [] -> false | x :: rest -> String.equal x s || mem_string s rest
-
-(* One pass over the nodes per agent decides every (agent, action)
-   pair. A parent's id is below its children's, so by the time a node
-   is reached [above.(parent)] holds the agent's actions on the edges
-   from the root down to its parent; an action is proper unless one of
-   its edges lies below another (a run then performs it twice).
-   [proper] maps each action met to whether it is still proper. *)
 let proper_actions tree =
   Obs.span "gen.proper_actions" @@ fun () ->
-  let n = Tree.n_nodes tree in
-  let pairs = ref [] in
-  for agent = 0 to Tree.n_agents tree - 1 do
-    let above = Array.make n [] and proper = Hashtbl.create 16 in
-    for id = 0 to n - 1 do
-      match Tree.node_parent tree id with
-      | None -> ()
-      | Some parent ->
-        let act = (Tree.node_acts tree id).(agent + 1) in
-        let path = above.(parent) in
-        let repeated = mem_string act path in
-        (match Hashtbl.find_opt proper act with
-         | None -> Hashtbl.add proper act (not repeated)
-         | Some true -> if repeated then Hashtbl.replace proper act false
-         | Some false -> ());
-        above.(id) <- act :: path
-    done;
-    Hashtbl.iter (fun act ok -> if ok then pairs := (agent, act) :: !pairs) proper
-  done;
-  List.sort compare !pairs
+  List.concat_map
+    (fun agent -> List.map (fun act -> (agent, act)) (Action.proper_actions tree ~agent))
+    (List.init (Tree.n_agents tree) Fun.id)
 
 let pick_proper_action tree ~seed =
   match proper_actions tree with

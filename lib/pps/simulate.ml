@@ -191,11 +191,12 @@ let par_counts ?pool tree ~event ~given ~samples ~seed =
         (b, min sample_block (samples - (b * sample_block))))
   in
   let count (b, n) = counts tb ~event ~given ~seed:(mix_seed seed b) ~n in
-  let combine (h1, g1) (h2, g2) = (h1 + h2, g1 + g2) in
   Obs.add c_samples samples;
-  match pool with
-  | Some pool -> Pool.map_reduce pool ~map:count ~reduce:combine ~init:(0, 0) blocks
-  | None -> Array.fold_left (fun acc bn -> combine acc (count bn)) (0, 0) blocks
+  let per_block =
+    match pool with Some pool -> Pool.map pool count blocks | None -> Array.map count blocks
+  in
+  (* Integer sums: the same totals in any grouping. *)
+  Array.fold_left (fun (h, g) (h', g') -> (h + h', g + g')) (0, 0) per_block
 
 let estimate_par ?pool tree ~event ~samples ~seed =
   if samples <= 0 then invalid_arg "Simulate.estimate_par: need at least one sample";

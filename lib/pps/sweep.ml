@@ -86,29 +86,28 @@ let run_seed ~params ~eps checks seed =
     List.map (fun _ -> Skipped) checks
   | Some (_tree, pick, fact) -> List.map (fun c -> Checked (check_instance ~eps c pick fact)) checks
 
-(* Pool.map assembles outcomes in seed order whatever the schedule, so
-   folding them yields job-count-independent reports. *)
+(* Pool.map assembles results in seed order whatever the schedule, so
+   the fold, and every report built on it, is job-count-independent. *)
+let fold_seeds ?pool ~first_seed ~count f ~init step =
+  let seeds = Array.init count (fun i -> first_seed + i) in
+  let results = match pool with Some pool -> Pool.map pool f seeds | None -> Array.map f seeds in
+  let acc = ref init in
+  Array.iteri (fun i r -> acc := step !acc seeds.(i) r) results;
+  !acc
+
 let run_checks ?pool ~params ~eps checks ~first_seed ~count =
   if count < 0 then invalid_arg "Sweep.run: negative count";
-  let seeds = Array.init count (fun i -> first_seed + i) in
-  let eval seed = run_seed ~params ~eps checks seed in
-  let outcomes =
-    match pool with Some pool -> Pool.map pool eval seeds | None -> Array.map eval seeds
+  let tally (checked, skipped, violations) seed = function
+    | Skipped -> (checked, skipped + 1, violations)
+    | Checked ok -> (checked + 1, skipped, if ok then violations else seed :: violations)
   in
-  List.mapi
-    (fun k check ->
-      let checked = ref 0 and skipped = ref 0 and violations = ref [] in
-      Array.iteri
-        (fun i per_check ->
-          match List.nth per_check k with
-          | Skipped -> incr skipped
-          | Checked ok ->
-            incr checked;
-            if not ok then violations := seeds.(i) :: !violations)
-        outcomes;
-      { check; eps; first_seed; count; checked = !checked; skipped = !skipped;
-        violations = List.rev !violations })
-    checks
+  fold_seeds ?pool ~first_seed ~count (run_seed ~params ~eps checks)
+    ~init:(List.map (fun _ -> (0, 0, [])) checks)
+    (fun tallies seed outcomes -> List.map2 (fun t o -> tally t seed o) tallies outcomes)
+  |> List.map2
+       (fun check (checked, skipped, violations) ->
+         { check; eps; first_seed; count; checked; skipped; violations = List.rev violations })
+       checks
 
 let run ?pool ?(params = Gen.default_params) ?(eps = Q.of_ints 1 10) check ~first_seed ~count =
   List.hd (run_checks ?pool ~params ~eps [ check ] ~first_seed ~count)

@@ -90,6 +90,23 @@ val run_all :
     reports, but each seed's instance is generated once and checked
     six times. *)
 
+val fold_seeds :
+  ?pool:Pak_par.Pool.t ->
+  first_seed:int ->
+  count:int ->
+  (int -> 'a) ->
+  init:'acc ->
+  ('acc -> int -> 'a -> 'acc) ->
+  'acc
+(** [fold_seeds ~first_seed ~count f ~init step] computes [f seed] for
+    every seed of [first_seed .. first_seed + count - 1], across [pool]
+    when given, then folds [step acc seed (f seed)] over them in seed
+    order. The one seed fan-out of the sweeps: [f] must be a function
+    of its seed alone, and then the result does not depend on the
+    pool.
+
+    @raise Invalid_argument if [count < 0]. *)
+
 val pp_report : Format.formatter -> report -> unit
 (** One line per sweep:
     [thm62 (Theorem 6.2): seeds 1..400: 400 checked, 0 skipped, 0

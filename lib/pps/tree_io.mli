@@ -40,6 +40,12 @@
 
 val to_string : Tree.t -> string
 
+val quote : Buffer.t -> string -> unit
+(** [quote buf s] appends [s] as a quoted string of the document
+    syntax: between double quotes, with a backslash before every quote
+    and backslash. The serve protocol's s-expressions quote their
+    strings with it too. *)
+
 val of_string_result : string -> (Tree.t, Pak_guard.Error.t) result
 (** The typed boundary for untrusted documents: never raises. Returns
     [Error] with kind [Parse] for malformed text, [Invalid_system] for

@@ -77,20 +77,9 @@ module Sexp = struct
 
   exception Bad of string
 
-  let quote buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-
   let rec add_to_buffer buf = function
     | Atom s -> Buffer.add_string buf s
-    | Str s -> quote buf s
+    | Str s -> Tree_io.quote buf s
     | List xs ->
         Buffer.add_char buf '(';
         List.iteri
@@ -752,7 +741,7 @@ type outcome = {
 
 let quoted s =
   let b = Buffer.create (String.length s + 2) in
-  Sexp.quote b s;
+  Tree_io.quote b s;
   Buffer.contents b
 
 let ok_outcome ?(disp = "ok") id body ~cacheable =

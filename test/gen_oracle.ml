@@ -1,9 +1,10 @@
 (* The generator as it was before labels were shared: every label
    formatted with [Printf] per node, weights divided as rationals, and
-   [proper_actions] decided by one walk over the points. The tests
-   compare [Gen] against it byte for byte, so a change to [Gen] that
-   alters a draw, a label or a weight shows up as a differing
-   document. *)
+   [proper_actions] decided by one walk over the points, or by one
+   walk over the nodes with the actions above each node
+   ([proper_actions_by_paths]). The tests compare [Gen] against it
+   byte for byte, so a change to [Gen] that alters a draw, a label or
+   a weight shows up as a differing document. *)
 
 open Pak_rational
 open Pak_pps
@@ -192,4 +193,34 @@ let proper_actions tree =
     (fun agent seen ->
       Hashtbl.iter (fun act r -> if r <> -1 then pairs := (agent, act) :: !pairs) seen)
     last;
+  List.sort compare !pairs
+
+let rec mem_string s = function [] -> false | x :: rest -> String.equal x s || mem_string s rest
+
+(* One pass over the nodes per agent decides every (agent, action)
+   pair. A parent's id is below its children's, so by the time a node
+   is reached [above.(parent)] holds the agent's actions on the edges
+   from the root down to its parent; an action is proper unless one of
+   its edges lies below another (a run then performs it twice).
+   [proper] maps each action met to whether it is still proper. *)
+let proper_actions_by_paths tree =
+  let n = Tree.n_nodes tree in
+  let pairs = ref [] in
+  for agent = 0 to Tree.n_agents tree - 1 do
+    let above = Array.make n [] and proper = Hashtbl.create 16 in
+    for id = 0 to n - 1 do
+      match Tree.node_parent tree id with
+      | None -> ()
+      | Some parent ->
+        let act = (Tree.node_acts tree id).(agent + 1) in
+        let path = above.(parent) in
+        let repeated = mem_string act path in
+        (match Hashtbl.find_opt proper act with
+         | None -> Hashtbl.add proper act (not repeated)
+         | Some true -> if repeated then Hashtbl.replace proper act false
+         | Some false -> ());
+        above.(id) <- act :: path
+    done;
+    Hashtbl.iter (fun act ok -> if ok then pairs := (agent, act) :: !pairs) proper
+  done;
   List.sort compare !pairs

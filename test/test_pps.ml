@@ -680,7 +680,9 @@ let test_action_proper_actions () =
   in
   List.iter
     (fun (name, t) ->
-      Alcotest.(check (list (pair int string))) name (by_filter t) (Gen.proper_actions t))
+      Alcotest.(check (list (pair int string))) name (by_filter t) (Gen.proper_actions t);
+      Alcotest.(check (list (pair int string)))
+        (name ^ ", path oracle") (Gen_oracle.proper_actions_by_paths t) (Gen.proper_actions t))
     (gen @ builtin);
   let candidates t =
     List.fold_left (fun n agent -> n + List.length (Tree.agent_actions t ~agent)) 0
@@ -1323,8 +1325,9 @@ let prop_fact_model =
            (Gen.proper_actions t))
 
 (* [Gen] against the Printf-based generator it replaced: the same
-   documents byte for byte and the same proper actions, across depth
-   0-5, 1-3 agents, deterministic acts and two-digit labels. *)
+   documents byte for byte and the same proper actions as both oracle
+   passes, across depth 0-5, 1-3 agents, deterministic acts and
+   two-digit labels. *)
 let prop_gen_oracle =
   QCheck.Test.make ~count:200 ~name:"Gen matches the Printf-based generator"
     QCheck.(pair (int_range 0 1_000_000) gen_params_arb)
@@ -1332,6 +1335,7 @@ let prop_gen_oracle =
       let same t t0 =
         Tree_io.to_string t = Tree_io.to_string t0
         && Gen.proper_actions t = Gen_oracle.proper_actions t0
+        && Gen.proper_actions t = Gen_oracle.proper_actions_by_paths t
       in
       same (Gen.tree ~params seed) (Gen_oracle.tree ~params seed)
       && same (Gen.tree_arbitrary ~params seed) (Gen_oracle.tree_arbitrary ~params seed))
