@@ -369,19 +369,161 @@ let tracing () = !trace_state <> None
 
 let now () = Sys.time ()
 
+(* ------------------------------------------------------------------ *)
+(* A minimal JSON escaper and reader: enough to emit traces and to
+   validate them, and to parse metric snapshots back, with no external
+   dependency.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  let add_escaped buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  exception Bad of string
+
+  type state = { src : string; mutable pos : int }
+
+  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+  let skip_ws st =
+    while
+      st.pos < String.length st.src
+      && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      st.pos <- st.pos + 1
+    done
+
+  let expect st c =
+    match peek st with
+    | Some c' when c' = c -> st.pos <- st.pos + 1
+    | _ -> raise (Bad (Printf.sprintf "expected %c at offset %d" c st.pos))
+
+  let literal st word v =
+    let n = String.length word in
+    if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
+      st.pos <- st.pos + n;
+      v
+    end
+    else raise (Bad (Printf.sprintf "bad literal at offset %d" st.pos))
+
+  let string st =
+    expect st '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if st.pos >= String.length st.src then raise (Bad "unterminated string");
+      let c = st.src.[st.pos] in
+      st.pos <- st.pos + 1;
+      match c with
+      | '"' -> Buffer.contents buf
+      | '\\' ->
+        (if st.pos >= String.length st.src then raise (Bad "unterminated escape");
+         let e = st.src.[st.pos] in
+         st.pos <- st.pos + 1;
+         match e with
+         | '"' -> Buffer.add_char buf '"'
+         | '\\' -> Buffer.add_char buf '\\'
+         | '/' -> Buffer.add_char buf '/'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'u' ->
+           if st.pos + 4 > String.length st.src then raise (Bad "short \\u escape");
+           (* Decoded only far enough for validation purposes. *)
+           st.pos <- st.pos + 4;
+           Buffer.add_char buf '?'
+         | _ -> raise (Bad "unknown escape"));
+        go ()
+      | c -> Buffer.add_char buf c; go ()
+    in
+    go ()
+
+  let number st =
+    let start = st.pos in
+    let is_num_char c =
+      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    in
+    while st.pos < String.length st.src && is_num_char st.src.[st.pos] do
+      st.pos <- st.pos + 1
+    done;
+    match float_of_string_opt (String.sub st.src start (st.pos - start)) with
+    | Some f -> f
+    | None -> raise (Bad (Printf.sprintf "bad number at offset %d" start))
+
+  let rec value st =
+    skip_ws st;
+    match peek st with
+    | None -> raise (Bad "unexpected end of input")
+    | Some '"' -> Str (string st)
+    | Some '{' ->
+      expect st '{';
+      skip_ws st;
+      if peek st = Some '}' then (expect st '}'; Obj [])
+      else begin
+        let rec members acc =
+          skip_ws st;
+          let k = string st in
+          skip_ws st;
+          expect st ':';
+          let v = value st in
+          skip_ws st;
+          match peek st with
+          | Some ',' -> expect st ','; members ((k, v) :: acc)
+          | Some '}' -> expect st '}'; Obj (List.rev ((k, v) :: acc))
+          | _ -> raise (Bad (Printf.sprintf "expected , or } at offset %d" st.pos))
+        in
+        members []
+      end
+    | Some '[' ->
+      expect st '[';
+      skip_ws st;
+      if peek st = Some ']' then (expect st ']'; Arr [])
+      else begin
+        let rec elements acc =
+          let v = value st in
+          skip_ws st;
+          match peek st with
+          | Some ',' -> expect st ','; elements (v :: acc)
+          | Some ']' -> expect st ']'; Arr (List.rev (v :: acc))
+          | _ -> raise (Bad (Printf.sprintf "expected , or ] at offset %d" st.pos))
+        in
+        elements []
+      end
+    | Some 't' -> literal st "true" (Bool true)
+    | Some 'f' -> literal st "false" (Bool false)
+    | Some 'n' -> literal st "null" Null
+    | Some _ -> Num (number st)
+
+  let parse src =
+    let st = { src; pos = 0 } in
+    let v = value st in
+    skip_ws st;
+    if st.pos <> String.length src then raise (Bad "trailing data after JSON value");
+    v
+end
+
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Json.add_escaped buf s;
   Buffer.contents buf
 
 (* Callers hold [lock]: the channel and [first] are shared. *)
@@ -572,144 +714,6 @@ let span name f =
       finish ();
       raise e
   end
-
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON reader: enough to validate emitted traces and to
-   parse metric snapshots back, with no external dependency.           *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  type state = { src : string; mutable pos : int }
-
-  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-  let skip_ws st =
-    while
-      st.pos < String.length st.src
-      && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      st.pos <- st.pos + 1
-    done
-
-  let expect st c =
-    match peek st with
-    | Some c' when c' = c -> st.pos <- st.pos + 1
-    | _ -> raise (Bad (Printf.sprintf "expected %c at offset %d" c st.pos))
-
-  let literal st word v =
-    let n = String.length word in
-    if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
-      st.pos <- st.pos + n;
-      v
-    end
-    else raise (Bad (Printf.sprintf "bad literal at offset %d" st.pos))
-
-  let string st =
-    expect st '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.src then raise (Bad "unterminated string");
-      let c = st.src.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (if st.pos >= String.length st.src then raise (Bad "unterminated escape");
-         let e = st.src.[st.pos] in
-         st.pos <- st.pos + 1;
-         match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           if st.pos + 4 > String.length st.src then raise (Bad "short \\u escape");
-           (* Decoded only far enough for validation purposes. *)
-           st.pos <- st.pos + 4;
-           Buffer.add_char buf '?'
-         | _ -> raise (Bad "unknown escape"));
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-
-  let number st =
-    let start = st.pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while st.pos < String.length st.src && is_num_char st.src.[st.pos] do
-      st.pos <- st.pos + 1
-    done;
-    match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-    | Some f -> f
-    | None -> raise (Bad (Printf.sprintf "bad number at offset %d" start))
-
-  let rec value st =
-    skip_ws st;
-    match peek st with
-    | None -> raise (Bad "unexpected end of input")
-    | Some '"' -> Str (string st)
-    | Some '{' ->
-      expect st '{';
-      skip_ws st;
-      if peek st = Some '}' then (expect st '}'; Obj [])
-      else begin
-        let rec members acc =
-          skip_ws st;
-          let k = string st in
-          skip_ws st;
-          expect st ':';
-          let v = value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' -> expect st ','; members ((k, v) :: acc)
-          | Some '}' -> expect st '}'; Obj (List.rev ((k, v) :: acc))
-          | _ -> raise (Bad (Printf.sprintf "expected , or } at offset %d" st.pos))
-        in
-        members []
-      end
-    | Some '[' ->
-      expect st '[';
-      skip_ws st;
-      if peek st = Some ']' then (expect st ']'; Arr [])
-      else begin
-        let rec elements acc =
-          let v = value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' -> expect st ','; elements (v :: acc)
-          | Some ']' -> expect st ']'; Arr (List.rev (v :: acc))
-          | _ -> raise (Bad (Printf.sprintf "expected , or ] at offset %d" st.pos))
-        in
-        elements []
-      end
-    | Some 't' -> literal st "true" (Bool true)
-    | Some 'f' -> literal st "false" (Bool false)
-    | Some 'n' -> literal st "null" Null
-    | Some _ -> Num (number st)
-
-  let parse src =
-    let st = { src; pos = 0 } in
-    let v = value st in
-    skip_ws st;
-    if st.pos <> String.length src then raise (Bad "trailing data after JSON value");
-    v
-end
 
 let read_file_string file =
   let ic = open_in_bin file in

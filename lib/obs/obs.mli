@@ -299,6 +299,13 @@ module Json : sig
     | Arr of t list
     | Obj of (string * t) list
 
+  val add_escaped : Buffer.t -> string -> unit
+  (** [add_escaped buf s] appends the body of [s] as a JSON string,
+      without the quotes: a backslash before each quote and backslash,
+      [\n], [\t] and [\r] for those bytes, [\uXXXX] for the other
+      control bytes. Every JSON writer of this library and of the
+      certificate layer escapes with it. *)
+
   exception Bad of string
   (** Raised by {!parse} on malformed input, with a position-bearing
       message. *)

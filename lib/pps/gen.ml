@@ -29,7 +29,7 @@ let default_params =
 module Prng = struct
   type t = { mutable state : int }
 
-  let create seed = { state = (seed * 2_654_435_769) lxor 0x9E3779B9 }
+  let create ~salt seed = { state = (seed * 2_654_435_769) lxor salt }
 
   (* SplitMix constants truncated to fit OCaml's 63-bit int literals;
      multiplication wraps modulo 2^63, which is what we want. *)
@@ -42,6 +42,8 @@ module Prng = struct
 
   let int g bound = if bound <= 0 then 0 else next g mod bound
 end
+
+let prng seed = Prng.create ~salt:0x9E3779B9 seed
 
 let normalized_weights rng ~max_weight k =
   let ws = List.init k (fun _ -> 1 + Prng.int rng max_weight) in
@@ -119,7 +121,7 @@ let rec scaled_power base k m =
 let tree ?(params = default_params) seed =
   Obs.span "gen.tree" @@ fun () ->
   let p = params in
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let lb = labels p in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
   let width = max 1 p.label_alphabet and depths = max 1 p.depth in
@@ -202,7 +204,7 @@ let tree ?(params = default_params) seed =
    class. *)
 let tree_arbitrary ?(params = default_params) seed =
   let p = params in
-  let rng = Prng.create (seed lxor 0x3C6EF372) in
+  let rng = prng (seed lxor 0x3C6EF372) in
   let lb = labels p in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
   let rec expand node depth =
@@ -231,12 +233,12 @@ let tree_arbitrary ?(params = default_params) seed =
   Tree.Builder.finalize b
 
 let past_based_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x5DEECE66D) in
+  let rng = prng (seed lxor 0x5DEECE66D) in
   let per_node = Array.init (Tree.n_nodes tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_pred tree (fun ~run ~time -> per_node.(Tree.run_node tree ~run ~time))
 
 let transient_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x2545F491) in
+  let rng = prng (seed lxor 0x2545F491) in
   (* Pre-draw one bit per point, in a fixed iteration order. *)
   let bits = Hashtbl.create 64 in
   Tree.iter_points tree (fun ~run ~time ->
@@ -244,7 +246,7 @@ let transient_fact tree ~seed =
   Fact.of_pred tree (fun ~run ~time -> Hashtbl.find bits (run, time))
 
 let run_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x41C64E6D) in
+  let rng = prng (seed lxor 0x41C64E6D) in
   let per_run = Array.init (Tree.n_runs tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_run_pred tree (fun run -> per_run.(run))
 
@@ -258,5 +260,5 @@ let pick_proper_action tree ~seed =
   match proper_actions tree with
   | [] -> None
   | actions ->
-    let rng = Prng.create (seed lxor 0x6C078965) in
+    let rng = prng (seed lxor 0x6C078965) in
     Some (List.nth actions (Prng.int rng (List.length actions)))

@@ -19,6 +19,17 @@ type params = {
           (Lemma 4.3(a) situations); forces uniform depth *)
 }
 
+(** The seeded SplitMix generator behind every draw here and in
+    {!Simulate}; each user passes its own [salt]. *)
+module Prng : sig
+  type t
+
+  val create : salt:int -> int -> t
+  val next : t -> int
+  val int : t -> int -> int
+  (** [int g bound] is below [bound], or 0 when [bound <= 0]. *)
+end
+
 val default_params : params
 (** 2 agents, depth 3, small alphabets — a few dozen runs per tree. *)
 

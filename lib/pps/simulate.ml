@@ -5,20 +5,8 @@ module Obs = Pak_obs.Obs
 let c_samples = Obs.counter "simulate.samples"
 let c_accepted = Obs.counter "simulate.accepted"
 
-(* Same SplitMix-style generator as Gen; duplicated locally to keep the
-   modules' streams independent. *)
-module Prng = struct
-  type t = { mutable state : int }
-
-  let create seed = { state = (seed * 2_654_435_769) lxor 0x51D2B4C7 }
-
-  let next g =
-    g.state <- (g.state + 0x1E3779B97F4A7C15) land max_int;
-    let z = g.state in
-    let z = (z lxor (z lsr 30)) * 0x1F58476D1CE4E5B9 in
-    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-    (z lxor (z lsr 31)) land max_int
-end
+(* [Gen]'s generator under its own salt: an independent stream. *)
+let prng seed = Gen.Prng.create ~salt:0x51D2B4C7 seed
 
 (* The walk reads a read-only table built once per call. Slot [id] of
    [first] holds node [id]'s outgoing edges, slot [n_nodes] the root's
@@ -110,19 +98,19 @@ let rec descend tb rng slot =
   let lo = tb.first.(slot) and hi = tb.first.(slot + 1) in
   if lo = hi then tb.leaf_run.(slot)
   else
-    let bits = Prng.next rng land (scale - 1) in
+    let bits = Gen.Prng.next rng land (scale - 1) in
     descend tb rng tb.child.(choose tb.thr bits lo (hi - 1))
 
 let walk tb rng = descend tb rng (Array.length tb.leaf_run)
 
 let sample_run tree ~seed =
-  let rng = Prng.create seed in
+  let rng = prng seed in
   Obs.incr c_samples;
   walk (table tree) rng
 
 let sample_runs tree ~samples ~seed =
   if samples < 0 then invalid_arg "Simulate.sample_runs: negative sample count";
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let tb = table tree in
   Obs.add c_samples samples;
   Array.init samples (fun _ -> walk tb rng)
@@ -130,7 +118,7 @@ let sample_runs tree ~samples ~seed =
 (* [n] walks on the stream of [seed]: (runs in [event], runs in
    [given]), or (runs in [event], 0) without [given]. *)
 let counts tb ~event ~given ~seed ~n =
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let hits = ref 0 and given_hits = ref 0 in
   for _ = 1 to n do
     let r = walk tb rng in

@@ -49,14 +49,132 @@ let to_string tree =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Reading: the byte scanner drives the builder                        *)
+(* The scanner of the dialect                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Scan = struct
+  type elem = Eof | Open | Close | Atom | Str
+
+  type error = Unterminated_string | Dangling_escape | Unexpected_close | Too_deep | Unclosed
+
+  exception Error of error
+
+  type t = {
+    input : string;
+    len : int;
+    max_nesting : int;
+    mutable pos : int;
+    mutable depth : int; (* lists open at [pos] *)
+    mutable start : int; (* the last atom is input.[start .. pos - 1], the last string's
+                            body input.[start .. pos - 2] *)
+    mutable escapes : int; (* backslash pairs in the last string's body *)
+  }
+
+  (* Every loop below is tail-recursive or iterative, so neither depth
+     nor list length can overflow the OCaml stack. *)
+  let create ~max_nesting input =
+    { input; len = String.length input; max_nesting; pos = 0; depth = 0; start = 0; escapes = 0 }
+
+  let is_delimiter = function
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' -> true
+    | _ -> false
+
+  (* The index just past the closing quote of the string whose body
+     goes on at [j]; counts the body's escapes. *)
+  let rec string_end sc input len j =
+    if j >= len then raise (Error Unterminated_string)
+    else
+      match String.unsafe_get input j with
+      | '"' -> j + 1
+      | '\\' ->
+        if j + 1 >= len then raise (Error Dangling_escape);
+        sc.escapes <- sc.escapes + 1;
+        string_end sc input len (j + 2)
+      | _ -> string_end sc input len (j + 1)
+
+  let lex_rest sc =
+    while sc.pos < sc.len do
+      sc.pos <-
+        (if String.unsafe_get sc.input sc.pos = '"' then string_end sc sc.input sc.len (sc.pos + 1)
+         else sc.pos + 1)
+    done
+
+  (* After a structural error the rest of the input is still lexed, so a
+     lexical error anywhere in the input takes precedence over it. *)
+  let structural sc i e =
+    sc.pos <- i;
+    lex_rest sc;
+    raise (Error e)
+
+  let rec step sc =
+    if sc.pos >= sc.len then if sc.depth > 0 then raise (Error Unclosed) else Eof
+    else
+      match String.unsafe_get sc.input sc.pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        sc.pos <- sc.pos + 1;
+        step sc
+      | '(' ->
+        if sc.depth >= sc.max_nesting then structural sc (sc.pos + 1) Too_deep;
+        sc.pos <- sc.pos + 1;
+        sc.depth <- sc.depth + 1;
+        Open
+      | ')' ->
+        if sc.depth = 0 then structural sc (sc.pos + 1) Unexpected_close;
+        sc.pos <- sc.pos + 1;
+        sc.depth <- sc.depth - 1;
+        Close
+      | '"' ->
+        sc.start <- sc.pos + 1;
+        sc.escapes <- 0;
+        sc.pos <- string_end sc sc.input sc.len sc.start;
+        Str
+      | _ ->
+        sc.start <- sc.pos;
+        sc.pos <- sc.pos + 1;
+        while sc.pos < sc.len && not (is_delimiter (String.unsafe_get sc.input sc.pos)) do
+          sc.pos <- sc.pos + 1
+        done;
+        Atom
+
+  let atom sc = String.sub sc.input sc.start (sc.pos - sc.start)
+
+  let rec backslash_from s i stop =
+    if i >= stop || String.unsafe_get s i = '\\' then i else backslash_from s (i + 1) stop
+
+  (* The runs between escapes are copied into a string of the exact
+     size. *)
+  let string sc =
+    let s = sc.input and stop = sc.pos - 1 in
+    let b = Bytes.create (stop - sc.start - sc.escapes) in
+    let rec copy i k =
+      let j = backslash_from s i stop in
+      Bytes.blit_string s i b k (j - i);
+      if j < stop then begin
+        Bytes.unsafe_set b (k + j - i) (String.unsafe_get s (j + 1));
+        copy (j + 2) (k + j - i + 1)
+      end
+    in
+    copy sc.start 0;
+    Bytes.unsafe_to_string b
+end
+
+type elem = Scan.elem = Eof | Open | Close | Atom | Str
+
+(* ------------------------------------------------------------------ *)
+(* Reading: the scanner drives the builder                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Nesting bound: documents are untrusted, and the depth of legitimate
    pps documents is constant (node fields), so any deeply-nested input
-   is garbage. Every loop below is tail-recursive or iterative, so
-   neither depth nor list length can overflow the OCaml stack. *)
+   is garbage. *)
 let max_nesting = 1000
+
+let scan_message = function
+  | Scan.Unterminated_string -> "unterminated string"
+  | Dangling_escape -> "dangling escape in string"
+  | Unexpected_close -> "unexpected ')'"
+  | Too_deep -> Printf.sprintf "nesting deeper than %d" max_nesting
+  | Unclosed -> "unterminated '('"
 
 (* Labels, interned per document: open addressing over the label's
    bytes, so an escape-free label already seen costs a hash and one
@@ -127,122 +245,31 @@ module Labels = struct
 end
 
 type reader = {
-  input : string;
-  len : int;
-  mutable pos : int;
-  mutable depth : int; (* lists open at [pos] *)
-  mutable start : int; (* the last atom is input.[start .. pos - 1] *)
-  mutable stop : int; (* a field value's atom ends before [stop] *)
-  mutable label : string; (* the last string's value, when decoded *)
+  sc : Scan.t;
+  mutable vstart : int; (* a field value's atom is input.[vstart .. vstop - 1] *)
+  mutable vstop : int;
+  mutable label : string; (* a field value's string, interned *)
   labels : Labels.t;
-  buf : Buffer.t; (* escape decoding *)
   mutable scratch : string array; (* the labels of an (acts ...) or (locals ...) field *)
   mutable fields : int; (* elements of the current node after "node" *)
 }
 
-(* One element of the input, as [step] meets it. *)
-type elem = Eof | Open | Close | Atom | Str
+let step r = Scan.step r.sc
 
-let is_delimiter = function
-  | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' -> true
-  | _ -> false
-
-(* Index of the closing quote of the string whose body starts at [i],
-   or of the first backslash before it. *)
-let rec plain_end input len i =
-  if i >= len then raise (Parse_error "unterminated string")
+(* The last string's value, interned. *)
+let label r =
+  let sc = r.sc in
+  if sc.escapes = 0 then Labels.intern r.labels sc.input sc.start (sc.pos - 1)
   else
-    match String.unsafe_get input i with
-    | '"' | '\\' -> i
-    | _ -> plain_end input len (i + 1)
-
-(* The rest of a string with escapes, from the backslash at [j];
-   [buf] holds the value so far when [decode]. Returns the index just
-   past the closing quote. *)
-let rec escaped_end r ~decode j =
-  if j >= r.len then raise (Parse_error "unterminated string")
-  else
-    match String.unsafe_get r.input j with
-    | '"' -> j + 1
-    | '\\' ->
-      if j + 1 >= r.len then raise (Parse_error "dangling escape in string");
-      if decode then Buffer.add_char r.buf r.input.[j + 1];
-      escaped_end r ~decode (j + 2)
-    | c ->
-      if decode then Buffer.add_char r.buf c;
-      escaped_end r ~decode (j + 1)
-
-(* The string whose body starts at [r.pos]; with [decode], its interned
-   value goes to [r.label]. *)
-let read_string r ~decode =
-  let i = r.pos in
-  let j = plain_end r.input r.len i in
-  if r.input.[j] = '"' then begin
-    if decode then r.label <- Labels.intern r.labels r.input i j;
-    r.pos <- j + 1
-  end
-  else begin
-    if decode then begin
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf r.input i (j - i)
-    end;
-    r.pos <- escaped_end r ~decode j;
-    if decode then begin
-      let s = Buffer.contents r.buf in
-      r.label <- Labels.intern r.labels s 0 (String.length s)
-    end
-  end
-
-(* After a structural error the rest of the input is still lexed, so a
-   lexical error anywhere in the document takes precedence over it. *)
-let structural r i msg =
-  r.pos <- i;
-  while r.pos < r.len do
-    if r.input.[r.pos] = '"' then begin
-      r.pos <- r.pos + 1;
-      read_string r ~decode:false
-    end
-    else r.pos <- r.pos + 1
-  done;
-  raise (Parse_error msg)
-
-(* The next element: lexical and structural errors are raised here. *)
-let rec step r ~decode =
-  if r.pos >= r.len then if r.depth > 0 then raise (Parse_error "unterminated '('") else Eof
-  else
-    match String.unsafe_get r.input r.pos with
-    | ' ' | '\t' | '\n' | '\r' ->
-      r.pos <- r.pos + 1;
-      step r ~decode
-    | '(' ->
-      if r.depth >= max_nesting then
-        structural r (r.pos + 1) (Printf.sprintf "nesting deeper than %d" max_nesting);
-      r.pos <- r.pos + 1;
-      r.depth <- r.depth + 1;
-      Open
-    | ')' ->
-      if r.depth = 0 then structural r (r.pos + 1) "unexpected ')'";
-      r.pos <- r.pos + 1;
-      r.depth <- r.depth - 1;
-      Close
-    | '"' ->
-      r.pos <- r.pos + 1;
-      read_string r ~decode;
-      Str
-    | _ ->
-      r.start <- r.pos;
-      r.pos <- r.pos + 1;
-      while r.pos < r.len && not (is_delimiter (String.unsafe_get r.input r.pos)) do
-        r.pos <- r.pos + 1
-      done;
-      Atom
+    let s = Scan.string sc in
+    Labels.intern r.labels s 0 (String.length s)
 
 (* Skim to the end of the input, [tops] top-level elements begun so
    far: the first lexical or structural error is raised, and the one
    document must be all there is. *)
 let rec skim r tops =
-  let top = r.depth = 0 in
-  match step r ~decode:false with
+  let top = r.sc.depth = 0 in
+  match step r with
   | Eof ->
     if tops = 0 then raise (Parse_error "unexpected end of input");
     if tops > 1 then raise (Parse_error "trailing input after document")
@@ -257,23 +284,23 @@ let fail r e =
 
 (* Skim until only [d] lists are open. *)
 let skim_to r d =
-  while r.depth > d do
-    ignore (step r ~decode:false)
+  while r.sc.depth > d do
+    ignore (step r)
   done
 
 (* Skim the rest of the innermost open list, its ')' included; returns
    how many elements it still had. *)
 let close_list r =
-  let d = r.depth and n = ref 0 in
-  while r.depth >= d do
-    let at_d = r.depth = d in
-    match step r ~decode:false with
+  let d = r.sc.depth and n = ref 0 in
+  while r.sc.depth >= d do
+    let at_d = r.sc.depth = d in
+    match step r with
     | Open | Atom | Str -> if at_d then incr n
     | Close | Eof -> ()
   done;
   !n
 
-let atom_is r key = Labels.same key r.input r.start r.pos
+let atom_is r key = Labels.same key r.sc.input r.sc.start r.sc.pos
 
 (* The value of the 1 to 18 decimal digits s.[a .. b - 1], or -1 for
    any other text; 18 digits stay below 10^18 < 2^62. *)
@@ -296,11 +323,11 @@ exception Not_integer
    place; every other text is [int_of_string_opt]'s, which also takes
    signs, radix prefixes and underscores. *)
 let int_atom r a b =
-  let neg = negative r.input a b in
-  let v = digits r.input (if neg then a + 1 else a) b in
+  let neg = negative r.sc.input a b in
+  let v = digits r.sc.input (if neg then a + 1 else a) b in
   if v >= 0 then if neg then -v else v
   else
-    match int_of_string_opt (String.sub r.input a (b - a)) with
+    match int_of_string_opt (String.sub r.sc.input a (b - a)) with
     | Some v -> v
     | None -> raise Not_integer
 
@@ -312,7 +339,7 @@ let rec slash_in s i b = if i >= b || s.[i] = '/' then i else slash_in s (i + 1)
    (n optionally negative, d > 0) goes to [Q.of_ints], which is what
    [Q.of_string] does with it; every other text is [Q.of_string]'s. *)
 let q_atom r a b =
-  let s = r.input in
+  let s = r.sc.input in
   let slash = slash_in s a b in
   let neg = negative s a slash in
   let n = digits s (if neg then a + 1 else a) slash in
@@ -335,13 +362,13 @@ exception Build of exn
 
 (* After a field's '(': its key. *)
 let field_key r key =
-  match step r ~decode:true with
+  match step r with
   | Atom when atom_is r key -> ()
   | _ -> raise (Bad ("expected (" ^ key ^ " ...)"))
 
 (* The next field of a node, up to and including its key. *)
 let next_field r key =
-  match step r ~decode:true with
+  match step r with
   | Open ->
     r.fields <- r.fields + 1;
     field_key r key
@@ -352,26 +379,27 @@ let next_field r key =
 
 (* The one value of a field, read to the field's ')': [count] unless
    there is exactly one. Returns the value's kind; an atom's bytes are
-   left at [r.start .. r.stop - 1], a string's value in [r.label]. *)
+   left at [r.vstart .. r.vstop - 1], a string's value in [r.label]. *)
 let one_value r count =
-  match step r ~decode:true with
+  match step r with
   | Close -> raise (Bad count)
   | kind ->
-    let a = r.start and b = r.pos in
-    if kind = Open then skim_to r (r.depth - 1);
+    let a = r.sc.start and b = r.sc.pos in
+    if kind = Str then r.label <- label r;
+    if kind = Open then skim_to r (r.sc.depth - 1);
     if close_list r > 0 then raise (Bad count);
-    r.start <- a;
-    r.stop <- b;
+    r.vstart <- a;
+    r.vstop <- b;
     kind
 
 let int_value r ~count what =
   match one_value r count with
-  | Atom -> (try int_atom r r.start r.stop with Not_integer -> raise (Bad (what ^ ": not an integer")))
+  | Atom -> (try int_atom r r.vstart r.vstop with Not_integer -> raise (Bad (what ^ ": not an integer")))
   | _ -> raise (Bad (what ^ ": not an integer"))
 
 let q_value r =
   match one_value r "(prob q) expected" with
-  | Atom -> (try q_atom r r.start r.stop with Not_rational -> raise (Bad "prob: not a rational"))
+  | Atom -> (try q_atom r r.vstart r.vstop with Not_rational -> raise (Bad "prob: not a rational"))
   | _ -> raise (Bad "prob: not a rational")
 
 let label_value r =
@@ -381,7 +409,7 @@ let label_value r =
 
 (* The strings of an (acts ...) or (locals ...) field, to its ')'. *)
 let rec labels_value r what n =
-  match step r ~decode:true with
+  match step r with
   | Close -> Array.sub r.scratch 0 n
   | Str ->
     if n = Array.length r.scratch then begin
@@ -389,14 +417,14 @@ let rec labels_value r what n =
       Array.blit r.scratch 0 bigger 0 n;
       r.scratch <- bigger
     end;
-    r.scratch.(n) <- r.label;
+    r.scratch.(n) <- label r;
     labels_value r what (n + 1)
   | Open | Atom | Eof -> raise (Bad (what ^ ": not a string"))
 
 (* After a node's '(': its five fields, then the builder call. *)
 let node r b =
-  let dn = r.depth in
-  (match step r ~decode:true with
+  let dn = r.sc.depth in
+  (match step r with
    | Atom when atom_is r "node" -> ()
    | _ -> fail r e_node);
   r.fields <- 0;
@@ -429,7 +457,7 @@ let node r b =
 
 (* After "(pps": the (agents n) header. *)
 let header r =
-  match step r ~decode:true with
+  match step r with
   | Open -> (
     match
       field_key r "agents";
@@ -442,21 +470,20 @@ let header r =
 
 let read input =
   let r =
-    { input; len = String.length input; pos = 0; depth = 0; start = 0; stop = 0; label = "";
-      labels = Labels.create (); buf = Buffer.create 64; scratch = Array.make 8 "";
-      fields = 0 }
+    { sc = Scan.create ~max_nesting input; vstart = 0; vstop = 0; label = "";
+      labels = Labels.create (); scratch = Array.make 8 ""; fields = 0 }
   in
-  match step r ~decode:true with
+  match step r with
   | Eof -> raise (Parse_error "unexpected end of input")
   | Atom | Str | Close -> fail r e_top
   | Open ->
-    (match step r ~decode:true with
+    (match step r with
      | Atom when atom_is r "pps" -> ()
      | _ -> fail r e_top);
     let n_agents = header r in
     let b = try Tree.Builder.create ~n_agents with e -> fail r e in
     let rec nodes () =
-      match step r ~decode:true with
+      match step r with
       | Close -> ()
       | Open ->
         node r b;
@@ -477,6 +504,8 @@ let of_string_result input =
   | tree -> Ok tree
   | exception Parse_error msg ->
     Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Parse msg))
+  | exception Scan.Error e ->
+    Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Parse (scan_message e)))
   | exception Error.Error e -> Result.Error (Error.with_context "Tree_io.of_string" e)
   | exception Invalid_argument msg ->
     Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Invalid_system msg))

@@ -36,7 +36,47 @@
       its value, so [(node (parent x) …)] with six fields reports the
       node's shape, and [(parent 1 2)] reports [(parent id) expected].
     On a document that loads, the builder sees the same nodes in the
-    same order, so budget charges are those of building the tree. *)
+    same order, so budget charges are those of building the tree.
+
+    The lexical and structural rules are {!Scan}'s, the one scanner of
+    the dialect; the serve protocol's frames ([Serve.Sexp]) are read
+    with it too. *)
+
+(** The scanner of the dialect: whitespace-separated atoms, quoted
+    strings with backslash escapes, and lists, nested at most
+    [max_nesting] deep. Each consumer turns its typed errors into its
+    own messages. *)
+module Scan : sig
+  type t
+
+  type elem = Eof | Open | Close | Atom | Str
+
+  type error =
+    | Unterminated_string  (** lexical: the input ends inside a string *)
+    | Dangling_escape  (** lexical: a backslash ends the input *)
+    | Unexpected_close  (** structural: a [')'] with no list open *)
+    | Too_deep  (** structural: a ['('] with [max_nesting] lists open *)
+    | Unclosed  (** structural: the input ends inside a list *)
+
+  exception Error of error
+
+  val create : max_nesting:int -> string -> t
+
+  val step : t -> elem
+  (** The next element. @raise Error on a lexical error, or on a
+      structural one once the rest of the input is lexed: a lexical
+      error anywhere in the input wins over a structural one. *)
+
+  val atom : t -> string
+  (** The text of the last [Atom]. *)
+
+  val string : t -> string
+  (** The value of the last [Str], escapes decoded. *)
+
+  val lex_rest : t -> unit
+  (** Lexes the rest of the input, for a consumer's own error to wait
+      on. @raise Error on a lexical error. *)
+end
 
 val to_string : Tree.t -> string
 

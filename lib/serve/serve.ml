@@ -67,15 +67,11 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* S-expressions (same dialect as Tree_io)                             *)
+(* S-expressions (Tree_io's dialect, read with its scanner)            *)
 (* ------------------------------------------------------------------ *)
 
 module Sexp = struct
   type t = Atom of string | Str of string | List of t list
-
-  let max_nesting = 200
-
-  exception Bad of string
 
   let rec add_to_buffer buf = function
     | Atom s -> Buffer.add_string buf s
@@ -94,93 +90,37 @@ module Sexp = struct
     add_to_buffer buf x;
     Buffer.contents buf
 
-  let tokenize input =
-    let n = String.length input in
-    let toks = ref [] in
-    let i = ref 0 in
-    while !i < n do
-      let c = input.[!i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-      else if c = '(' then begin
-        toks := `Open :: !toks;
-        incr i
-      end
-      else if c = ')' then begin
-        toks := `Close :: !toks;
-        incr i
-      end
-      else if c = '"' then begin
-        (* Each run of plain bytes is copied with one blit. *)
-        let buf = Buffer.create 16 in
-        incr i;
-        let start = ref !i in
-        let closed = ref false in
-        while (not !closed) && !i < n do
-          match input.[!i] with
-          | '"' ->
-              Buffer.add_substring buf input !start (!i - !start);
-              closed := true;
-              incr i
-          | '\\' ->
-              if !i + 1 >= n then raise (Bad "dangling escape in string");
-              Buffer.add_substring buf input !start (!i - !start);
-              Buffer.add_char buf input.[!i + 1];
-              i := !i + 2;
-              start := !i
-          | _ -> incr i
-        done;
-        if not !closed then raise (Bad "unterminated string");
-        toks := `Str (Buffer.contents buf) :: !toks
-      end
-      else begin
-        let start = !i in
-        while
-          !i < n
-          &&
-          let c = input.[!i] in
-          not
-            (c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '(' || c = ')'
-           || c = '"')
-        do
-          incr i
-        done;
-        toks := `Atom (String.sub input start (!i - start)) :: !toks
-      end
-    done;
-    List.rev !toks
-
+  (* A value builder over [Tree_io.Scan], nesting capped at 200 lists:
+     [stack] holds the open lists' elements so far, each in reverse. *)
   let parse input =
-    try
-      let stack = ref [] in
-      let depth = ref 0 in
-      let result = ref None in
-      let push v =
-        match !stack with
-        | items :: rest -> stack := (v :: items) :: rest
-        | [] -> (
-            match !result with
-            | None -> result := Some v
-            | Some _ -> raise (Bad "trailing data after toplevel form"))
-      in
-      List.iter
-        (function
-          | `Open ->
-              if !depth >= max_nesting then raise (Bad "nesting too deep");
-              incr depth;
-              stack := [] :: !stack
-          | `Close -> (
-              match !stack with
-              | items :: rest ->
-                  decr depth;
-                  stack := rest;
-                  push (List (List.rev items))
-              | [] -> raise (Bad "unbalanced ')'"))
-          | `Atom s -> push (Atom s)
-          | `Str s -> push (Str s))
-        (tokenize input);
-      if !stack <> [] then raise (Bad "unbalanced '('");
-      match !result with None -> raise (Bad "empty frame") | Some v -> Ok v
-    with Bad m -> Result.Error m
+    let sc = Tree_io.Scan.create ~max_nesting:200 input in
+    let rec go stack result =
+      match Tree_io.Scan.step sc with
+      | Open -> go ([] :: stack) result
+      | Close -> (
+          match stack with
+          | items :: rest -> push rest result (List (List.rev items))
+          | [] -> assert false (* the scanner rejects an unbalanced ')' *))
+      | Atom -> push stack result (Atom (Tree_io.Scan.atom sc))
+      | Str -> push stack result (Str (Tree_io.Scan.string sc))
+      | Eof -> Option.to_result ~none:"empty frame" result
+    and push stack result v =
+      match (stack, result) with
+      | items :: rest, _ -> go ((v :: items) :: rest) result
+      | [], None -> go [] (Some v)
+      | [], Some _ ->
+          Tree_io.Scan.lex_rest sc;
+          Error "trailing data after toplevel form"
+    in
+    try go [] None
+    with Tree_io.Scan.Error e ->
+      Error
+        (match e with
+        | Unterminated_string -> "unterminated string"
+        | Dangling_escape -> "dangling escape in string"
+        | Unexpected_close -> "unbalanced ')'"
+        | Too_deep -> "nesting too deep"
+        | Unclosed -> "unbalanced '('")
 end
 
 (* ------------------------------------------------------------------ *)
@@ -391,6 +331,7 @@ type request = {
   req_id : int;
   op : op;
   system : string;
+  system_digest : Digest.t;  (* keys the result and tree caches *)
   formula : string;
   req_limits : Budget.limits;
   want_metrics : bool;
@@ -399,16 +340,15 @@ type request = {
 }
 
 (* Request-scoped trace id: a digest of (payload-frame sequence number,
-   item index within the frame, payload digest), truncated to 16 hex
+   item index within the frame, [payload_digest]), truncated to 16 hex
    chars. A pure function of the input byte stream — byte-identical at
    every --jobs — and unique per request: distinct frames differ in
    [seq], batch members in [ix]. Returned in the response, installed
    as the Obs trace context while the request runs (so its spans'
    trace events carry it), and stamped into per-request metrics. *)
-let trace_id ~seq ~ix payload =
+let trace_id ~seq ~ix payload_digest =
   String.sub
-    (Digest.to_hex
-       (Digest.string (Printf.sprintf "%d:%d:%s" seq ix (Digest.string payload))))
+    (Digest.to_hex (Digest.string (Printf.sprintf "%d:%d:%s" seq ix payload_digest)))
     0 16
 
 exception Bad_request of string
@@ -507,11 +447,13 @@ let parse_request fields =
       if op = Op_metrics || op = Op_status then Option.value !r ~default:""
       else need key r
     in
+    let system = text "system" system in
     Ok
       {
         req_id = rid;
         op;
-        system = text "system" system;
+        system;
+        system_digest = Digest.string system;
         formula = text "formula" formula;
         req_limits = !limits;
         want_metrics = !metrics;
@@ -739,10 +681,7 @@ type outcome = {
   out_seq : int;  (* originating payload-frame sequence number *)
 }
 
-let quoted s =
-  let b = Buffer.create (String.length s + 2) in
-  Tree_io.quote b s;
-  Buffer.contents b
+let quoted s = Sexp.to_string (Str s)
 
 let ok_outcome ?(disp = "ok") id body ~cacheable =
   {
@@ -936,7 +875,7 @@ let cache_key cfg req =
   if cfg.cache_max = 0 || req.op = Op_metrics || req.op = Op_status then None
   else begin
     let b = Buffer.create 96 in
-    Buffer.add_string b (Digest.to_hex (Digest.string req.system));
+    Buffer.add_string b (Digest.to_hex req.system_digest);
     Buffer.add_char b '|';
     (match req.op with
     | Op_eval -> Buffer.add_string b "eval"
@@ -978,8 +917,8 @@ let cache_put st key body =
     Atomic.set g_cache_entries (Hashtbl.length st.results)
   end
 
-let tree_of_system st doc =
-  let digest = Digest.string doc in
+let tree_of_system st req =
+  let digest = req.system_digest in
   let cached =
     Mutex.lock st.tree_mutex;
     let r = Hashtbl.find_opt st.trees digest in
@@ -994,7 +933,7 @@ let tree_of_system st doc =
   | None -> (
       Obs.incr c_tree_misses;
       Atomic.incr st.n_tree_misses;
-      match Tree_io.of_string_result doc with
+      match Tree_io.of_string_result req.system with
       | Result.Error e -> raise (Error.Error (Error.with_context "system" e))
       | Ok t ->
           Mutex.lock st.tree_mutex;
@@ -1029,7 +968,7 @@ let rec perform st req =
   | Op_eval | Op_belief _ -> perform_query st req
 
 and perform_query st req =
-  let tree = tree_of_system st req.system in
+  let tree = tree_of_system st req in
   let formula =
     match Parser.parse_result req.formula with
     | Ok f -> f
@@ -1437,9 +1376,10 @@ let run cfg ~source ~write =
             Obs.incr c_frames;
             st.frames <- st.frames + 1;
             let seq = st.frames in
+            let payload_digest = Digest.string p in
+            let trace ix = trace_id ~seq ~ix payload_digest in
             journal_emit st ~kind:Journal.Request ~seq ~code:(-1) ~disp:"frame"
-              ~trace:(trace_id ~seq ~ix:0 p) p;
-            let trace ix = trace_id ~seq ~ix p in
+              ~trace:(trace 0) p;
             match Sexp.parse p with
             | Result.Error m ->
                 Obs.incr c_err_protocol;

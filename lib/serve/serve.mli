@@ -96,12 +96,16 @@
 
 (** Minimal s-expression values shared by the request and response
     grammar (same dialect as [Tree_io]: atoms, quoted strings with
-    backslash escapes for the quote and backslash characters, lists). *)
+    backslash escapes for the quote and backslash characters, lists).
+    Frames are read with {!Pak_pps.Tree_io.Scan}, the one scanner of
+    the dialect, which documents are read with too. *)
 module Sexp : sig
   type t = Atom of string | Str of string | List of t list
 
   val parse : string -> (t, string) result
-  (** One toplevel form; depth-capped, never raises. *)
+  (** One toplevel form, nested at most 200 lists deep; never raises.
+      A lexical error anywhere in the payload wins over the first
+      structural one. *)
 
   val add_to_buffer : Buffer.t -> t -> unit
   val to_string : t -> string

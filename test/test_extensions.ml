@@ -1050,6 +1050,24 @@ let test_reader_one_byte_edits () =
       "()\"\\ x0-/"
   done
 
+(* The nesting cap is 1000 lists, at the top level and inside a
+   document; a lexical error after the cap still wins. *)
+let test_reader_nesting () =
+  let nest d = String.make d '(' ^ String.make d ')' in
+  let in_doc d = "(pps (agents 1) " ^ nest (d - 1) ^ ")" in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun s ->
+          let a = read_new s and b = read_old s in
+          if a <> b then
+            Alcotest.failf "depth %d@.reader: %s@.oracle: %s" d (show_read a) (show_read b))
+        [ nest d; in_doc d; nest d ^ " \""; in_doc d ^ " x"; in_doc d ^ " \"\\" ])
+    [ 999; 1000; 1001 ];
+  match read_new (in_doc 1001) with
+  | Error e -> Alcotest.(check string) "past the cap" "nesting deeper than 1000" e.Pak_guard.Error.msg
+  | Ok _ -> Alcotest.fail "depth 1001 accepted"
+
 (* Equal labels of one document are one string; labels built to share
    one hash ("Aa" and "BB" collide under the multiply-by-31 hash) still
    read back exactly, past the probe cap of the intern table. *)
@@ -1324,6 +1342,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_tree_io_errors;
           Alcotest.test_case "reader errors" `Quick test_tree_io_reader_errors;
           Alcotest.test_case "one-byte edits match the oracle" `Quick test_reader_one_byte_edits;
+          Alcotest.test_case "nesting at 999, 1000 and 1001" `Quick test_reader_nesting;
           Alcotest.test_case "budget parity with the oracle" `Quick test_reader_budget_parity;
           Alcotest.test_case "interned labels" `Quick test_reader_interning
         ] );

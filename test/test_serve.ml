@@ -115,6 +115,78 @@ let sans_traces s =
 (* Frame codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [Serve.Sexp.parse] against [Sexp_oracle], the token-list parser it
+   replaced: the same value or the same error text. *)
+let show_sexp = function
+  | Ok v -> "Ok " ^ Serve.Sexp.to_string v
+  | Error m -> "Error " ^ m
+
+let same_sexp input =
+  let a = Serve.Sexp.parse input and b = Sexp_oracle.parse input in
+  if a <> b then
+    QCheck.Test.fail_reportf "input %S@.parse:  %s@.oracle: %s" input (show_sexp a)
+      (show_sexp b);
+  true
+
+let gen_frame_bytes =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ '('; ')'; '"'; '\\'; ' '; '\n'; 'a'; 'b'; '1' ]) (int_range 0 60))
+
+let test_sexp_random =
+  QCheck.Test.make ~count:3000 ~name:"Sexp.parse matches the oracle on random frames"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_frame_bytes)
+    same_sexp
+
+(* Request frames quoting Gen documents, so every label quote is
+   escaped; half are cut short or gain a stray byte. *)
+let test_sexp_requests =
+  QCheck.Test.make ~count:100 ~name:"Sexp.parse matches the oracle on request frames"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
+    (fun (seed, edit) ->
+      let params = { Gen.default_params with Gen.depth = 1 + (seed mod 4) } in
+      let doc = Tree_io.to_string (Gen.tree ~params seed) in
+      let open Serve.Sexp in
+      let frame =
+        to_string
+          (List
+             [ Atom "request"; List [ Atom "id"; Atom (string_of_int seed) ];
+               List [ Atom "system"; Str doc ]; List [ Atom "formula"; Str "K[0] a0_s1_0" ] ])
+      in
+      let at = seed mod String.length frame in
+      let frame =
+        match edit with
+        | 0 -> frame
+        | 1 -> String.sub frame 0 at
+        | 2 -> String.sub frame 0 at ^ "\\" ^ String.sub frame at (String.length frame - at)
+        | _ -> String.sub frame 0 at ^ ")" ^ String.sub frame at (String.length frame - at)
+      in
+      (edit <> 0 || Result.is_ok (Serve.Sexp.parse frame)) && same_sexp frame)
+
+(* Every one-byte delete, double or replace of a small batch frame. *)
+let test_sexp_byte_edits () =
+  let frame = {|(batch (request (id 1) (op eval) (system "(pps \"a\\\")") (formula "x")) (ping))|} in
+  let n = String.length frame in
+  for i = 0 to n - 1 do
+    let pre = String.sub frame 0 i and post = String.sub frame (i + 1) (n - i - 1) in
+    ignore (same_sexp (pre ^ post));
+    ignore (same_sexp (pre ^ String.make 2 frame.[i] ^ post));
+    List.iter
+      (fun c -> ignore (same_sexp (pre ^ String.make 1 c ^ post)))
+      [ '('; ')'; '"'; '\\'; ' '; 'x' ]
+  done
+
+(* The nesting cap is 200 lists; a lexical error after the cap still
+   wins, and trailing data waits on the rest being lexed. *)
+let test_sexp_nesting () =
+  let nest d = String.make d '(' ^ String.make d ')' in
+  List.iter
+    (fun (d, want) ->
+      check_string (Printf.sprintf "depth %d" d) want (show_sexp (Serve.Sexp.parse (nest d)));
+      List.iter
+        (fun tail -> ignore (same_sexp (nest d ^ tail)))
+        [ ""; " \""; " \"\\"; " x"; " ("; " )" ])
+    [ (199, "Ok " ^ nest 199); (200, "Ok " ^ nest 200); (201, "Error nesting too deep") ]
+
 let gen_payload =
   QCheck.string_of_size (QCheck.Gen.int_range 0 300)
 
@@ -697,6 +769,12 @@ let () =
           Alcotest.test_case "truncated and oversized" `Quick
             test_frame_truncated_and_oversized;
           Alcotest.test_case "short frame answered at once" `Quick test_frame_short_no_wait
+        ] );
+      ( "sexp",
+        [ QCheck_alcotest.to_alcotest test_sexp_random;
+          QCheck_alcotest.to_alcotest test_sexp_requests;
+          Alcotest.test_case "one-byte edits match the oracle" `Quick test_sexp_byte_edits;
+          Alcotest.test_case "nesting at 199, 200 and 201" `Quick test_sexp_nesting
         ] );
       ( "server",
         [ Alcotest.test_case "budget isolation" `Quick test_budget_isolation;

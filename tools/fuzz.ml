@@ -31,9 +31,12 @@
 
    --mode frame targets the serve front end's wire boundary with raw
    bytes, mutated frame streams and valid headers over mutated
-   payloads. Two contracts: Serve.Frame.read must turn ANY byte stream
-   into a finite sequence of typed events ending in Eof without
-   raising; and the full Serve.run_string loop must answer any byte
+   payloads. Three contracts: Serve.Frame.read must turn ANY byte
+   stream into a finite sequence of typed events ending in Eof without
+   raising; Serve.Sexp.parse must never raise, on the whole input or
+   on any payload read from it, and every value it accepts must print
+   with Serve.Sexp.to_string to a frame that parses back to the same
+   value; and the full Serve.run_string loop must answer any byte
    stream without raising and always drain to exit code 0 — faults
    become typed error responses, never crashes and never a poisoned
    server.
@@ -250,6 +253,30 @@ let frame_boundaries =
             | Serve.Frame.Payload _ | Serve.Frame.Junk _ -> drain (n + 1)
         in
         drain 0 );
+    ( "sexp",
+      fun input ->
+        let parse p =
+          match Serve.Sexp.parse p with
+          | Error msg -> Rejected (Error.make Error.Parse msg)
+          | Ok v ->
+            if Serve.Sexp.parse (Serve.Sexp.to_string v) <> Ok v then
+              failwith "accepted value does not print to a frame that parses back to it";
+            Accepted
+        in
+        let reader =
+          Serve.Frame.reader ~max_frame:4096 (Serve.Frame.source_of_string input)
+        in
+        let rec payloads n =
+          if n <= 100_000 then
+            match Serve.Frame.read reader with
+            | Serve.Frame.Eof -> ()
+            | Serve.Frame.Payload p ->
+              ignore (parse p);
+              payloads (n + 1)
+            | Serve.Frame.Junk _ -> payloads (n + 1)
+        in
+        payloads 0;
+        parse input );
     ( "serve",
       fun input ->
         let _out, code = Serve.run_string ~config:frame_config input in
