@@ -67,9 +67,11 @@ let caps =
      via [snapshot]/[under] (the pak_par pool does this), which again
      share the same atomic fuel cells.
 
-   [active] stays the single load-and-branch on the uncharged fast
-   path; it is true while the global budget is installed or any domain
-   holds a local scope. *)
+   [live_scopes] is the single load-and-branch on the uncharged fast
+   path: it counts the installed global budget and every running
+   [with_budget]. A pool worker's [under] does not count, since the
+   scope it re-installs belongs to a caller whose [with_budget]
+   outlives the dispatch. *)
 (* The zero-dependency guard layer has no wall clock of its own:
    [Sys.time] is processor time, which accumulates across running
    domains, so a CPU deadline burns roughly [jobs]x faster than wall
@@ -99,7 +101,7 @@ type state = {
   countdown : int Atomic.t; (* charges until the next deadline check *)
 }
 
-let active = ref false
+let live_scopes = Atomic.make 0
 
 let fresh lim =
   let deadline =
@@ -124,26 +126,12 @@ let global : state option ref = ref None
 let local_key : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let exempt_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(* Number of domains currently holding a local scope; [active] is
-   derived from it plus the global installation. A racing update may
-   leave [active] conservatively stale for the duration of a concurrent
-   scope push/pop on another domain; charge sites re-check the actual
-   scopes behind the flag, so staleness never misdirects a charge. *)
-let local_scopes = Atomic.make 0
-
-let refresh_active () = active := Option.is_some !global || Atomic.get local_scopes > 0
-
 let current () =
   match Domain.DLS.get local_key with Some _ as s -> s | None -> !global
 
 let set_local scope =
   let prev = Domain.DLS.get local_key in
   Domain.DLS.set local_key scope;
-  (match (prev, scope) with
-   | None, Some _ -> Atomic.incr local_scopes
-   | Some _, None -> Atomic.decr local_scopes
-   | _ -> ());
-  refresh_active ();
   prev
 
 (* How many charges may pass between two reads of the clock. Small
@@ -185,7 +173,7 @@ let charge what limit cell n =
   match limit with Some l when used > l -> exceeded what l used | _ -> ()
 
 let charging () =
-  if not !active then None
+  if Atomic.get live_scopes = 0 then None
   else if Domain.DLS.get exempt_key then None
   else current ()
 
@@ -221,16 +209,22 @@ let check_deadline () =
   match charging () with None -> () | Some s -> check_deadline_now s
 
 let install lim =
-  global := (if is_unlimited lim then None else Some (fresh lim));
-  refresh_active ()
+  let scope = if is_unlimited lim then None else Some (fresh lim) in
+  (match (!global, scope) with
+   | None, Some _ -> Atomic.incr live_scopes
+   | Some _, None -> Atomic.decr live_scopes
+   | _ -> ());
+  global := scope
 
-let clear () =
-  global := None;
-  refresh_active ()
+let clear () = install unlimited
 
 let with_budget lim f =
+  Atomic.incr live_scopes;
   let prev = set_local (Some (fresh lim)) in
-  let restore () = ignore (set_local prev) in
+  let restore () =
+    ignore (set_local prev);
+    Atomic.decr live_scopes
+  in
   match f () with
   | v ->
     restore ();

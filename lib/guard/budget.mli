@@ -38,7 +38,7 @@
       does around every task. Re-installed scopes share the original's
       atomic fuel cells, so scoped budgets bound parallel work too.
 
-    When no budget is in scope ({!active} false) every charge site
+    When no budget is in scope ({!live_scopes} zero) every charge site
     reduces to one load-and-branch. Exhaustion raises [Error.Error]
     with kind {!Error.Budget_exceeded} — computations never hang and
     never overflow the stack; callers catch it with {!attempt} or
@@ -152,9 +152,10 @@ val under : snapshot -> (unit -> 'a) -> 'a
 
     All are no-ops (one load and branch) unless a budget is in scope. *)
 
-val active : bool ref
-(** Read-only fast-path switch: true while the global budget is
-    installed or any domain holds a scoped budget. *)
+val live_scopes : int Atomic.t
+(** Read-only fast-path switch: the installed global budget plus every
+    running {!with_budget}, on any domain. {!under} does not count: the
+    scope it re-installs is its caller's, which outlives it. *)
 
 val charge_points : int -> unit
 val charge_nodes : int -> unit

@@ -7,6 +7,7 @@
    subformula" means one structurally distinct formula. *)
 
 module Obs = Pak_obs.Obs
+module Q = Pak_rational.Q
 
 let c_builds = Obs.counter "closure.builds"
 let c_entries = Obs.counter "closure.entries"
@@ -74,30 +75,25 @@ let entry t bit =
 let bit_of t f = Hashtbl.find_opt t.index f
 let duplicates t = t.duplicates
 
-let render_entry buf e =
-  Buffer.add_string buf (string_of_int e.bit);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (Formula.to_string e.formula);
-  Buffer.add_char buf '|';
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int c))
-    e.children;
-  Buffer.add_char buf '\n'
+(* An entry renders its operator, its own data and its children's bits,
+   not its subformulas' text (the bits name those), so the digest costs
+   time linear in the closure. The own data is length-prefixed. *)
+let render_entry buf (e : entry) =
+  let ints l = String.concat "," (List.map string_of_int l) and q = Q.to_string in
+  let own =
+    match e.formula with
+    | Atom s -> s
+    | Does (i, act) -> ints [ i ] ^ "," ^ act
+    | Knows (i, _) -> ints [ i ]
+    | Believes (i, c, v, _) -> ints [ i ] ^ Formula.cmp_to_string c ^ q v
+    | EveryoneKnows (g, _) | CommonKnows (g, _) -> ints g
+    | EveryoneBelieves (g, v, _) | CommonBelief (g, v, _) -> ints g ^ ">=" ^ q v
+    | _ -> ""
+  in
+  Printf.bprintf buf "%d|%s|%d:%s|%s\n" e.bit (Formula.op_tag e.formula) (String.length own) own
+    (ints (Array.to_list e.children))
 
 let digest t =
   let buf = Buffer.create 256 in
   Array.iter (render_entry buf) t.table;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iteri
-    (fun i e ->
-      if i > 0 then Format.fprintf fmt "@ ";
-      Format.fprintf fmt "b%d <- [%s] %s" e.bit
-        (String.concat "," (Array.to_list (Array.map string_of_int e.children)))
-        (Formula.to_string e.formula))
-    t.table;
-  Format.fprintf fmt "@]"

@@ -65,11 +65,7 @@ val duplicates : t -> int
     formula-keyed memo would hit. *)
 
 val digest : t -> string
-(** Hex digest of the full bit assignment (every entry's bit, rendered
-    formula, and children bits). Two formulas have equal digests iff
-    they produce identical closures; the serve front end uses this as
-    the formula component of its result-cache key, so differently
-    spelled but structurally identical queries share a cache slot. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per entry: [b<bit> <- [children] formula]. *)
+(** Hex digest of the full bit assignment: every entry's bit, operator,
+    own data (atom or action name, agents, comparison, threshold) and
+    children bits, in time linear in the closure. Two formulas have
+    equal digests iff they produce identical closures. *)

@@ -108,8 +108,6 @@ let cmp_to_string = function
   | Lt -> "<"
   | Eq -> "="
 
-let pp_cmp fmt c = Format.pp_print_string fmt (cmp_to_string c)
-
 let group_to_string g = String.concat "," (List.map string_of_int g)
 
 (* Precedence levels for minimal parenthesization (higher binds

@@ -82,7 +82,7 @@ val compare : t -> t -> int
 
 (** {1 Printing} *)
 
-val pp_cmp : Format.formatter -> cmp -> unit
+val cmp_to_string : cmp -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** Concrete syntax, parseable by {!Parser.parse}:

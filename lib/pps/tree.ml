@@ -529,10 +529,11 @@ let account t ev =
   if Bitset.capacity ev <> t.n_runs then
     invalid_arg "Tree.measure: event capacity does not match run count";
   Obs.incr c_measure_calls;
-  if !Obs.on || !Budget.active then begin
+  let budget = Atomic.get Budget.live_scopes > 0 in
+  if !Obs.on || budget then begin
     let card = Bitset.cardinal ev in
     if !Obs.on then Obs.add c_measure_runs card;
-    if !Budget.active then Budget.charge_points card
+    if budget then Budget.charge_points card
   end
 
 (* µ(ev)·D on an integer-weight tree. *)

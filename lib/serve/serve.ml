@@ -28,7 +28,7 @@ module Belief = Pak_pps.Belief
 module Bitset = Pak_pps.Bitset
 module Parser = Pak_logic.Parser
 module Semantics = Pak_logic.Semantics
-module Closure = Pak_logic.Closure
+module Formula = Pak_logic.Formula
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -332,7 +332,8 @@ type request = {
   op : op;
   system : string;
   system_digest : Digest.t;  (* keys the result and tree caches *)
-  formula : string;
+  formula_text : string;  (* keys the result cache when [formula] failed *)
+  formula : (Formula.t, Error.t) result;  (* parsed once, by [parse_request] *)
   req_limits : Budget.limits;
   want_metrics : bool;
   req_trace : string;
@@ -448,13 +449,15 @@ let parse_request fields =
       else need key r
     in
     let system = text "system" system in
+    let formula_text = text "formula" formula in
     Ok
       {
         req_id = rid;
         op;
         system;
         system_digest = Digest.string system;
-        formula = text "formula" formula;
+        formula_text;
+        formula = Parser.parse_result formula_text;
         req_limits = !limits;
         want_metrics = !metrics;
         req_trace = "";
@@ -885,15 +888,14 @@ let cache_key cfg req =
           (Option.value seed ~default:(-1))
     | Op_metrics | Op_status -> assert false  (* cache_key returns None above *));
     Buffer.add_char b '|';
-    (* Formula component: the formula's closure digest when it parses — the digest canonicalizes spelling, so
-       differently written but structurally identical queries share a
-       cache slot (and closure-identical queries at the same limits are
-       subsumed by one computed entry). A formula that does not parse
-       keys on its raw text; its request fails in the worker and is
-       never cached, so the fallback only disambiguates misses. *)
-    (match Parser.parse_result req.formula with
-    | Ok f -> Buffer.add_string b (Closure.digest (Closure.of_formula f))
-    | Result.Error _ -> Buffer.add_string b req.formula);
+    (* Formula component: a digest of the parsed formula's canonical
+       text, so differently written but structurally identical queries
+       share a cache slot. A formula that does not parse keys on its
+       raw text; its request fails in the worker and is never cached,
+       so the fallback only disambiguates misses. *)
+    (match req.formula with
+    | Ok f -> Buffer.add_string b (Digest.to_hex (Digest.string (Formula.to_string f)))
+    | Result.Error _ -> Buffer.add_string b req.formula_text);
     Buffer.add_char b '|';
     List.iteri
       (fun i (c : Budget.cap) ->
@@ -970,7 +972,7 @@ let rec perform st req =
 and perform_query st req =
   let tree = tree_of_system st req in
   let formula =
-    match Parser.parse_result req.formula with
+    match req.formula with
     | Ok f -> f
     | Result.Error e -> raise (Error.Error (Error.with_context "formula" e))
   in

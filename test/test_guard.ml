@@ -199,7 +199,7 @@ let test_budget_gauges () =
 let test_budget_restore_and_exempt () =
   (* No ambient budget: charges are no-ops, attempt returns Ok. *)
   Budget.clear ();
-  check_bool "inactive by default" false !Budget.active;
+  check_bool "inactive by default" false (Atomic.get Budget.live_scopes > 0);
   (match Budget.attempt (fun () -> 41 + 1) with
    | Ok n -> check_int "attempt passthrough" 42 n
    | Error e -> Alcotest.fail (Error.to_string e));
@@ -211,7 +211,7 @@ let test_budget_restore_and_exempt () =
        (match Budget.with_budget (Budget.limits ~max_points:1 ()) sweep with
         | Ok () -> Alcotest.fail "inner budget should exceed"
         | Error _ -> ());
-       check_bool "outer budget restored" true !Budget.active;
+       check_bool "outer budget restored" true (Atomic.get Budget.live_scopes > 0);
        (* Exempt suspends charging entirely. *)
        Budget.exempt (fun () -> sweep (); sweep (); sweep ());
        let spent = List.assoc "points" (Budget.spent ()) in
@@ -220,7 +220,7 @@ let test_budget_restore_and_exempt () =
    with
    | Ok () -> ()
    | Error e -> Alcotest.fail ("outer budget should not exceed: " ^ Error.to_string e));
-  check_bool "cleared after with_budget" false !Budget.active
+  check_bool "cleared after with_budget" false (Atomic.get Budget.live_scopes > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Division by zero: one typed error, everywhere                       *)

@@ -395,6 +395,28 @@ let prop_closure_deterministic =
       && Closure.digest c1 = Closure.digest c2
       && Closure.duplicates c1 = Closure.duplicates c2)
 
+(* The digest renders each entry's own data and its children's bits,
+   not its subformula's text; it must still tell closures apart exactly
+   as the full-text rendering (kept in test/cache_key_oracle.ml) does:
+   equal exactly for equal formulas. Each formula is compared with a
+   near miss of itself. *)
+let prop_closure_digest_oracle =
+  QCheck.Test.make ~count:1000 ~name:"closure digest equates what the full-text digest equates"
+    (QCheck.pair gen_formula QCheck.int)
+    (fun (f, seed) ->
+      let g =
+        Near_miss.formula
+          ~atoms:(List.init 5 (Printf.sprintf "p%d"))
+          ~agents:[ 0; 1 ] ~groups:[ [ 0 ]; [ 1 ]; [ 0; 1 ] ]
+          ~cmps:Formula.[ Geq; Gt; Leq; Lt; Eq ]
+          ~thresholds:[ q 1 2; q 1 3; q 2 3 ]
+          (Random.State.make [| seed |]) f
+      in
+      let cf = Closure.of_formula f and cg = Closure.of_formula g in
+      let same = Closure.digest cf = Closure.digest cg in
+      same = (Cache_key_oracle.closure_digest cf = Cache_key_oracle.closure_digest cg)
+      && same = Formula.equal f g)
+
 (* The cross-engine oracle: on random systems and random formulas the
    closure walk (Semantics.eval) and the recursive reference engine
    (test/oracle.ml) must return the same point set, and the walk's
@@ -443,7 +465,8 @@ let qcheck_cases =
       prop_common_belief_subset;
       prop_eval_memo_consistent;
       prop_closure_deterministic;
-      prop_cross_engine_oracle
+      prop_cross_engine_oracle;
+      prop_closure_digest_oracle
     ]
 
 let () =

@@ -150,7 +150,7 @@ let test_budget_shared_across_domains () =
        | Error e -> check_bool "typed budget error" true (e.Error.kind = Error.Budget_exceeded));
       (* The scope was restored: charging outside is free again. *)
       full_sweep tree;
-      check_bool "budget inactive after with_budget" false !Budget.active)
+      check_bool "budget inactive after with_budget" false (Atomic.get Budget.live_scopes > 0))
 
 let test_budget_not_multiplied () =
   (* The same limit that admits a serial computation admits the
@@ -166,6 +166,37 @@ let test_budget_not_multiplied () =
       in
       check_bool "four sweeps fit a four-sweep budget across four domains" true
         (Result.is_ok r))
+
+(* The shared-budget body again and again: the pool's workers may
+   still be restoring their scopes when [with_budget] returns, and no
+   scope may be live once it has. *)
+let test_budget_shared_repeated () =
+  for _ = 1 to 200 do
+    test_budget_shared_across_domains ()
+  done
+
+(* Several domains open and close scopes at once. Inside every live
+   scope a charge past its limit must raise, at both kinds of charge
+   site (a [charge_*] call and [Tree.measure]'s inline check); a
+   fast-path switch left stale by another domain's pop would skip it.
+   Once every scope has closed, none is live. *)
+let test_budget_scopes_race () =
+  let tree = Gen.tree 3 in
+  let runs = Tree.n_runs tree in
+  let lim = Budget.limits ~max_points:(runs - 1) () in
+  let worker () =
+    for i = 1 to 2000 do
+      let over () =
+        if i mod 2 = 0 then Budget.charge_points runs
+        else ignore (Tree.measure tree (Tree.all_runs tree))
+      in
+      match Budget.with_budget lim over with
+      | Ok () -> failwith "a charge past the limit passed inside a live scope"
+      | Error e -> assert (e.Error.kind = Error.Budget_exceeded)
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn worker));
+  check_int "no scope live after all closed" 0 (Atomic.get Budget.live_scopes)
 
 (* ------------------------------------------------------------------ *)
 (* Obs counters are exact under parallel bumps                         *)
@@ -208,7 +239,11 @@ let () =
         [ Alcotest.test_case "one budget shared by all domains" `Quick
             test_budget_shared_across_domains;
           Alcotest.test_case "budget not multiplied by domains" `Quick
-            test_budget_not_multiplied
+            test_budget_not_multiplied;
+          Alcotest.test_case "shared budget, 200 rounds" `Quick
+            test_budget_shared_repeated;
+          Alcotest.test_case "scopes raced on four domains" `Quick
+            test_budget_scopes_race
         ] );
       ( "obs",
         [ Alcotest.test_case "counters exact under parallel bumps" `Quick

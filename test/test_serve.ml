@@ -38,7 +38,7 @@ let delta snapshot name =
 let fig1 = lazy (Pak_systems.Figure_one.tree ())
 let doc1 = lazy (Tree_io.to_string (Lazy.force fig1))
 
-let request ?(extras = []) ~id ~op ~formula () =
+let request ?(extras = []) ?(system = doc1) ~id ~op ~formula () =
   let open Serve.Sexp in
   let field k v = List [ Atom k; v ] in
   to_string
@@ -46,7 +46,7 @@ let request ?(extras = []) ~id ~op ~formula () =
        (Atom "request"
        :: field "id" (Atom (string_of_int id))
        :: field "op" (Atom op)
-       :: field "system" (Str (Lazy.force doc1))
+       :: field "system" (Str (Lazy.force system))
        :: field "formula" (Str formula)
        :: extras))
 
@@ -761,6 +761,218 @@ let test_status_latencies_golden () =
       (In_channel.with_open_bin "fixtures/snapshot_v2.status.txt" In_channel.input_all)
       (Serve.status_latencies snap ^ "\n")
 
+(* ------------------------------------------------------------------ *)
+(* One parse per request: closure builds, long formulas, cache keys    *)
+(* ------------------------------------------------------------------ *)
+
+let field k v = Serve.Sexp.(List [ Atom k; Atom v ])
+let belief_fields = [ field "agent" "0"; field "run" "1"; field "time" "1" ]
+
+let test_one_closure_per_evaluation () =
+  (* Each evaluated request builds one closure, in the evaluator; a
+     cache hit, respelled or not, builds none. *)
+  let distinct =
+    [ request ~id:1 ~op:"eval" ~formula:"a0_g0" ();
+      request ~id:2 ~op:"eval" ~formula:"K[0] a0_g0" ();
+      request ~id:3 ~op:"eval" ~formula:"CB[0]>=1/2 a0_g0 & !a0_g1" ();
+      request ~id:4 ~op:"belief" ~formula:"a0_g1" ~extras:belief_fields ();
+      request ~id:5 ~op:"belief" ~formula:"F a0_g1" ~extras:belief_fields ()
+    ]
+  in
+  let repeats =
+    [ request ~id:6 ~op:"eval" ~formula:"K[0] a0_g0" ();
+      request ~id:7 ~op:"eval" ~formula:"(CB[0] >= 0.5 (a0_g0)) & (!a0_g1)" ();
+      request ~id:8 ~op:"belief" ~formula:" a0_g1 " ~extras:belief_fields ()
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      with_metrics (fun () ->
+          let (out, code), snap =
+            Obs.Snapshot.diff_capture (fun () ->
+                run ~config:{ Serve.default_config with Serve.jobs } (distinct @ repeats))
+          in
+          check_int "clean drain" 0 code;
+          check_bool "all answered ok" false (contains out "(status error)");
+          check_int "every repeat hits the cache" (List.length repeats)
+            (delta snap "serve.cache.hits");
+          check_int "one closure per evaluated request" (List.length distinct)
+            (delta snap "closure.builds")))
+    [ 1; 4 ]
+
+let test_long_formula () =
+  (* A 30,000-term conjunction (a 60 KB frame) is read and evaluated in
+     time and memory linear in its length; the request after it is
+     answered too and the session ends cleanly. *)
+  let long = String.concat "&" (List.init 30_000 (fun _ -> "a")) in
+  let out, code =
+    run [ request ~id:1 ~op:"eval" ~formula:long (); request ~id:2 ~op:"eval" ~formula:"a0_g0" () ]
+  in
+  check_int "exit 0" 0 code;
+  match List.map sans_traces (collect_frames out) with
+  | [ r1; r2; bye ] ->
+    check_bool "long formula answered" true (contains r1 "(id 1) (code 0) (status ok)");
+    check_bool "next request answered" true (contains r2 "(id 2) (code 0) (status ok)");
+    check_string "bye" "(bye (reason eof))" bye
+  | other -> Alcotest.fail (Printf.sprintf "expected 3 output frames, got %d" (List.length other))
+
+(* Formulas over a two-agent system, and random spellings of them:
+   extra parentheses and whitespace, and each threshold written as
+   any of several equal numerals. *)
+let fs_doc = lazy (Tree_io.to_string (Pak_systems.Firing_squad.tree Pak_systems.Firing_squad.Original))
+
+let thresholds =
+  [| [ "0"; "0/3"; "0.0" ]; [ "1/4"; "2/8"; "0.25" ]; [ "1/3"; "2/6" ];
+     [ "1/2"; "0.5"; "2/4"; "0.50" ]; [ "3/4"; "0.75"; "6/8" ]; [ "1"; "1/1"; "1.0" ] |]
+
+let key_atoms = [ "a0_done"; "a1_done"; "p" ]
+let key_groups = [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ]; [ 0; 0 ] ]
+let key_cmps = Formula.[ Geq; Gt; Leq; Lt; Eq ]
+let key_qs = Array.to_list (Array.map (fun l -> Q.of_string (List.hd l)) thresholds)
+
+let gen_key_formula =
+  let open QCheck.Gen in
+  let agent = int_bound 1 in
+  let group = oneofl key_groups and q = oneofl key_qs and cmp = oneofl key_cmps in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [ (4, map Formula.atom (oneofl key_atoms));
+               (1, oneofl Formula.[ True; False ]);
+               (1, map2 Formula.does agent (oneofl [ "fire"; "wait" ])) ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (1, leaf);
+               (2, map Formula.neg sub);
+               (3, map2 (fun a b -> Formula.And (a, b)) sub sub);
+               (2, map2 (fun a b -> Formula.Or (a, b)) sub sub);
+               (1, map2 (fun a b -> Formula.Implies (a, b)) sub sub);
+               (1, map2 (fun a b -> Formula.Iff (a, b)) sub sub);
+               (2, map2 Formula.k agent sub);
+               (2, map4 (fun i c v f -> Formula.Believes (i, c, v, f)) agent cmp q sub);
+               (1, map (fun f -> Formula.Eventually f) sub);
+               (1, map (fun f -> Formula.Once f) sub);
+               (1, map2 (fun g f -> Formula.EveryoneKnows (g, f)) group sub);
+               (1, map2 (fun g f -> Formula.CommonKnows (g, f)) group sub);
+               (1, map3 (fun g v f -> Formula.EveryoneBelieves (g, v, f)) group q sub);
+               (1, map3 (fun g v f -> Formula.CommonBelief (g, v, f)) group q sub) ])
+
+let near rng f =
+  Near_miss.formula ~atoms:key_atoms ~agents:[ 0; 1 ] ~groups:key_groups ~cmps:key_cmps
+    ~thresholds:key_qs rng f
+
+let spell rng f =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let ws () = pick [ ""; " "; "  "; "\n"; "\t " ] in
+  let num v =
+    match Array.find_opt (fun l -> Q.equal (Q.of_string (List.hd l)) v) thresholds with
+    | Some l -> pick l
+    | None -> Q.to_string v
+  in
+  let group g = String.concat ("," ^ ws ()) (List.map string_of_int g) in
+  let rec go (f : Formula.t) =
+    let text =
+      match f with
+      | True | False | Atom _ | Does _ -> Formula.to_string f
+      | Not g -> "!" ^ ws () ^ wrap g
+      | And (a, b) -> bin a "&" b
+      | Or (a, b) -> bin a "|" b
+      | Implies (a, b) -> bin a "->" b
+      | Iff (a, b) -> bin a "<->" b
+      | Knows (i, g) -> Printf.sprintf "K[%d] %s" i (wrap g)
+      | Believes (i, c, v, g) ->
+        Printf.sprintf "B[%d]%s%s%s %s" i (ws ()) (Formula.cmp_to_string c) (num v) (wrap g)
+      | Eventually g -> "F " ^ wrap g
+      | Globally g -> "G " ^ wrap g
+      | Next g -> "X " ^ wrap g
+      | Once g -> "P " ^ wrap g
+      | Historically g -> "H " ^ wrap g
+      | EveryoneKnows (gr, g) -> Printf.sprintf "E[%s] %s" (group gr) (wrap g)
+      | CommonKnows (gr, g) -> Printf.sprintf "C[%s] %s" (group gr) (wrap g)
+      | EveryoneBelieves (gr, v, g) ->
+        Printf.sprintf "EB[%s]>=%s %s" (group gr) (num v) (wrap g)
+      | CommonBelief (gr, v, g) -> Printf.sprintf "CB[%s]>=%s %s" (group gr) (num v) (wrap g)
+    in
+    if Random.State.int rng 4 = 0 then "(" ^ ws () ^ text ^ ws () ^ ")" else text
+  and wrap g = "(" ^ ws () ^ go g ^ ws () ^ ")"
+  and bin a op b = wrap a ^ ws () ^ " " ^ op ^ " " ^ ws () ^ wrap b in
+  if Random.State.int rng 3 = 0 then Formula.to_string f else ws () ^ go f ^ ws ()
+
+(* A request: op, formula and limits, drawn so that two of them often
+   share a formula, an op or limits, and differ in the rest. *)
+let gen_key_request =
+  let open QCheck.Gen in
+  let op =
+    oneof
+      [ return Cache_key_oracle.Eval;
+        map2
+          (fun run time ->
+            Cache_key_oracle.Belief { agent = 0; run; time; samples = None; seed = None })
+          (int_bound 1) (int_bound 1) ]
+  in
+  let limits =
+    oneofl
+      [ Budget.unlimited;
+        Budget.limits ~max_points:10_000_000 ();
+        Budget.limits ~max_points:10_000_001 ();
+        Budget.limits ~max_iters:100_000 ~timeout_ms:600_000 () ]
+  in
+  triple op limits gen_key_formula
+
+let key_request_fields ~id (op, (limits : Budget.limits), text) =
+  let caps =
+    List.filter_map
+      (fun (c : Budget.cap) -> Option.map (fun v -> field c.name (string_of_int v)) (c.get limits))
+      Budget.caps
+  in
+  match op with
+  | Cache_key_oracle.Eval -> request ~system:fs_doc ~id ~op:"eval" ~formula:text ~extras:caps ()
+  | Cache_key_oracle.Belief { agent; run; time; _ } ->
+    request ~system:fs_doc ~id ~op:"belief" ~formula:text
+      ~extras:
+        ([ field "agent" (string_of_int agent);
+           field "run" (string_of_int run);
+           field "time" (string_of_int time) ]
+        @ caps)
+      ()
+
+let test_cache_key_oracle =
+  (* The second request of a pair is a cache hit exactly when the old
+     key (the closure digest of a second parse) equates the pair. The
+     second request respells the first, or keeps its op and limits
+     around a near-miss formula, or keeps its formula under another op
+     and limits, or is drawn afresh. *)
+  QCheck.Test.make ~count:1000 ~name:"cache keys equate what the old keys equate"
+    (QCheck.make QCheck.Gen.(quad gen_key_request gen_key_request (int_bound 3) int))
+    (fun (((op1, lim1, f1) as r1), ((op2, lim2, _) as drawn), mode, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let op2, lim2, f2 =
+        match mode with
+        | 0 -> r1
+        | 1 -> (op1, lim1, near rng f1)
+        | 2 -> (op2, lim2, f1)
+        | _ -> drawn
+      in
+      let t1 = spell rng f1 and t2 = spell rng f2 in
+      let old_key op limits formula =
+        Cache_key_oracle.cache_key ~system:(Lazy.force fs_doc) ~op ~formula ~limits
+      in
+      let same = old_key op1 lim1 t1 = old_key op2 lim2 t2 in
+      with_metrics (fun () ->
+          let (out, code), snap =
+            Obs.Snapshot.diff_capture (fun () ->
+                run
+                  [ key_request_fields ~id:1 (op1, lim1, t1);
+                    key_request_fields ~id:2 (op2, lim2, t2) ])
+          in
+          code = 0
+          && contains (sans_traces out) "(id 1) (code 0) (status ok)"
+          && delta snap "serve.cache.hits" = if same then 1 else 0))
+
 let () =
   Alcotest.run "pak_serve"
     [ ( "frame",
@@ -801,5 +1013,11 @@ let () =
             test_validate_each_setting;
           Alcotest.test_case "status latencies" `Quick test_status_latencies;
           Alcotest.test_case "status latencies golden" `Quick test_status_latencies_golden
+        ] );
+      ( "parse once",
+        [ Alcotest.test_case "one closure per evaluated request" `Quick
+            test_one_closure_per_evaluation;
+          Alcotest.test_case "30,000-term formula" `Quick test_long_formula;
+          QCheck_alcotest.to_alcotest test_cache_key_oracle
         ] )
     ]
