@@ -1014,7 +1014,7 @@ let () =
           Alcotest.test_case "status latencies" `Quick test_status_latencies;
           Alcotest.test_case "status latencies golden" `Quick test_status_latencies_golden
         ] );
-      ( "parse once",
+      ( "parse",
         [ Alcotest.test_case "one closure per evaluated request" `Quick
             test_one_closure_per_evaluation;
           Alcotest.test_case "30,000-term formula" `Quick test_long_formula;
