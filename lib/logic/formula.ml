@@ -99,7 +99,6 @@ let op_tag = function
   | CommonBelief _ -> "CB"
 
 let equal = ( = )
-let compare = Stdlib.compare
 
 let cmp_to_string = function
   | Geq -> ">="

@@ -78,7 +78,6 @@ val op_tag : t -> string
     ["kind"] field is the tag of its formula. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** {1 Printing} *)
 

@@ -25,6 +25,19 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
 let is_digit c = c >= '0' && c <= '9'
 
+(* The most digits one part of a numeral may have. Reading a numeral
+   and reducing it costs time quadratic in its length, and formulas
+   arrive untrusted, before any budget is installed. *)
+let max_numeral_digits = 1000
+
+(* The end of the digit run from [i]. *)
+let digit_run input n i =
+  let j = ref i in
+  while !j < n && is_digit input.[!j] do incr j done;
+  if !j - i > max_numeral_digits then
+    fail i (Printf.sprintf "numeral part longer than %d digits" max_numeral_digits);
+  !j
+
 let lex input =
   let n = String.length input in
   let tokens = ref [] in
@@ -35,12 +48,11 @@ let lex input =
     let c = input.[!i] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
     else if is_digit c then begin
-      let j = ref !i in
-      while !j < n && is_digit input.[!j] do incr j done;
+      let j = ref (digit_run input n !i) in
       if !j < n && (input.[!j] = '/' || input.[!j] = '.') then begin
         incr j;
         if !j >= n || not (is_digit input.[!j]) then fail !j "digit expected after '/' or '.'";
-        while !j < n && is_digit input.[!j] do incr j done
+        j := digit_run input n !j
       end;
       let text = String.sub input !i (!j - !i) in
       i := !j;

@@ -21,10 +21,14 @@
 val parse_result : string -> (Formula.t, Pak_guard.Error.t) result
 (** The typed boundary for untrusted formula text: never raises.
     Returns [Error] with kind [Parse] on malformed input (including
-    bad rational literals such as a zero denominator, and nesting
-    deeper than an internal cap) and [Budget_exceeded] when an
+    bad rational literals such as a zero denominator, a numeral part of
+    more than {!max_numeral_digits} digits, and nesting deeper than an
+    internal cap) and [Budget_exceeded] when an
     installed {!Pak_guard.Budget} runs out mid-parse. Messages include
     the offending byte offset. *)
+
+val max_numeral_digits : int
+(** The most digits either part of a numeral may have: 1000. *)
 
 exception Parse_error of string
 (** Raised on malformed input, with a human-readable description

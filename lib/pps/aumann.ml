@@ -224,8 +224,11 @@ let p_agreement fact ~group ~p =
     done;
     !m
   in
+  (* By run within a slice: the profiles' table is keyed on [Q] values,
+     so its fold order is not one to expose. *)
   List.concat_map
-    (fun time -> List.rev (p_agreement_slice fact ~group ~p ~time))
+    (fun time ->
+      List.sort (fun a b -> Int.compare a.p_run b.p_run) (p_agreement_slice fact ~group ~p ~time))
     (List.init (max_time + 1) Fun.id)
 
 let p_disagreements fact ~group ~p =

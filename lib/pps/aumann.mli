@@ -63,8 +63,8 @@ type p_agreement = {
 val p_agreement : Fact.t -> group:int list -> p:Q.t -> p_agreement list
 (** One report per point where the belief profile is common p-belief
     (computed as the greatest fixpoint of everyone-p-believes on each
-    synchronous time slice). The theorem asserts [within_bound] in
-    every report.
+    synchronous time slice), ordered by time, then by run. The theorem
+    asserts [within_bound] in every report.
     @raise Invalid_argument unless [1/2 < p ≤ 1] (the theorem's
     regime; below 1/2 the bound is vacuous anyway). *)
 

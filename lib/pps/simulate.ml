@@ -31,8 +31,8 @@ let threshold acc =
   if Q.geq acc Q.one then scale
   else if Q.sign acc <= 0 then 0
   else
-    let n = Bigint.small (Q.num acc) and d = Bignat.small (Q.den acc) in
-    if n >= 0 && d >= 0 then ((n * scale) + d - 1) / d
+    let d = Q.small_den acc in
+    if d > 0 then ((Q.small_num acc * scale) + d - 1) / d
     else
       let q, r =
         Bigint.divmod (Bigint.mul (Q.num acc) (Bigint.of_int scale)) (Bigint.of_bignat (Q.den acc))
@@ -56,7 +56,7 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let rec edges tree child thr k c s l acc =
   if c >= 0 then begin
     let p = Tree.node_prob tree c in
-    let pn = Bigint.small (Q.num p) and pd = Bignat.small (Q.den p) in
+    let pn = Q.small_num p and pd = Q.small_den p in
     child.(!k) <- c;
     let g = if l > 0 && pn > 0 && pd > 0 then gcd l pd else 0 in
     if g > 0 && l * (pd / g) < sum_bound then begin

@@ -59,9 +59,9 @@ let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 (* Finalize on ints                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* An edge probability's parts are read with [Bigint.small] and
-   [Bignat.small], which allocate nothing and give a negative value
-   for parts of 2^30 or more; such an edge sends its check to [Q]. *)
+(* An edge probability's parts are read with [Q.small_num] and
+   [Q.small_den], which allocate nothing and give 0 when a part is
+   2^30 or more; such an edge sends its check to [Q]. *)
 
 (* Whether the probabilities on the sibling list from [c] sum to one:
    1 if they do, 0 if not, -1 if the sum left the int range. [s/l] is
@@ -74,7 +74,7 @@ let rec sums_to_one nodes next c s l =
   if c < 0 then if s = l then 1 else 0
   else
     let p = nodes.(c).in_prob in
-    let n = Bigint.small (Q.num p) and d = Bignat.small (Q.den p) in
+    let n = Q.small_num p and d = Q.small_den p in
     if n <= 0 || d <= 0 then -1
     else
       let g = gcd_int l d in
@@ -113,7 +113,7 @@ let check_mass nodes next id c =
    or [p] has a large part. The numerator is at most the denominator,
    so it fits whenever the denominator does. *)
 let mul_frac out mn md p =
-  let pn = Bigint.small (Q.num p) and pd = Bignat.small (Q.den p) in
+  let pn = Q.small_num p and pd = Q.small_den p in
   if md <= 0 || pn <= 0 || pd <= 0 then out.(1) <- 0
   else begin
     let g1 = gcd_int pd (mn mod pd) and g2 = gcd_int pn (md mod pn) in
@@ -159,7 +159,9 @@ let q_measures nodes first_child next first_initial n_runs =
 let q_denominator meas =
   Array.fold_left
     (fun d m ->
-      match Bignat.to_int_opt (Q.den m) with Some rd -> lcm_step d rd | None -> 0)
+      match Q.small_den m with
+      | 0 -> (match Bignat.to_int_opt (Q.den m) with Some rd -> lcm_step d rd | None -> 0)
+      | rd -> lcm_step d rd)
     1 meas
 
 let q_weights denom meas =
@@ -167,9 +169,12 @@ let q_weights denom meas =
   else
     Array.map
       (fun m ->
-        match (Bigint.to_int_opt (Q.num m), Bignat.to_int_opt (Q.den m)) with
-        | Some n, Some d -> n * (denom / d)
-        | _ -> assert false (* both below D, which fits *))
+        match Q.small_den m with
+        | 0 -> (
+          match (Bigint.to_int_opt (Q.num m), Bignat.to_int_opt (Q.den m)) with
+          | Some n, Some d -> n * (denom / d)
+          | _ -> assert false (* both below D, which fits *))
+        | d -> Q.small_num m * (denom / d))
       meas
 
 (* ------------------------------------------------------------------ *)

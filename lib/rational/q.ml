@@ -1,21 +1,36 @@
-(* Invariant: den > 0, gcd(|num|, den) = 1, and zero is 0/1. Structural
-   equality of the record coincides with numeric equality. *)
+(* Invariant: den > 0, gcd(|num|, den) = 1, and zero is 0/1. A value
+   whose parts are both below 2^30 in magnitude is always [S] and never
+   [B], so structural equality coincides with numeric equality. The
+   bound is the one of [Bigint.small]/[Bignat.small]: products of two
+   parts stay below 2^60 and sums of two products below 2^61. *)
 module Error = Pak_guard.Error
 
-type t = { num : Bigint.t; den : Bignat.t }
+type t = S of int * int | B of { num : Bigint.t; den : Bignat.t }
+
+let bound = 1 lsl 30
+
+(* The canonical value of [num/den], already in lowest terms. *)
+let canon num den =
+  let n = Bigint.small num and d = Bignat.small den in
+  if n <> min_int && d >= 0 then S (n, d) else B { num; den }
+
+(* The same for int parts, [d > 0]. *)
+let of_parts n d =
+  if n > -bound && n < bound && d < bound then S (n, d)
+  else B { num = Bigint.of_int n; den = Bignat.of_int d }
 
 let mk_normalized num den_nat =
   if Bignat.is_zero den_nat then
     raise (Error.Division_by_zero "Q: zero denominator");
-  if Bigint.is_zero num then { num = Bigint.zero; den = Bignat.one }
+  if Bigint.is_zero num then S (0, 1)
   else begin
     let g = Bignat.gcd (Bigint.to_bignat num) den_nat in
-    if Bignat.is_one g then { num; den = den_nat }
+    if Bignat.is_one g then canon num den_nat
     else
       let num_mag = Bignat.div (Bigint.to_bignat num) g in
       let den = Bignat.div den_nat g in
       let num = if Bigint.sign num < 0 then Bigint.neg (Bigint.of_bignat num_mag) else Bigint.of_bignat num_mag in
-      { num; den }
+      canon num den
   end
 
 let make num den =
@@ -25,39 +40,40 @@ let make num den =
     let num = if s < 0 then Bigint.neg num else num in
     mk_normalized num (Bigint.to_bignat den)
 
-let zero = { num = Bigint.zero; den = Bignat.one }
-let one = { num = Bigint.one; den = Bignat.one }
-let minus_one = { num = Bigint.minus_one; den = Bignat.one }
-let half = { num = Bigint.one; den = Bignat.two }
+let zero = S (0, 1)
+let one = S (1, 1)
+let minus_one = S (-1, 1)
+let half = S (1, 2)
 
-let of_int n = { num = Bigint.of_int n; den = Bignat.one }
+let of_int n = of_parts n 1
 
-let num t = t.num
-let den t = t.den
-let sign t = Bigint.sign t.num
-let is_zero t = Bigint.is_zero t.num
+let num = function S (n, _) -> Bigint.of_int n | B b -> b.num
+let den = function S (_, d) -> Bignat.of_int d | B b -> b.den
+let small_num = function S (n, _) -> n | B _ -> 0
+let small_den = function S (_, d) -> d | B _ -> 0
+let sign = function S (n, _) -> Int.compare n 0 | B b -> Bigint.sign b.num
+let is_zero = function S (n, _) -> n = 0 | B _ -> false
 
-let equal a b = Bigint.equal a.num b.num && Bignat.equal a.den b.den
-let hash t = Bigint.hash t.num + (7 * Bignat.hash t.den)
+let equal a b =
+  match (a, b) with
+  | S (an, ad), S (bn, bd) -> an = bn && ad = bd
+  | B a, B b -> Bigint.equal a.num b.num && Bignat.equal a.den b.den
+  | _ -> false
 
-(* Fast path: when numerators and denominators are below 2^30 in
-   magnitude, compare and do the arithmetic and the gcd on ints. The
-   probabilities arising from protocol trees are overwhelmingly small
-   fractions, so this path dominates in practice; the bignum path is
-   the fallback that keeps all results exact. [Bigint.small] and
-   [Bignat.small] read the parts without allocating and return
-   [min_int] and [-1] for larger ones. *)
-let all_small an ad bn bd = an <> min_int && ad >= 0 && bn <> min_int && bd >= 0
+let hash t = Bigint.hash (num t) + (7 * Bignat.hash (den t))
 
+(* Both operands [S]: compare, add and multiply on ints, the gcd
+   included. The probabilities arising from protocol trees are
+   overwhelmingly small fractions, so this path dominates in practice;
+   the bignum path is the fallback that keeps all results exact. *)
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den *)
-  let an = Bigint.small a.num and ad = Bignat.small a.den
-  and bn = Bigint.small b.num and bd = Bignat.small b.den in
-  if all_small an ad bn bd then Int.compare (an * bd) (bn * ad)
-  else
+  match (a, b) with
+  | S (an, ad), S (bn, bd) -> Int.compare (an * bd) (bn * ad)
+  | _ ->
     Bigint.compare
-      (Bigint.mul a.num (Bigint.of_bignat b.den))
-      (Bigint.mul b.num (Bigint.of_bignat a.den))
+      (Bigint.mul (num a) (Bigint.of_bignat (den b)))
+      (Bigint.mul (num b) (Bigint.of_bignat (den a)))
 
 let lt a b = compare a b < 0
 let leq a b = compare a b <= 0
@@ -66,17 +82,17 @@ let geq a b = compare a b >= 0
 let min a b = if leq a b then a else b
 let max a b = if geq a b then a else b
 
-let neg t = { num = Bigint.neg t.num; den = t.den }
-let abs t = { num = Bigint.abs t.num; den = t.den }
+let neg = function S (n, d) -> S (-n, d) | B b -> B { b with num = Bigint.neg b.num }
+let abs = function S (n, d) -> S (Stdlib.abs n, d) | B b -> B { b with num = Bigint.abs b.num }
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
 let of_ints_normalized n d =
-  (* d > 0; gcd on ints, then build the canonical record. *)
+  (* d > 0 and n <> min_int; gcd on ints, then the canonical value. *)
   if n = 0 then zero
   else begin
     let g = gcd_int (Stdlib.abs n) d in
-    { num = Bigint.of_int (n / g); den = Bignat.of_int (d / g) }
+    of_parts (n / g) (d / g)
   end
 
 (* [min_int] has no native negation, so it and non-positive
@@ -86,62 +102,67 @@ let of_ints n d =
   else make (Bigint.of_int n) (Bigint.of_int d)
 
 let add a b =
-  let an = Bigint.small a.num and ad = Bignat.small a.den
-  and bn = Bigint.small b.num and bd = Bignat.small b.den in
-  if all_small an ad bn bd then of_ints_normalized ((an * bd) + (bn * ad)) (ad * bd)
-  else
+  match (a, b) with
+  | S (an, ad), S (bn, bd) -> of_ints_normalized ((an * bd) + (bn * ad)) (ad * bd)
+  | _ ->
     mk_normalized
       (Bigint.add
-         (Bigint.mul a.num (Bigint.of_bignat b.den))
-         (Bigint.mul b.num (Bigint.of_bignat a.den)))
-      (Bignat.mul a.den b.den)
+         (Bigint.mul (num a) (Bigint.of_bignat (den b)))
+         (Bigint.mul (num b) (Bigint.of_bignat (den a))))
+      (Bignat.mul (den a) (den b))
 
 let sub a b = add a (neg b)
 
 let mul a b =
-  let an = Bigint.small a.num and ad = Bignat.small a.den
-  and bn = Bigint.small b.num and bd = Bignat.small b.den in
-  if all_small an ad bn bd then of_ints_normalized (an * bn) (ad * bd)
-  else mk_normalized (Bigint.mul a.num b.num) (Bignat.mul a.den b.den)
+  match (a, b) with
+  | S (an, ad), S (bn, bd) -> of_ints_normalized (an * bn) (ad * bd)
+  | _ -> mk_normalized (Bigint.mul (num a) (num b)) (Bignat.mul (den a) (den b))
 
-let inv t =
-  match Bigint.sign t.num with
-  | 0 -> raise (Error.Division_by_zero "Q.inv: inverse of zero")
-  | s ->
-    let num = Bigint.of_bignat t.den in
-    { num = (if s < 0 then Bigint.neg num else num); den = Bigint.to_bignat t.num }
+(* The bound is symmetric in the two parts, so the inverse of an [S] is
+   an [S] and that of a [B] a [B]. *)
+let inv = function
+  | S (0, _) -> raise (Error.Division_by_zero "Q.inv: inverse of zero")
+  | S (n, d) -> if n < 0 then S (-d, -n) else S (d, n)
+  | B b ->
+    let num = Bigint.of_bignat b.den in
+    B { num = (if Bigint.sign b.num < 0 then Bigint.neg num else num); den = Bigint.to_bignat b.num }
 
 let div a b = mul a (inv b)
 
 let pow t e =
-  if e >= 0 then { num = Bigint.pow t.num e; den = Bignat.pow t.den e }
-  else inv { num = Bigint.pow t.num (-e); den = Bignat.pow t.den (-e) }
+  let p e = canon (Bigint.pow (num t) e) (Bignat.pow (den t) e) in
+  if e >= 0 then p e else inv (p (-e))
 
 let sum qs = List.fold_left add zero qs
 let one_minus q = sub one q
 let is_probability q = leq zero q && leq q one
 
-let to_string t =
-  if Bignat.is_one t.den then Bigint.to_string t.num
-  else Bigint.to_string t.num ^ "/" ^ Bignat.to_string t.den
+let to_string = function
+  | S (n, 1) -> string_of_int n
+  | S (n, d) -> string_of_int n ^ "/" ^ string_of_int d
+  | B b ->
+    if Bignat.is_one b.den then Bigint.to_string b.num
+    else Bigint.to_string b.num ^ "/" ^ Bignat.to_string b.den
 
-let to_float t =
-  (* Scale so the integer parts fit a float mantissa well enough for
-     display; exactness is never required of this function. *)
-  let n = Bigint.to_bignat t.num in
-  let rec shrink n d =
-    match (Bignat.to_int_opt n, Bignat.to_int_opt d) with
-    | Some ni, Some di -> float_of_int ni /. float_of_int di
-    | _ ->
-      shrink (Bignat.div n Bignat.two) (Bignat.div d Bignat.two)
-  in
-  let v = shrink n t.den in
-  if Bigint.sign t.num < 0 then -.v else v
+let to_float = function
+  | S (n, d) -> float_of_int n /. float_of_int d
+  | B b ->
+    (* Scale so the integer parts fit a float mantissa well enough for
+       display; exactness is never required of this function. *)
+    let rec shrink n d =
+      match (Bignat.to_int_opt n, Bignat.to_int_opt d) with
+      | Some ni, Some di -> float_of_int ni /. float_of_int di
+      | _ -> shrink (Bignat.div n Bignat.two) (Bignat.div d Bignat.two)
+    in
+    let v = shrink (Bigint.to_bignat b.num) b.den in
+    if Bigint.sign b.num < 0 then -.v else v
 
+(* On [Bignat] for every value, so the limb fuel it charges does not
+   depend on the representation. *)
 let to_decimal_string ?(digits = 6) t =
   let neg_prefix = if sign t < 0 then "-" else "" in
-  let mag_num = Bigint.to_bignat t.num in
-  let int_part, r = Bignat.divmod mag_num t.den in
+  let den = den t in
+  let int_part, r = Bignat.divmod (Bigint.to_bignat (num t)) den in
   let buf = Buffer.create 24 in
   Buffer.add_string buf neg_prefix;
   Buffer.add_string buf (Bignat.to_string int_part);
@@ -151,7 +172,7 @@ let to_decimal_string ?(digits = 6) t =
     let r = ref r in
     let k = ref 0 in
     while (not (Bignat.is_zero !r)) && !k < digits do
-      let q, r' = Bignat.divmod (Bignat.mul !r ten) t.den in
+      let q, r' = Bignat.divmod (Bignat.mul !r ten) den in
       Buffer.add_string buf (Bignat.to_string q);
       r := r';
       incr k
@@ -193,7 +214,7 @@ let of_big_string s =
     make n d
   | None ->
     (match String.index_opt s '.' with
-     | None -> { num = Bigint.of_string s; den = Bignat.one }
+     | None -> canon (Bigint.of_string s) Bignat.one
      | Some i ->
        let int_str = String.sub s 0 i in
        let frac_str = String.sub s (i + 1) (String.length s - i - 1) in

@@ -6,7 +6,10 @@
     equalities rather than floating-point approximations.
 
     Values are kept in lowest terms with a strictly positive denominator;
-    zero is canonically [0/1]. Equality is therefore structural. *)
+    zero is canonically [0/1]. A value whose numerator and denominator
+    are both below 2^30 in magnitude is held as two immediate ints (three
+    words), and every other value as limbs; the choice is a function of
+    the value. Equality is therefore structural. *)
 
 type t
 
@@ -41,6 +44,15 @@ val of_string : string -> t
 
 val num : t -> Bigint.t
 val den : t -> Bignat.t
+(** [num] and [den] build their result when both parts are below 2^30;
+    hot paths read such parts with {!small_num} and {!small_den}. *)
+
+val small_num : t -> int
+val small_den : t -> int
+(** The int parts, read without allocating: when both parts of [q] are
+    below 2^30 in magnitude, [small_den q] is its denominator (positive)
+    and [small_num q] its numerator; otherwise both are [0]. *)
+
 val to_string : t -> string
 (** Lowest-terms rendering: ["3/4"], ["-1/2"], or just ["5"] when the
     denominator is one. *)

@@ -87,7 +87,8 @@ let analyze ?(p_guilt = Q.half) ?(accuracy = Q.of_ints 9 10) ~rounds ~convict_at
            let label = Tree.lkey_label k in
            let count = int_of_string (String.sub label 3 (String.length label - 3)) in
            (count, Belief.degree_at_lstate guilty k))
-    |> List.sort compare
+    (* The judge convicts at the last round only: one local state per count. *)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   { rounds;
     convict_at;

@@ -135,6 +135,37 @@ let test_parser_errors () =
   check_bool "CB needs >=" true (fails "CB[0,1]<1/2 x");
   check_bool "bad number" true (fails "B[0]>=1/ x")
 
+(* A numeral part of more than [Parser.max_numeral_digits] digits is a
+   typed parse error that names the limit, refused before the bignum
+   reader sees it; at the limit both parts still parse. *)
+let test_parser_numeral_cap () =
+  let module Error = Pak_guard.Error in
+  let cap = Parser.max_numeral_digits in
+  let names_cap msg =
+    let sub = Printf.sprintf "longer than %d digits" cap in
+    let n = String.length sub in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+    at 0
+  in
+  let ones = String.make 20_000 '1' and threes = String.make 20_000 '3' in
+  let t0 = Sys.time () in
+  let r = Parser.parse_result (Printf.sprintf "B[0]>=%s/%s a0_g0" ones threes) in
+  let dt = Sys.time () -. t0 in
+  (match r with
+   | Error e ->
+     check_bool "kind is Parse" true (e.Error.kind = Error.Parse);
+     check_bool "message names the limit" true (names_cap e.Error.msg)
+   | Ok _ -> Alcotest.fail "a 20,000-digit numeral parsed");
+  check_bool (Printf.sprintf "refused in %.3f s, under 50 ms" dt) true (dt < 0.05);
+  let den = "1" ^ String.make (cap - 1) '0' in
+  (match Parser.parse_result (Printf.sprintf "B[0]>=1/%s a0_g0" den) with
+   | Ok (Formula.Believes (_, _, p, _)) ->
+     check_string "1000-digit denominator" ("1/" ^ den) (Q.to_string p)
+   | _ -> Alcotest.fail "a 1000-digit numeral was refused");
+  (match Parser.parse_result (Printf.sprintf "B[0]>=1/1%s a0_g0" (String.make cap '0')) with
+   | Error e -> check_bool "1001 digits refused" true (e.Error.kind = Error.Parse)
+   | Ok _ -> Alcotest.fail "a 1001-digit numeral parsed")
+
 (* Random formulas for the round-trip property. *)
 let gen_formula : Formula.t QCheck.arbitrary =
   let open QCheck.Gen in
@@ -477,7 +508,8 @@ let () =
         ] );
       ( "parser",
         [ Alcotest.test_case "basics" `Quick test_parser_basics;
-          Alcotest.test_case "errors" `Quick test_parser_errors
+          Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "numeral digit cap" `Quick test_parser_numeral_cap
         ] );
       ( "semantics",
         [ Alcotest.test_case "propositional" `Quick test_semantics_propositional;

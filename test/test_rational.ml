@@ -420,6 +420,171 @@ let prop_q_normalized_gcd_one =
       QCheck.assume (not (Q.is_zero a));
       Bignat.is_one (Bignat.gcd (Bigint.to_bignat (Q.num a)) (Q.den a)))
 
+(* ------------------------------------------------------------------ *)
+(* Q against the limb oracle                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Q] holds a value whose parts are both below 2^30 as two ints and
+   every other value as limbs. [Q_oracle] is the all-limbs [Q] it
+   replaced. The grids below put parts on both sides of 2^30 and
+   products on both sides of 2^60 and 2^62; every operation must give
+   the oracle's value, rendering, hash and order, in canonical form. *)
+
+module O = Q_oracle
+
+let b30 = 1 lsl 30
+
+(* The value of an operation, or the text of the exception it raised. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let fits o = Bigint.small (O.num o) <> min_int && Bignat.small (O.den o) >= 0
+
+(* [q] is the oracle's [o]: same parts, text, hash and sign, and held
+   as ints exactly when both parts are below 2^30. *)
+let same_parts q o =
+  Q.to_string q = O.to_string o
+  && Bigint.equal (Q.num q) (O.num o)
+  && Bignat.equal (Q.den q) (O.den o)
+  && Q.hash q = O.hash o
+  && Q.sign q = O.sign o
+  && Q.is_zero q = O.is_zero o
+  && (Q.small_den q > 0) = fits o
+  && (Q.small_den q = 0
+     || (Q.small_num q = Bigint.small (O.num o) && Q.small_den q = Bignat.small (O.den o)))
+
+(* ... and the same decimal text and float. *)
+let same_value q o =
+  same_parts q o
+  && Q.to_decimal_string q = O.to_decimal_string o
+  && Int64.equal (Int64.bits_of_float (Q.to_float q)) (Int64.bits_of_float (O.to_float o))
+
+let same_outcome ?(same = same_value) what q o =
+  match (outcome q, outcome o) with
+  | Ok q, Ok o ->
+    if not (same q o) then
+      Alcotest.failf "%s: %s, oracle %s" what (Q.to_string q) (O.to_string o)
+  | Error e, Error e' ->
+    if e <> e' then Alcotest.failf "%s raised %s, oracle %s" what e e'
+  | Ok q, Error e -> Alcotest.failf "%s: %s, oracle raised %s" what (Q.to_string q) e
+  | Error e, Ok o -> Alcotest.failf "%s raised %s, oracle %s" what e (O.to_string o)
+
+(* Parts on both sides of 15 and 30 bits, of 2^60 (a product of two
+   30-bit parts) and up to [max_int] (past 2^62 once multiplied). *)
+let boundary_parts =
+  [ 0; 1; 2; 3; 6; 32767; 32768; b30 - 2; b30 - 1; b30; b30 + 1; 3 * b30; (1 lsl 31) + 1;
+    (1 lsl 60) - 1; 1 lsl 60; (1 lsl 60) + 1; (1 lsl 61) + 3; max_int - 1; max_int ]
+
+let signed parts = List.concat_map (fun n -> if n = 0 then [ 0 ] else [ n; -n ]) parts
+let grid_nums = (min_int :: min_int + 1 :: signed boundary_parts)
+let grid_dens = (0 :: min_int :: -1 :: -(b30 - 1) :: -b30 :: List.tl boundary_parts)
+
+let pairs_of nums dens =
+  List.concat_map
+    (fun n ->
+      List.filter_map
+        (fun d ->
+          match (outcome (fun () -> Q.of_ints n d), outcome (fun () -> O.of_ints n d)) with
+          | Ok q, Ok o -> Some (Printf.sprintf "%d/%d" n d, q, o)
+          | _ -> None)
+        dens)
+    nums
+
+let test_q_oracle_of_ints () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun d ->
+          let what = Printf.sprintf "of_ints %d %d" n d in
+          same_outcome what (fun () -> Q.of_ints n d) (fun () -> O.of_ints n d);
+          same_outcome (what ^ " via make")
+            (fun () -> Q.make (Bigint.of_int n) (Bigint.of_int d))
+            (fun () -> O.make (Bigint.of_int n) (Bigint.of_int d)))
+        grid_dens;
+      same_outcome (Printf.sprintf "of_int %d" n) (fun () -> Q.of_int n) (fun () -> O.of_int n))
+    grid_nums
+
+let test_q_oracle_unary () =
+  List.iter
+    (fun (what, q, o) ->
+      same_outcome ("neg " ^ what) (fun () -> Q.neg q) (fun () -> O.neg o);
+      same_outcome ("abs " ^ what) (fun () -> Q.abs q) (fun () -> O.abs o);
+      same_outcome ("inv " ^ what) (fun () -> Q.inv q) (fun () -> O.inv o);
+      same_outcome ("1 - " ^ what) (fun () -> Q.one_minus q) (fun () -> O.one_minus o);
+      same_outcome ("reparse " ^ what) (fun () -> Q.of_string (Q.to_string q)) (fun () -> o);
+      List.iter
+        (fun e ->
+          same_outcome (Printf.sprintf "(%s)^%d" what e) (fun () -> Q.pow q e) (fun () -> O.pow o e))
+        [ -2; -1; 0; 1; 2; 3 ];
+      (* Canonical form: an equal value built another way is the same
+         value to polymorphic equality and hashing. *)
+      let q' = Q.of_string (Q.to_string q) in
+      if not (q = q' && Hashtbl.hash q = Hashtbl.hash q') then
+        Alcotest.failf "%s is not canonical" what)
+    (pairs_of grid_nums grid_dens)
+
+let test_q_oracle_binary () =
+  let values =
+    pairs_of
+      (min_int :: signed [ 0; 1; 3; 32768; b30 - 1; b30; b30 + 1; (1 lsl 31) + 1; (1 lsl 60) + 1; max_int ])
+      [ -1; 1; 2; 32768; b30 - 1; b30; b30 + 1; (1 lsl 60) - 1; max_int ]
+  in
+  List.iter
+    (fun (wa, a, oa) ->
+      List.iter
+        (fun (wb, b, ob) ->
+          let what op = Printf.sprintf "(%s) %s (%s)" wa op wb in
+          let same = same_parts in
+          same_outcome ~same (what "+") (fun () -> Q.add a b) (fun () -> O.add oa ob);
+          same_outcome ~same (what "-") (fun () -> Q.sub a b) (fun () -> O.sub oa ob);
+          same_outcome ~same (what "*") (fun () -> Q.mul a b) (fun () -> O.mul oa ob);
+          same_outcome ~same (what "/") (fun () -> Q.div a b) (fun () -> O.div oa ob);
+          if Q.compare a b <> O.compare oa ob then Alcotest.failf "%s" (what "compare");
+          if Q.equal a b <> O.equal oa ob || (a = b) <> Q.equal a b then
+            Alcotest.failf "%s" (what "equal"))
+        values)
+    values
+
+let test_q_oracle_of_string () =
+  let forms =
+    [ "0"; "-0"; "3/4"; "-3/4"; "+3/4"; "3/-4"; "-3/-4"; "6/8"; "0/5"; "5/0"; "0/0"; "0.95"; "-1.25";
+      "+0.5"; ".5"; "-.5"; "1."; "1.0"; "0.000"; "1_000/3"; "1_0.2_5"; " 3/4 "; ""; "  "; "abc";
+      "1/2/3"; "1e5"; "--1"; "1073741823/1073741824"; "1073741824/1073741823";
+      "-1073741823/1073741823"; "1073741823"; "1073741824"; "-1073741824"; "2147483648/4";
+      "4611686018427387903"; "4611686018427387904"; "-4611686018427387904/2";
+      "999999999999999999/1"; "1000000000000000000/3"; "123456789012345678901234567890/10";
+      "0.1073741824"; "1073741823.5"; "0.000000001"; "1/1073741824"; "-1/1073741823" ]
+  in
+  List.iter
+    (fun s -> same_outcome (Printf.sprintf "of_string %S" s) (fun () -> Q.of_string s) (fun () -> O.of_string s))
+    forms
+
+(* Random parts near each switch: 2^15 and 2^30 (limb counts, the int
+   bound), 2^31 and 2^60 (products of two parts). *)
+let prop_q_oracle_near_switch =
+  let part =
+    QCheck.Gen.(
+      oneof
+        [ map (fun k -> b30 + k) (int_range (-4) 4);
+          map (fun k -> (1 lsl 15) + k) (int_range (-4) 4);
+          map (fun k -> (1 lsl 31) + k) (int_range (-4) 4);
+          map (fun k -> (1 lsl 60) + k) (int_range (-4) 4);
+          int_range 1 100 ])
+  in
+  let signed = QCheck.Gen.(map2 (fun neg v -> if neg then -v else v) bool part) in
+  QCheck.Test.make ~count:2000 ~name:"Q agrees with the limb oracle near the int/limb switch"
+    (QCheck.make ~print:QCheck.Print.(quad int int int int) QCheck.Gen.(quad signed part signed part))
+    (fun (an, ad, bn, bd) ->
+      let a = Q.of_ints an ad and b = Q.of_ints bn bd in
+      let oa = O.of_ints an ad and ob = O.of_ints bn bd in
+      same_value a oa && same_value b ob
+      && same_value (Q.add a b) (O.add oa ob)
+      && same_value (Q.sub a b) (O.sub oa ob)
+      && same_value (Q.mul a b) (O.mul oa ob)
+      && same_value (Q.div a b) (O.div oa ob)
+      && same_value (Q.inv a) (O.inv oa)
+      && Q.compare a b = O.compare oa ob
+      && Q.equal a b = O.equal oa ob)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nat_add_commutative;
@@ -437,7 +602,8 @@ let qcheck_cases =
       prop_q_normalized_gcd_one;
       prop_q_of_ints_matches_make;
       prop_q_of_string_matches_make;
-      prop_q_small_path_boundary
+      prop_q_small_path_boundary;
+      prop_q_oracle_near_switch
     ]
 
 let () =
@@ -469,6 +635,12 @@ let () =
           Alcotest.test_case "to_float" `Quick test_q_to_float;
           Alcotest.test_case "example 1 numbers" `Quick test_q_example1_numbers;
           Alcotest.test_case "of_ints boundaries" `Quick test_q_of_ints_boundaries
+        ] );
+      ( "q oracle",
+        [ Alcotest.test_case "of_ints and make grid" `Quick test_q_oracle_of_ints;
+          Alcotest.test_case "unary ops grid" `Quick test_q_oracle_unary;
+          Alcotest.test_case "binary ops grid" `Quick test_q_oracle_binary;
+          Alcotest.test_case "of_string forms" `Quick test_q_oracle_of_string
         ] );
       ("properties", qcheck_cases)
     ]
